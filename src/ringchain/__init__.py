@@ -33,7 +33,6 @@ from .asymptotics import (
     solve_negative_edge,
 )
 from .bands import (
-    ReducedDispersion,
     dispersion,
     f_ell,
     flat_bands,
@@ -90,7 +89,6 @@ __all__ = [
     "normalized_determinant",
     "vertex_scattering",
     # bands
-    "ReducedDispersion",
     "dispersion",
     "f_ell",
     "flat_bands",

@@ -5,33 +5,35 @@ Everything here is vectorized over numpy arrays and safe for scalars.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["sinpi", "cospi", "coth", "xcothx", "brentq_strict"]
+__all__ = ["sincospi", "coth", "xcothx", "brentq_strict"]
 
 
-def sinpi(x):
-    """sin(pi*x) with exact zeros at integer x.
+def sincospi(x):
+    """(sin(pi*x), cos(pi*x)) from one argument reduction.
 
-    Computed as (-1)^n * sin(pi*(x-n)) with n = round(x), so the argument
-    reduction never loses the integer zeros to rounding of pi*x.
+    With n = round(x) and r = x - n, both are (-1)^n times sin(pi*r) and
+    cos(pi*r), so the reduction never loses the integer zeros of sin and
+    the +-1 of cos to rounding of pi*x.  A 0-d input takes a math-module
+    path that returns Python floats equal bit for bit to the array path.
     """
+    if isinstance(x, float) or np.ndim(x) == 0:
+        x = float(x)
+        if math.isfinite(x):
+            n = round(x)
+            r = math.pi * (x - n)
+            s, c = math.sin(r), math.cos(r)
+            return (-s, -c) if n % 2 else (s, c)
     x = np.asarray(x, dtype=float)
     n = np.round(x)
-    r = x - n
-    s = np.sin(np.pi * r)
-    out = np.where(np.mod(n, 2.0) == 0.0, s, -s)
-    return out if out.ndim else float(out)
-
-
-def cospi(x):
-    """cos(pi*x) with exact +-1 at integer x (same reduction as sinpi)."""
-    x = np.asarray(x, dtype=float)
-    n = np.round(x)
-    r = x - n
-    c = np.cos(np.pi * r)
-    out = np.where(np.mod(n, 2.0) == 0.0, c, -c)
-    return out if out.ndim else float(out)
+    r = np.pi * (x - n)
+    sign = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
+    s = sign * np.sin(r)
+    c = sign * np.cos(r)
+    return (s, c) if s.ndim else (float(s), float(c))
 
 
 def coth(x):

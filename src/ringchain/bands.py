@@ -29,18 +29,16 @@ s = kappa*(pi + ell), which has the same sign and zeros.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._numerics import brentq_strict, cospi, sinpi
+from ._numerics import brentq_strict, sincospi
 from .errors import SolverError
 from .model import Band, ChainSpec, FlatBand, Quasimomentum, SpectralParameter
 from .secular import closed_form_value
 
 __all__ = [
-    "ReducedDispersion",
     "r_coefficient",
     "phi_positive",
     "f_ell",
@@ -70,14 +68,24 @@ def r_coefficient(k):
 
 
 def phi_positive(spec: ChainSpec, k):
-    """Positive-branch reduced dispersion, vectorized in k."""
-    k = np.asarray(k, dtype=float)
+    """Positive-branch reduced dispersion, vectorized in k.
+
+    A finite 0-d k (every Brent callback and midpoint test) is computed
+    with the math module and returned as a float; it takes the same
+    operations in the same order as the array path and equals it bit for
+    bit.
+    """
+    scalar = (isinstance(k, float) or np.ndim(k) == 0) and math.isfinite(k)
+    k = float(k) if scalar else np.asarray(k, dtype=float)
+    s, c = sincospi(k)
     if spec.is_tight:
-        out = cospi(k)
-        return out if np.ndim(out) else float(out)
-    ell = spec.link_length
-    out = np.cos(k * ell) * cospi(k) - r_coefficient(k) * np.sin(k * ell) * sinpi(k)
-    return out if out.ndim else float(out)
+        return c
+    xp = math if scalar else np
+    kl = k * spec.link_length
+    k2 = k * k
+    r = (k2 * k2 + 2.0 * k2 + 5.0) / (4.0 * (k2 + 1.0))  # r_coefficient(k)
+    out = xp.cos(kl) * c - r * xp.sin(kl) * s
+    return out if scalar or out.ndim else float(out)
 
 
 def _f_mantissa(spec: ChainSpec, kappa):
@@ -152,38 +160,6 @@ def f_prime_scaled(spec: ChainSpec, kappa):
     return out if out.ndim else float(out)
 
 
-@dataclass(frozen=True)
-class ReducedDispersion:
-    """Callable wrapper bundling one chain's dispersion on one branch."""
-
-    spec: ChainSpec
-    branch: str  # 'positive' or 'negative'
-
-    def __post_init__(self):
-        if self.branch not in ("positive", "negative"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-
-    def __call__(self, x):
-        """Phi at wavenumber k (positive branch) or kappa (negative)."""
-        if self.branch == "positive":
-            return phi_positive(self.spec, x)
-        return f_ell(self.spec, x)
-
-    def shifted(self, x, c: float):
-        """Sign-faithful, overflow-safe evaluation of Phi - c."""
-        if self.branch == "positive":
-            out = phi_positive(self.spec, x) - c
-            return out if np.ndim(out) else float(out)
-        return f_shifted(self.spec, x, c)
-
-    def in_spectrum(self, x) -> bool:
-        """Membership rule: |Phi| <= 1."""
-        return bool(
-            np.all(np.asarray(self.shifted(x, 1.0)) <= 0.0)
-            and np.all(np.asarray(self.shifted(x, -1.0)) >= 0.0)
-        )
-
-
 # ---------------------------------------------------------------------------
 # flat bands
 
@@ -210,7 +186,7 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
     while n * n <= e_max:
         k = float(n)
         if spec.is_tight:
-            embedded = abs(cospi(k)) <= 1.0  # always true: ac part is [0, inf)
+            embedded = abs(sincospi(k)[1]) <= 1.0  # always true: ac part is [0, inf)
         else:
             embedded = abs(phi_positive(spec, k)) <= 1.0
         entries.append(FlatBand(energy=k * k, source="sin_k_pi", embedded=embedded))
@@ -261,17 +237,25 @@ def _check_resolution(spec: ChainSpec, k_max: float, resolution: float) -> None:
 
 
 def _refined_grid(fvec, lo: float, hi: float, resolution: float, max_depth: int = 14):
-    """Sample fvec on [lo, hi], halving steps where it jumps by > 0.5."""
+    """Sample fvec on [lo, hi], halving steps where it jumps by > 0.5.
+
+    Each round evaluates fvec only at the new midpoints and splices them in
+    after the left end of their step, so every grid point is evaluated once.
+    A midpoint that rounds onto an end of its step is dropped.
+    """
     n = max(int(math.ceil((hi - lo) / resolution)) + 1, 8)
     ks = np.linspace(lo, hi, n)
     y = fvec(ks)
     for _ in range(max_depth):
-        jump = np.abs(np.diff(y)) > 0.5
-        if not jump.any():
+        jump = np.flatnonzero(np.abs(np.diff(y)) > 0.5)
+        mids = 0.5 * (ks[jump] + ks[jump + 1])
+        inner = (ks[jump] < mids) & (mids < ks[jump + 1])
+        if not inner.any():
             break
-        mids = 0.5 * (ks[:-1][jump] + ks[1:][jump])
-        ks = np.union1d(ks, mids)
-        y = fvec(ks)
+        at = jump[inner] + 1
+        mids = mids[inner]
+        ks = np.insert(ks, at, mids)
+        y = np.insert(y, at, fvec(mids))
     return ks, y
 
 

@@ -59,6 +59,7 @@ def _scalar_fns(spec: ChainSpec, branch: str, q: Quasimomentum):
 
 
 def _phase_anchored(ndet, a: float, b: float):
+    """The real proxy and its values at a and b, from one determinant each."""
     za, zb = ndet(a), ndet(b)
     anchor = za if abs(za) >= abs(zb) else zb
     if anchor == 0:
@@ -68,7 +69,7 @@ def _phase_anchored(ndet, a: float, b: float):
     def proxy(x: float) -> float:
         return (ndet(x) * ph.conjugate()).real
 
-    return proxy
+    return proxy, (za * ph.conjugate()).real, (zb * ph.conjugate()).real
 
 
 def match_roots(
@@ -114,12 +115,13 @@ def match_roots(
         fa, fb = closed(a), closed(b)
         if fa == 0.0 or fb == 0.0:
             continue  # endpoint exactly on shell; perturbing is the caller's job
-        proxy = _phase_anchored(ndet, a, b)
-        if proxy is None:
+        anchored = _phase_anchored(ndet, a, b)
+        if anchored is None:
             mismatches.append(f"determinant exactly zero at a bracket end in [{a},{b}]")
             continue
+        proxy, pa, pb = anchored
         f_change = fa * fb < 0.0
-        p_change = proxy(a) * proxy(b) < 0.0
+        p_change = pa * pb < 0.0
         if f_change != p_change:
             who = "closed-form" if f_change else "determinant"
             mismatches.append(

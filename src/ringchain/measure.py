@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from ._numerics import sinpi
+from ._numerics import sincospi
 from .bands import phi_positive, positive_bands, r_coefficient
 from .model import Band, ChainSpec
 
@@ -96,7 +96,7 @@ def gap_certificate(spec: ChainSpec, k: float) -> GapCertificate:
     k = float(k)
     if not math.isfinite(k) or k <= 0:
         raise ValueError(f"k must be finite and > 0, got {k}")
-    ss = abs(math.sin(k * spec.link_length) * sinpi(k))
+    ss = abs(math.sin(k * spec.link_length) * sincospi(k)[0])
     margin = 1e-12
     if r_coefficient(k) * ss > 2.0 + margin:
         # cross-check the certificate's own implication

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import cospi, sinpi
+from ._numerics import sincospi
 from .errors import OverflowGuardError, SolverError
 from .model import ChainSpec, Quasimomentum, SpectralParameter, make_coupling
 
@@ -233,7 +233,7 @@ def closed_form_value(
 
     if sp.branch == "positive":
         k = sp.k
-        sk, ck = sinpi(k), cospi(k)
+        sk, ck = sincospi(k)
         if spec.is_tight:
             return k**3 * (k * k + 1.0) * sk * (ck - theta_cos)
         sl, cl = math.sin(k * ell), math.cos(k * ell)

@@ -8,7 +8,6 @@ import pytest
 from ringchain import (
     ChainSpec,
     Quasimomentum,
-    ReducedDispersion,
     dispersion,
     f_ell,
     flat_bands,
@@ -16,7 +15,9 @@ from ringchain import (
     phi_positive,
     positive_bands,
 )
+from ringchain._numerics import sincospi
 from ringchain.asymptotics import h_prime
+from ringchain.bands import _refined_grid
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
@@ -155,14 +156,76 @@ def test_phi_small_ell_limit_is_tight_dispersion():
     assert dev5 < dev4 / 5.0
 
 
-def test_reduced_dispersion_wrapper():
-    rd = ReducedDispersion(LOOSE1, "positive")
-    assert rd(2.0) == phi_positive(LOOSE1, 2.0)
-    assert rd.in_spectrum(1.0)  # integer anchor
-    rdn = ReducedDispersion(LOOSE1, "negative")
-    assert not rdn.in_spectrum(0.5)  # (-1, 0) never in the spectrum
-    with pytest.raises(ValueError):
-        ReducedDispersion(LOOSE1, "sideways")
+# ---------------------------------------------------------------------------
+# exactness of the kernels and of the incremental refinement
+
+
+def _refined_grid_union1d(fvec, lo, hi, resolution, max_depth=14):
+    """Reference refinement: re-evaluate the whole merged grid every round."""
+    n = max(int(math.ceil((hi - lo) / resolution)) + 1, 8)
+    ks = np.linspace(lo, hi, n)
+    y = fvec(ks)
+    for _ in range(max_depth):
+        jump = np.abs(np.diff(y)) > 0.5
+        if not jump.any():
+            break
+        mids = 0.5 * (ks[:-1][jump] + ks[1:][jump])
+        ks = np.union1d(ks, mids)
+        y = fvec(ks)
+    return ks, y
+
+
+@pytest.mark.parametrize("ell", [0.3, 1.0, 2.7, 7.5])
+@pytest.mark.parametrize("k_max", [10.0, 60.0])
+def test_refined_grid_equals_union1d_refinement(ell, k_max):
+    spec = ChainSpec(ell)
+
+    def fvec(x):
+        return np.asarray(phi_positive(spec, x))
+
+    ks, y = _refined_grid(fvec, 0.0, k_max, 1e-3)
+    ks_ref, y_ref = _refined_grid_union1d(fvec, 0.0, k_max, 1e-3)
+    if k_max == 60.0:  # |Phi'| ~ k^2 (ell + pi) / 4 outgrows the step
+        assert ks.size > np.ceil(k_max / 1e-3) + 1
+    assert np.array_equal(ks.view(np.int64), ks_ref.view(np.int64))
+    assert np.array_equal(y.view(np.int64), y_ref.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "spec", [TIGHT, ChainSpec(0.37), LOOSE1, ChainSpec(math.pi), ChainSpec(7.5)]
+)
+def test_phi_scalar_path_equals_array_path(spec):
+    rng = np.random.default_rng(20191209)
+    ks = np.concatenate(
+        [rng.uniform(0.0, 400.0, 10_000), np.arange(0.0, 401.0), np.arange(0.5, 400.0)]
+    )
+    values = [phi_positive(spec, float(k)) for k in ks]
+    assert all(type(v) is float for v in values)
+    scalar = np.array(values)
+    arr = phi_positive(spec, ks)
+    assert np.array_equal(arr.view(np.int64), scalar.view(np.int64))
+    # numpy scalars and 0-d arrays take the same path
+    assert phi_positive(spec, np.float64(ks[0])) == scalar[0]
+    assert phi_positive(spec, np.asarray(ks[1])) == scalar[1]
+
+
+def test_sincospi_exact_at_integers_and_half_integers():
+    n = np.concatenate([np.arange(-50.0, 51.0), np.arange(1e6 - 50.0, 1e6 + 51.0)])
+    n = np.concatenate([n, -n[101:]])
+    parity = np.where(np.mod(n, 2.0) == 0.0, 1.0, -1.0)
+    for x, sign in zip(n, parity):
+        assert sincospi(x) == (0.0, sign)
+    s, c = sincospi(n)
+    assert np.all(s == 0.0) and np.array_equal(c, parity)
+    # half-integers: sin is exactly +-1; cos is the rounded cos(pi/2) of
+    # the reduced argument, so |cos| = 6.1e-17 there and not 0
+    h = n + 0.5
+    expect = np.where(np.mod(np.round(h), 2.0) == 0.0, 1.0, -1.0) * np.sign(h - np.round(h))
+    for x, e in zip(h, expect):
+        sx, cx = sincospi(x)
+        assert sx == e and abs(cx) == math.cos(math.pi / 2)
+    s, c = sincospi(h)
+    assert np.array_equal(s, expect) and np.all(np.abs(c) == math.cos(math.pi / 2))
 
 
 # ---------------------------------------------------------------------------

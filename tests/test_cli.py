@@ -2,6 +2,10 @@
 
 import json
 import math
+import runpy
+import sys
+
+import pytest
 
 from ringchain import SolverError
 from ringchain.cli import main
@@ -17,6 +21,19 @@ def csv_rows(text):
     lines = [l for l in text.strip().splitlines() if not l.startswith("#")]
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def test_python_dash_m_entry_point(capsys, monkeypatch):
+    argv = ["flat", "--ell", "1", "--e-max", "10"]
+    _, expected, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(sys, "argv", ["ringchain", *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("ringchain", run_name="__main__", alter_sys=True)
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    _, rows = csv_rows(out)
+    assert [r[0] for r in rows] == ["0", "1", "4", "9"]
 
 
 def test_bands_schema(capsys):
