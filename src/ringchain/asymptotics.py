@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from ._numerics import brentq_strict, coth, xcothx
-from .bands import f_shifted, positive_bands
+from ._numerics import coth, xcothx
+from .bands import _negative_brackets, _negative_edge, positive_bands
 from .errors import LemmaWitnessError, SolverError
 from .model import Band, ChainSpec, Quasimomentum
 
@@ -157,21 +157,6 @@ def implicit_g(kappa, ell, theta_cos: float):
     v = kappa * np.asarray(ell, dtype=float)
     out = (k2 - 3.0) ** 2 * np.sinh(v) * np.sinh(u) + 4.0 * (k2 - 1.0) * (
         theta_cos - np.cosh(u - v)
-    )
-    return out if np.ndim(out) else float(out)
-
-
-def implicit_g_scaled(kappa, ell, theta_cos: float):
-    """implicit_g divided by e^{kappa(pi+ell)}: overflow-safe residual."""
-    kappa = np.asarray(kappa, dtype=float)
-    k2 = kappa * kappa
-    u = kappa * math.pi
-    v = kappa * np.asarray(ell, dtype=float)
-    eu, ev = np.exp(-2.0 * u), np.exp(-2.0 * v)
-    ss = 0.25 * (1.0 - eu) * (1.0 - ev)
-    ch = 0.5 * (eu + ev)  # cosh(u - v) scaled
-    out = (k2 - 3.0) ** 2 * ss + 4.0 * (k2 - 1.0) * (
-        theta_cos * np.exp(-(u + v)) - ch
     )
     return out if np.ndim(out) else float(out)
 
@@ -362,33 +347,17 @@ def large_l_gap_spacing(n: int, ell: float) -> float:
 
 
 def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
-    """Bisection oracle for one negative-branch crossing f(kappa) = cos(theta).
+    """One negative-branch crossing f(kappa) = cos(theta), by Brent's method.
 
-    ``band='upper'`` brackets the crossing in (1, sqrt(3)), ``'lower'`` the
-    one in (sqrt(3), inf).  Used as the independent check of the asymptotic
-    predictions."""
+    ``band='upper'`` solves on (1, sqrt(3)], ``'lower'`` on [sqrt(3), cap),
+    the brackets of ``negative_bands``.  Used as the independent check of
+    the asymptotic predictions."""
     if not spec.is_loose:
         raise ValueError("negative edges exist for the loose chain only")
-    if band == "upper":
-        lo, hi = 1.0 + 2e-8, _SQRT3  # strictly outside the kappa = 1 guard band
-    elif band == "lower":
-        hi = 8.0
-        while f_shifted(spec, hi, theta_cos) > 0.0:
-            hi *= 2.0
-            if hi > 65536.0:
-                raise SolverError("lower negative edge could not be bracketed")
-        lo = _SQRT3
-    else:
+    if band not in ("upper", "lower"):
         raise ValueError(f"band must be 'upper' or 'lower', got {band!r}")
-
-    def fn(x):
-        return float(f_shifted(spec, x, theta_cos))
-
-    if fn(lo) * fn(hi) > 0:
-        raise SolverError(
-            f"negative edge not bracketed in ({lo}, {hi}) for ell={spec.link_length}"
-        )
-    return brentq_strict(fn, lo, hi)
+    upper, lower = _negative_brackets(spec)
+    return _negative_edge(spec, theta_cos, upper if band == "upper" else lower)
 
 
 # ---------------------------------------------------------------------------

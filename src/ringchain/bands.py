@@ -21,9 +21,13 @@ Negative branch (E = -kappa^2):
             is always > 1, so the energy interval (-1, 0) is never in the
             spectrum.
 
-All hyperbolic evaluations go through mantissa/exponent splits so that
-nothing overflows: comparisons f <=> c are done on (f - c) * e^{-s} with
-s = kappa*(pi + ell), which has the same sign and zeros.
+Every comparison f <=> c is made on one kernel, (f - c) * e^{-s} with
+s = kappa*(pi + ell), which has the same sign and zeros and never
+overflows.  f -> -inf as kappa -> 1+ and as kappa -> inf, and
+f(sqrt3) = cosh(sqrt3 (pi - ell)) >= 1, so each negative band edge is one
+bracketed solve: f = -1 and f = +1 once each on (1, sqrt3] and on
+[sqrt3, cap).  The bands merge into one exactly when f(sqrt3) - 1 =
+2 sinh^2(sqrt3 (pi - ell)/2) is zero to float resolution.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ __all__ = [
     "dispersion",
 ]
 
-#: guard band around the kappa = 1 pole of the negative-branch dispersion
-_POLE_GUARD = 1e-8
+_SQRT3 = math.sqrt(3.0)
+_ABOVE_POLE = math.nextafter(1.0, 2.0)  # smallest float kappa above the pole
+_ABOVE_SQRT3 = math.nextafter(_SQRT3, 2.0)
 
 #: |Phi -+ 1| below this at a critical point counts as a tangential touching
 _TANGENCY_TOL = 1e-9
@@ -88,55 +93,56 @@ def phi_positive(spec: ChainSpec, k):
     return out if scalar or out.ndim else float(out)
 
 
-def _f_mantissa(spec: ChainSpec, kappa):
-    """Split the negative-branch dispersion as Phi = m * e^s, vectorized.
+def f_shifted(spec: ChainSpec, kappa, c: float):
+    """(Phi(kappa) - c) * e^{-s} with s = kappa*(pi + ell), vectorized.
 
-    s = kappa*(pi + ell) for the loose chain, kappa*pi for the tight one.
-    Inside the guard band around the kappa = 1 pole the mantissa is NaN.
+    Same sign and zeros as Phi - c, and never overflows.  Above the pole,
+    with u = kappa*pi, v = kappa*ell and w = u - v = kappa*(pi - ell),
+
+        Phi - c = [2 sinh^2(w/2) + (1 - c)] - q(kappa) sinh u sinh v,
+
+    and for |c| <= 1 both scaled terms are non-negative, so the sign of their
+    difference is right even where they agree to rounding.  NaN at the pole
+    kappa = 1.
     """
     kappa = np.asarray(kappa, dtype=float)
     u = kappa * math.pi
     if spec.is_tight:
-        m = 0.5 * (1.0 + np.exp(-2.0 * u))
-        return m, u
-    v = kappa * spec.link_length
-    s = u + v
-    eu = np.exp(-2.0 * u)
-    ev = np.exp(-2.0 * v)
+        out = 0.5 * (1.0 + np.exp(-2.0 * u)) - c * np.exp(-u)
+        return out if out.ndim else float(out)
+    ell = spec.link_length
+    v = kappa * ell
+    w = kappa * (math.pi - ell)
     k2 = kappa * kappa
-    denom = k2 - 1.0
+    es = np.exp(-(u + v))
+    ss = 0.25 * np.expm1(-2.0 * u) * np.expm1(-2.0 * v)  # sinh u sinh v e^{-s}
     with np.errstate(divide="ignore", invalid="ignore"):
-        q_above = (k2 - 3.0) ** 2 / (4.0 * denom)
-        p_below = (k2 * k2 - 2.0 * k2 + 5.0) / (-4.0 * denom)
-        m_above = 0.5 * (ev + eu) - 0.25 * q_above * (1.0 - eu) * (1.0 - ev)
-        m_below = 0.25 * (1.0 + eu) * (1.0 + ev) + 0.25 * p_below * (1.0 - eu) * (
-            1.0 - ev
-        )
-    m = np.where(k2 > 1.0, m_above, m_below)
-    m = np.where(np.abs(kappa - 1.0) < _POLE_GUARD, np.nan, m)
-    return m, s
+        # t^2 = sinh^2(w/2) e^{-s}, with no cancellation as ell -> pi
+        t = 0.5 * np.exp(-np.minimum(u, v)) * np.expm1(-np.abs(w))
+        q = (k2 - 3.0) ** 2 / (4.0 * (k2 - 1.0))
+        above = 2.0 * t * t + (1.0 - c) * es - q * ss
+        # kappa < 1: Phi = cosh u cosh v + p sinh u sinh v with p > 0
+        p = (k2 * k2 - 2.0 * k2 + 5.0) / (-4.0 * (k2 - 1.0))
+        cc = 0.25 * (1.0 + np.exp(-2.0 * u)) * (1.0 + np.exp(-2.0 * v))
+        below = cc + p * ss - c * es
+    out = np.where(kappa == 1.0, np.nan, np.where(k2 > 1.0, above, below))
+    return out if out.ndim else float(out)
 
 
 def f_ell(spec: ChainSpec, kappa):
     """Negative-branch dispersion value itself (may overflow to +-inf)."""
-    m, s = _f_mantissa(spec, kappa)
+    kappa = np.asarray(kappa, dtype=float)
+    s = kappa * (math.pi + spec.link_length)
     with np.errstate(over="ignore"):
-        out = m * np.exp(s)
-    return out if np.ndim(out) else float(out)
-
-
-def f_shifted(spec: ChainSpec, kappa, c: float):
-    """(Phi(kappa) - c) * e^{-s}: sign- and zero-faithful, never overflows."""
-    m, s = _f_mantissa(spec, kappa)
-    out = m - c * np.exp(-s)
+        out = f_shifted(spec, kappa, 0.0) * np.exp(s)
     return out if np.ndim(out) else float(out)
 
 
 def f_prime_scaled(spec: ChainSpec, kappa):
     """d(Phi)/d(kappa) * e^{-s} for the loose chain, kappa > 1.
 
-    Same zeros and signs as the true derivative; used to locate tangential
-    band touchings (double roots of the edge condition) precisely.
+    Same zeros and signs as the true derivative; its zeros are the critical
+    points of the negative-branch dispersion.
     """
     if spec.is_tight:
         raise ValueError("derivative helper is defined for the loose chain")
@@ -427,133 +433,88 @@ def positive_bands(
 # negative bands
 
 
-def _negative_cap(spec: ChainSpec) -> float:
-    """Smallest doubling of 8 with Phi(cap) < -1 (exists since Phi -> -inf)."""
+def _negative_brackets(spec: ChainSpec):
+    """(1, sqrt3] and [sqrt3, cap) for the loose chain, with cap the first
+    doubling of 8 where Phi < -1.
+
+    Phi -> -inf at both outer ends, Phi(sqrt3) = cosh(sqrt3 (pi - ell))
+    >= 1, and every critical point of Phi but its one peak lies below -1.
+    So each bracket holds exactly one crossing Phi = c for every c in
+    [-1, 1].
+    """
     cap = 8.0
-    while cap <= 65536.0:
-        if f_shifted(spec, cap, -1.0) < 0.0:
-            return cap
+    while f_shifted(spec, cap, -1.0) >= 0.0:
         cap *= 2.0
-    raise SolverError("could not cap the negative-branch scan: Phi never < -1")
+        if cap > 65536.0:
+            raise SolverError("could not cap the negative branch: Phi never < -1")
+    return (_ABOVE_POLE, _SQRT3), (_SQRT3, cap)
+
+
+def _negative_edge(spec: ChainSpec, c: float, bracket) -> float:
+    """The crossing Phi = c in one of the two brackets.
+
+    Phi(sqrt3) - c is positive except for c = 1 at ell = pi (to float
+    resolution), where Phi only touches 1 at sqrt3; sqrt3 is returned then.
+    """
+    def fn(x):
+        return f_shifted(spec, x, c)
+
+    if fn(_SQRT3) <= 0.0:
+        return _SQRT3
+    return brentq_strict(fn, *bracket)
 
 
 def negative_bands(spec: ChainSpec) -> list[Band]:
     """Negative ac bands (energy intervals), sorted by increasing energy.
 
-    The loose chain has exactly two bands, both below -1, with -3 strictly
-    inside the gap between them, except when ell = pi where the gap closes
-    and the two merge into a single band touching cos(theta) = 1 exactly at
-    energy -3 (recorded in ``touch_energies``).  The tight chain has no
-    negative ac spectrum and returns [].
+    Four bracketed solves give the edges: Phi = -1 and Phi = +1 once each on
+    (1, sqrt3] and on [sqrt3, cap).  The loose chain has two bands, both
+    below -1, with -3 strictly inside the gap between them.  When
+    Phi(sqrt3) - 1 = 2 sinh^2(sqrt3 (pi - ell)/2) is zero in floats (ell = pi,
+    or within 1.5e-14 of it, where the gap of ~0.06 |pi - ell| in kappa^2 is
+    below float resolution) the two merge into one band touching
+    cos(theta) = 1 at energy -3, recorded in ``touch_energies``.  A band
+    narrower than the root tolerance collapses to a point.  The tight chain
+    has no negative ac spectrum and returns [].
     """
     if spec.is_tight:
         return []
 
-    cap = _negative_cap(spec)
-    ts = np.geomspace(_POLE_GUARD * 1.01, cap - 1.0, 8192)
-    ks = 1.0 + ts
-    m, s = _f_mantissa(spec, ks)
-    thr = np.exp(-s)
-    dplus = m - thr
-    dminus = m + thr
-
-    def fplus(x):
-        return f_shifted(spec, x, 1.0)
-
-    def fminus(x):
-        return f_shifted(spec, x, -1.0)
-
-    roots_plus = sorted(_bracket_roots(fplus, ks, dplus))
-    roots_minus = sorted(_bracket_roots(fminus, ks, dminus))
-    profile = {"kappa": ks, "shifted_plus": dplus, "shifted_minus": dminus}
-    ell = spec.link_length
-
-    # tangential touchings: zeros of the derivative where |Phi -+ 1| ~ 0
-    touches: list[float] = []
-    fp = f_prime_scaled(spec, ks)
-    crit_idx = np.flatnonzero(np.sign(fp[:-1]) * np.sign(fp[1:]) < 0.0)
-    for i in crit_idx:
-        x_star = brentq_strict(
-            lambda x: float(f_prime_scaled(spec, x)), ks[i], ks[i + 1]
-        )
-        for target in (1.0, -1.0):
-            resid = f_shifted(spec, x_star, target)
-            # back to the unscaled |Phi - target|
-            _, s_star = _f_mantissa(spec, np.asarray(x_star))
-            if abs(resid) * math.exp(min(float(s_star), 700.0)) < _TANGENCY_TOL:
-                touches.append(float(x_star))
-
-    # The crossing structure is analytically known: rising through -1 then
-    # +1 on (1, sqrt(3)), falling through +1 then -1 on (sqrt(3), inf); the
-    # +1 pair merges into a tangency exactly when the gap closes (ell = pi).
-    # Bands can be exponentially narrow (width ~ e^{-kappa ell}), so they
-    # are paired structurally rather than via midpoint classification.
-    out: list[Band] = []
-    if len(roots_minus) == 2 and len(roots_plus) == 2:
-        ka, kd = roots_minus
-        kb, kc = roots_plus
-        if not (ka <= kb + 1e-12 and kb <= kc and kc <= kd + 1e-12):
-            raise SolverError(
-                f"unexpected negative edge ordering at ell={ell}: "
-                f"-1 crossings {roots_minus}, +1 crossings {roots_plus}",
-                profile=profile,
-            )
-        # upper band in energy: kappa in [ka, kb], theta = 0 edge at kb
-        out.append(
+    upper, lower = _negative_brackets(spec)
+    ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
+    if f_shifted(spec, _SQRT3, 1.0) <= 0.0:  # the gap is closed
+        return [
             Band(
-                e_lo=-(kb * kb),
+                e_lo=-(kd * kd),
                 e_hi=-(ka * ka),
-                edge_theta_lo=0.0,
+                edge_theta_lo=_THETA_PI,
                 edge_theta_hi=_THETA_PI,
                 kind="negative-ac",
+                touch_energies=(-3.0,),
             )
-        )
+        ]
+    # Phi(sqrt3) > 1 puts the theta = 0 edges on either side of sqrt3, and
+    # kc*kc > 3 needs kc above the float sqrt3, which is below the true one
+    kb = max(_negative_edge(spec, 1.0, upper), ka)
+    kc = min(max(_negative_edge(spec, 1.0, lower), _ABOVE_SQRT3), kd)
+    return [
         # lower band: kappa in [kc, kd], theta = 0 edge at kc
-        out.append(
-            Band(
-                e_lo=-(kd * kd),
-                e_hi=-(kc * kc),
-                edge_theta_lo=_THETA_PI,
-                edge_theta_hi=0.0,
-                kind="negative-ac",
-            )
-        )
-    elif len(roots_minus) == 2 and not roots_plus:
-        ka, kd = roots_minus
-        in_band = sorted(-x * x for x in touches if ka <= x <= kd)
-        if not in_band:
-            raise SolverError(
-                "single negative band without the merging tangency; "
-                "the band count dichotomy is violated",
-                profile=profile,
-            )
-        out.append(
-            Band(
-                e_lo=-(kd * kd),
-                e_hi=-(ka * ka),
-                edge_theta_lo=_THETA_PI,
-                edge_theta_hi=_THETA_PI,
-                kind="negative-ac",
-                touch_energies=tuple(in_band),
-            )
-        )
-    else:
-        raise SolverError(
-            f"expected 2 crossings of -1 and 0 or 2 of +1, found "
-            f"{len(roots_minus)} and {len(roots_plus)} at ell={ell}",
-            profile=profile,
-        )
-
-    out.sort(key=lambda b: b.e_lo)
-    if len(out) == 2 and not out[0].e_hi < -3.0 < out[1].e_lo:
-        raise SolverError(
-            f"-3 is not strictly inside the negative gap "
-            f"({out[0].e_hi}, {out[1].e_lo}) at ell={ell}",
-            profile=profile,
-        )
-    if any(b.e_hi >= -1.0 for b in out):
-        raise SolverError("negative band leaked into [-1, 0)", profile=profile)
-    return out
+        Band(
+            e_lo=-(kd * kd),
+            e_hi=-(kc * kc),
+            edge_theta_lo=_THETA_PI,
+            edge_theta_hi=0.0,
+            kind="negative-ac",
+        ),
+        # upper band: kappa in [ka, kb], theta = 0 edge at kb
+        Band(
+            e_lo=-(kb * kb),
+            e_hi=-(ka * ka),
+            edge_theta_lo=0.0,
+            edge_theta_hi=_THETA_PI,
+            kind="negative-ac",
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------

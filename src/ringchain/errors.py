@@ -16,12 +16,7 @@ class RingChainError(Exception):
 
 class SolverError(RingChainError):
     """A root that is guaranteed analytically could not be bracketed, or an
-    internal consistency check on solver output failed.  Carries the scanned
-    profile when available to aid debugging."""
-
-    def __init__(self, message: str, profile=None):
-        super().__init__(message)
-        self.profile = profile
+    internal consistency check on solver output failed."""
 
 
 class OverflowGuardError(SolverError):

@@ -25,11 +25,7 @@ from ringchain import (
     small_l_upper_band,
     solve_negative_edge,
 )
-from ringchain.asymptotics import (
-    _one_sided_hausdorff,
-    g2_ell_derivative_at_pi,
-    implicit_g_scaled,
-)
+from ringchain.asymptotics import _one_sided_hausdorff, g2_ell_derivative_at_pi
 
 SQRT3 = math.sqrt(3.0)
 
@@ -117,7 +113,7 @@ def test_implicit_g_vanishes_on_solved_band_points():
         for theta_cos, band in ((1.0, "upper"), (-1.0, "upper"),
                                 (1.0, "lower"), (-1.0, "lower")):
             kappa = solve_negative_edge(spec, theta_cos, band)
-            resid = abs(implicit_g_scaled(kappa, ell, theta_cos))
+            resid = abs(implicit_g(kappa, ell, theta_cos) * math.exp(-kappa * (math.pi + ell)))
             k2 = kappa * kappa
             scale = (k2 - 3.0) ** 2 + 4.0 * (k2 - 1.0)
             assert resid / scale < 1e-8

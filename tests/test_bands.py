@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ringchain import (
     ChainSpec,
@@ -14,10 +16,11 @@ from ringchain import (
     negative_bands,
     phi_positive,
     positive_bands,
+    small_l_upper_band,
 )
 from ringchain._numerics import sincospi
 from ringchain.asymptotics import h_prime
-from ringchain.bands import _refined_grid
+from ringchain.bands import _refined_grid, f_prime_scaled, f_shifted
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
@@ -250,7 +253,16 @@ def test_negative_bands_ell_pi_single_with_touch():
     assert abs(b.touch_energies[0] + 3.0) < 1e-12
 
 
-@pytest.mark.parametrize("ell", [0.5, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize(
+    "ell",
+    [0.5, 1.0, 2.0, 5.0]
+    # the gap shrinks like |pi - ell| but stays open
+    + [math.pi + d for d in (-1e-3, 1e-3, -1e-6, 1e-6, -1e-8, 1e-8, 3e-14)]
+    # sub-ulp lower bands, once returned with inverted edges
+    + [2.2664115607235118e-3, 2.5898020546844132e-3, 2.7378090329576153e-3]
+    # the ends of the range: once refused, and sub-ulp bands
+    + [1e-8, 1e-10, 25.0, 30.0],
+)
 def test_negative_bands_pair_with_gap_at_minus3(ell):
     bands = negative_bands(ChainSpec(ell))
     assert len(bands) == 2
@@ -272,6 +284,73 @@ def test_negative_bands_frozen_ell1():
     )
 
 
+def _mp_dispersion(kappa, ell):
+    k2 = kappa * kappa
+    return mp.cosh(kappa * (mp.pi - ell)) - (k2 - 3) ** 2 / (4 * (k2 - 1)) * mp.sinh(
+        kappa * ell
+    ) * mp.sinh(kappa * mp.pi)
+
+
+def _mp_crossing(ell, c, lo, hi):
+    """Bisection of f = c on (lo, hi) at 50 digits."""
+    f_lo = _mp_dispersion(lo, ell) - c
+    for _ in range(120):
+        mid = (lo + hi) / 2
+        f_mid = _mp_dispersion(mid, ell) - c
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+@pytest.mark.parametrize("ell", [1.0, math.pi - 1e-6, math.pi + 1e-8, 20.0])
+def test_negative_edges_match_mpmath(ell):
+    lower, upper = negative_bands(ChainSpec(ell))
+    with mp.workdps(50):
+        e = mp.mpf(ell)
+        sqrt3 = mp.sqrt(3)
+        cap = mp.mpf(8)
+        while _mp_dispersion(cap, e) > -1:
+            cap *= 2
+        above_pole = 1 + mp.mpf(10) ** -40
+        edges = [
+            (upper.e_hi, _mp_crossing(e, -1, above_pole, sqrt3)),
+            (upper.e_lo, _mp_crossing(e, 1, above_pole, sqrt3)),
+            (lower.e_hi, _mp_crossing(e, 1, sqrt3, cap)),
+            (lower.e_lo, _mp_crossing(e, -1, sqrt3, cap)),
+        ]
+        for got, kappa in edges:
+            assert abs((mp.mpf(got) + kappa**2) / kappa**2) < 1e-13
+
+
+def test_negative_dispersion_critical_points_below_minus1():
+    # the premise of the bracketed solves: every critical point of f but one
+    # peak lies below -1, so each c in [-1, 1] is crossed once on either
+    # side of the peak, and f(sqrt3) >= 1 places sqrt3 between the crossings
+    ks = 1.0 + np.geomspace(1e-9, 79.0, 100001)
+    for ell in np.geomspace(1e-3, 60.0, 40):
+        spec = ChainSpec(float(ell))
+        d = f_prime_scaled(spec, ks)
+        idx = np.flatnonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0.0)
+        crit = [
+            brentq(lambda x: f_prime_scaled(spec, x), ks[i], ks[i + 1]) for i in idx
+        ]
+        above = [x for x in crit if f_shifted(spec, x, -1.0) >= 0.0]
+        assert len(above) == 1, (ell, crit)
+        assert f_shifted(spec, above[0], 1.0) >= 0.0
+        # from ell ~ 4.595 on, f has a local max and min on (1, sqrt3), far below -1
+        assert len(crit) == (3 if ell > 4.6 else 1)
+
+
+@pytest.mark.parametrize("ell", [1e-8, 1e-10])
+def test_negative_bands_tiny_link_upper_edge(ell):
+    # theta = 0 edge: -1 - ell*coth(pi/2), up to O(ell^2) and the root tolerance
+    _, upper = negative_bands(ChainSpec(ell))
+    pred = small_l_upper_band(ell, Quasimomentum(0.0)).lower_edge_energy_pred
+    assert upper.e_lo == pytest.approx(pred, abs=1e-12)
+
+
 def test_negative_level_crossing_unique_beyond_sqrt3():
     # exactly one solution of f(kappa) = -1 in (sqrt(3), inf): the scan
     # profile must show a single sign change there
@@ -287,6 +366,9 @@ def test_negative_level_crossing_unique_beyond_sqrt3():
 def test_f_ell_pole_guard_nan():
     assert math.isnan(f_ell(LOOSE1, 1.0))
     assert math.isfinite(f_ell(LOOSE1, 1.1))
+    # only kappa = 1 itself is NaN; just above it f is finite and far below -1
+    near = f_ell(LOOSE1, 1.0 + 1e-9)
+    assert math.isfinite(near) and near < -1.0
 
 
 # ---------------------------------------------------------------------------
