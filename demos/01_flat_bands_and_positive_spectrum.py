@@ -23,7 +23,7 @@ for ell in (0.0, 1.0):
     bands = positive_bands(spec, k_max=5.0)
     print(f"positive ac bands up to E = 25 ({len(bands)} bands):")
     for b in bands:
-        cut = "  (cut at the scan window)" if b.truncated_hi else ""
+        cut = "  (cut at k_max)" if b.truncated_hi else ""
         print(f"  [{b.e_lo:9.5f}, {b.e_hi:9.5f}]  width {b.width:8.5f}{cut}")
     if len(bands) > 1:
         gaps = [(a.e_hi, b.e_lo) for a, b in zip(bands, bands[1:])]

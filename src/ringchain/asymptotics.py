@@ -388,7 +388,6 @@ def _gap_fraction(bands: list[Band], lo: float, hi: float) -> float:
 def set_convergence_check(
     ell_list: list[float],
     e_max: float = 25.0,
-    resolution: float = 1e-3,
     window_width: float = 10.0,
     gap_threshold: float = 0.5,
     search_cap: float = 12000.0,
@@ -411,12 +410,10 @@ def set_convergence_check(
     rows = []
     for ell in ells:
         spec = ChainSpec(ell)
-        bands_small = positive_bands(spec, math.sqrt(e_max), resolution=resolution)
+        bands_small = positive_bands(spec, math.sqrt(e_max))
         dist = _one_sided_hausdorff(e_max, bands_small)
 
-        bands_big = positive_bands(
-            spec, math.sqrt(search_cap + window_width), resolution=resolution
-        )
+        bands_big = positive_bands(spec, math.sqrt(search_cap + window_width))
         witness_k = None
         k0 = 0.0
         while k0 + window_width <= search_cap + window_width:

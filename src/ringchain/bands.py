@@ -11,6 +11,20 @@ Positive branch:
     loose:  Phi(k) = cos(k*ell) cos(k*pi) - r(k) sin(k*ell) sin(k*pi),
             r(k) = (k^4 + 2k^2 + 5) / (4 (k^2 + 1))
 
+With g = sin(k*pi) sin(k*ell) and r - 1 = (k^2 - 1)^2 / (4 (k^2 + 1)) >= 0,
+
+    Phi - 1 = -2 sin^2(k (pi + ell)/2) - (r - 1) g,
+    Phi + 1 =  2 cos^2(k (pi + ell)/2) - (r - 1) g.
+
+So |Phi| <= 1 at the anchors k = n and k = m*pi/ell (g = 0), and at the
+gap witnesses w_j = j*pi/(pi + ell) Phi = (-1)^j (1 + (r - 1) sin^2(pi w_j))
+lies on or beyond (-1)^j.  Anchors and witnesses alternate, so each gap
+holds one witness and each band an anchor, and every positive band edge
+is one bracketed solve between two witnesses, with no grid and no step.
+A gap whose witness does not pass its level in floats is closed to float
+precision: the bands beside it touch there, which happens exactly where
+two anchors coincide.
+
 Negative branch (E = -kappa^2):
     tight:  Phi(kappa) = cosh(kappa*pi)  (> 1 for kappa > 0: no ac spectrum)
     loose, kappa > 1:
@@ -35,7 +49,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+
+# unused here: kept importable as ringchain.bands.minimize_scalar, a name
+# the benchmark's tracer (perfbench/tracing.py) looks up and wraps
+from scipy.optimize import minimize_scalar  # noqa: F401
 
 from ._numerics import brentq_strict, sincospi
 from .errors import SolverError
@@ -57,9 +74,6 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _ABOVE_POLE = math.nextafter(1.0, 2.0)  # smallest float kappa above the pole
 _ABOVE_SQRT3 = math.nextafter(_SQRT3, 2.0)
-
-#: |Phi -+ 1| below this at a critical point counts as a tangential touching
-_TANGENCY_TOL = 1e-9
 
 _THETA_PI = -math.pi  # canonical representative of the cos(theta) = -1 edge
 
@@ -215,218 +229,92 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
 # positive bands
 
 
-def _positive_anchors(spec: ChainSpec, k_max: float) -> np.ndarray:
-    """Known in-spectrum points: integers and multiples of pi/ell."""
-    anchors = [float(n) for n in range(1, int(math.floor(k_max)) + 1)]
-    step = math.pi / spec.link_length
-    m = 1
-    while m * step <= k_max:
-        anchors.append(m * step)
-        m += 1
-    return np.unique(np.asarray(anchors))
+def _witness(spec: ChainSpec, j: int) -> float:
+    """j-th gap witness j*pi/(pi + ell), where Phi = (-1)^j (1 + (r-1) sin^2)."""
+    return j * math.pi / (math.pi + spec.link_length)
 
 
-def _check_resolution(spec: ChainSpec, k_max: float, resolution: float) -> None:
-    anchors = _positive_anchors(spec, k_max)
-    if anchors.size < 2:
-        return
-    gaps = np.diff(anchors)
-    gaps = gaps[gaps > 1e-9]  # coincident anchors do not constrain the step
-    if gaps.size == 0:
-        return
-    min_gap = float(gaps.min())
-    if resolution >= 0.5 * min_gap:
-        raise ValueError(
-            f"scan resolution {resolution} too coarse: known anchor points are "
-            f"separated by as little as {min_gap:.3e}; need step < {0.5 * min_gap:.3e}"
-        )
+def _phi_minus(spec: ChainSpec, k: float, c: float) -> float:
+    """Phi(k) - c for a loose chain and a scalar k.
 
-
-def _refined_grid(fvec, lo: float, hi: float, resolution: float, max_depth: int = 14):
-    """Sample fvec on [lo, hi], halving steps where it jumps by > 0.5.
-
-    Each round evaluates fvec only at the new midpoints and splices them in
-    after the left end of their step, so every grid point is evaluated once.
-    A midpoint that rounds onto an end of its step is dropped.
+    For c = +-1 it is -2 sin^2(h) - (r - 1) g resp. 2 cos^2(h) - (r - 1) g,
+    h = k (pi + ell)/2: near an edge both terms are small and each keeps its
+    relative precision, so the sign is right where they agree to rounding,
+    also across gaps far narrower than the rounding of Phi itself.
     """
-    n = max(int(math.ceil((hi - lo) / resolution)) + 1, 8)
-    ks = np.linspace(lo, hi, n)
-    y = fvec(ks)
-    for _ in range(max_depth):
-        jump = np.flatnonzero(np.abs(np.diff(y)) > 0.5)
-        mids = 0.5 * (ks[jump] + ks[jump + 1])
-        inner = (ks[jump] < mids) & (mids < ks[jump + 1])
-        if not inner.any():
-            break
-        at = jump[inner] + 1
-        mids = mids[inner]
-        ks = np.insert(ks, at, mids)
-        y = np.insert(y, at, fvec(mids))
-    return ks, y
+    if abs(c) != 1.0:
+        return phi_positive(spec, k) - c
+    h = 0.5 * k * (math.pi + spec.link_length)
+    head = -2.0 * math.sin(h) ** 2 if c > 0.0 else 2.0 * math.cos(h) ** 2
+    k2 = k * k
+    g = sincospi(k)[0] * math.sin(k * spec.link_length)
+    return head - (k2 - 1.0) ** 2 / (4.0 * (k2 + 1.0)) * g
 
 
-def _bracket_roots(fscalar, ks: np.ndarray, y: np.ndarray) -> list[float]:
-    """Refine every sign change of y to a root of fscalar.
-
-    Grid points where y is exactly zero count only when the nearest nonzero
-    neighbors have opposite signs (a true crossing, not a rounding graze).
-    """
-    roots = []
-    s = np.sign(y)
-    nz = np.flatnonzero(s != 0.0)
-    for i in np.flatnonzero(s == 0.0):
-        left = nz[nz < i]
-        right = nz[nz > i]
-        if left.size and right.size and s[left[-1]] * s[right[0]] < 0.0:
-            roots.append(float(ks[i]))
-    idx = np.flatnonzero(s[:-1] * s[1:] < 0.0)
-    for i in idx:
-        roots.append(brentq_strict(fscalar, ks[i], ks[i + 1]))
-    return sorted(roots)
+def _crossing(spec: ChainSpec, c: float, a: float, b: float) -> float:
+    """The one k in [a, b] with Phi(k) = c, for a bracket of two witnesses."""
+    return brentq_strict(lambda x: _phi_minus(spec, x, c), a, b)
 
 
-def _dedupe(xs: list[float], tol: float = 1e-11) -> list[float]:
-    out: list[float] = []
-    for x in xs:
-        if not out or x - out[-1] > tol:
-            out.append(x)
-    return out
-
-
-def _tangency_candidates(fvec, ks, y, level_tol=0.01):
-    """Local extrema of y whose discrete value is within level_tol of +-1."""
-    dy = np.diff(y)
-    turn = np.flatnonzero(dy[:-1] * dy[1:] < 0.0) + 1
-    cands = []
-    for i in turn:
-        yi = y[i]
-        target = 1.0 if dy[i - 1] > 0 else -1.0
-        if abs(yi - target) > level_tol:
-            continue
-        res = minimize_scalar(
-            (lambda x: -fvec(x)) if target > 0 else fvec,
-            bounds=(float(ks[i - 1]), float(ks[i + 1])),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        x_star = float(res.x)
-        val = float(fvec(x_star))
-        if abs(val - target) < _TANGENCY_TOL:
-            cands.append((x_star, target))
-    return cands
-
-
-def positive_bands(
-    spec: ChainSpec, k_max: float, resolution: float = 1e-3
-) -> list[Band]:
+def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
     """Maximal energy intervals of the positive ac spectrum up to k_max^2.
 
-    Scans |Phi| - 1 for sign changes at the given resolution (with local
-    halving where Phi moves by more than 0.5 between samples) and refines
-    every crossing by bracketed root finding.  Band edges carry the theta
-    value at which they occur; tangential touchings of +-1 that do not cross
-    are recorded on the containing band.
+    With g = sin(k pi) sin(k ell) and r - 1 = (k^2 - 1)^2 / (4 (k^2 + 1)),
+
+        Phi - 1 = -2 sin^2(k (pi + ell)/2) - (r - 1) g,
+        Phi + 1 =  2 cos^2(k (pi + ell)/2) - (r - 1) g.
+
+    So Phi = cos(k (pi + ell)) lies in [-1, 1] at the anchors k = n and
+    k = m pi/ell, and at the witnesses w_j = j pi/(pi + ell)
+    Phi = (-1)^j (1 + (r - 1) sin^2(pi w_j)) lies on or beyond (-1)^j.
+    Anchors and witnesses alternate, so each gap holds one witness, and
+    Phi crosses each level once between consecutive witnesses.  Each edge
+    of the gap at w_j is then one bracketed solve of Phi = (-1)^j, on
+    [w_{j-1}, w_j] and on [w_j, w_{j+1}], with theta = 0 for +1 and -pi
+    for -1.  Where Phi(w_j) does not pass (-1)^j in floats the gap is
+    closed to float precision: the two bands beside it touch there, and
+    w_j^2 is recorded in the merged band's ``touch_energies``.  That
+    happens exactly at coincident anchors, e.g. ell = pi p/q.  The band
+    the window ends in is cut at k_max (``truncated_hi``).
     """
     if not k_max > 0:
         raise ValueError(f"k_max must be > 0, got {k_max}")
-    if not 0 < resolution <= 1e-2:
-        raise ValueError(f"resolution must be in (0, 1e-2], got {resolution}")
-
-    if spec.is_tight:
-        # |cos(k pi)| <= 1 everywhere: a single band covering the window
-        theta_hi = math.acos(float(phi_positive(spec, k_max)))
-        return [
-            Band(
-                e_lo=0.0,
-                e_hi=k_max * k_max,
-                edge_theta_lo=0.0,
-                edge_theta_hi=theta_hi,
-                kind="positive-ac",
-                truncated_hi=True,
-            )
-        ]
-
-    _check_resolution(spec, k_max, resolution)
-
-    def fvec(x):
-        return np.asarray(phi_positive(spec, x))
-
-    def fplus(x):
-        return float(phi_positive(spec, x)) - 1.0
-
-    def fminus(x):
-        return float(phi_positive(spec, x)) + 1.0
-
-    ks, y = _refined_grid(fvec, 0.0, k_max, resolution)
-    roots_plus = _bracket_roots(fplus, ks, y - 1.0)
-    roots_minus = _bracket_roots(fminus, ks, y + 1.0)
-    edge_theta = {}
-    for r in roots_plus:
-        edge_theta[r] = 0.0
-    for r in roots_minus:
-        edge_theta[r] = _THETA_PI
-
-    breaks = _dedupe(sorted(roots_plus + roots_minus))
-    # k = 0 is always a genuine edge (Phi(0) = 1 exactly); drop a refined
-    # root that collided with it
-    breaks = [b for b in breaks if b > 1e-9]
-    pts = [0.0] + breaks + ([k_max] if (not breaks or breaks[-1] < k_max - 1e-9) else [])
-
-    segments = []
-    for a, b in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (a + b)
-        if abs(float(phi_positive(spec, mid))) <= 1.0:
-            segments.append((a, b))
-
-    merged: list[list[float]] = []
-    for a, b in segments:
-        if merged and a - merged[-1][1] <= 1e-11:
-            merged[-1][1] = b
-        else:
-            merged.append([a, b])
-
-    touches = _tangency_candidates(lambda x: float(phi_positive(spec, x)), ks, y)
 
     bands: list[Band] = []
-    for a, b in merged:
-        in_band = [
-            (x * x, tgt) for x, tgt in touches if a + 1e-12 < x < b - 1e-12
-        ]
-        theta_lo = 0.0 if a <= 1e-9 else edge_theta.get(a, math.nan)
-        trunc_hi = b >= k_max - 1e-9 and b not in edge_theta
-        if trunc_hi:
-            theta_hi = math.acos(
-                float(np.clip(phi_positive(spec, b), -1.0, 1.0))
-            )
+    lo, touches = (0.0, 0.0), []  # (k, theta) of the open band's lower edge
+    j = 1
+    # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band
+    while spec.is_loose and _witness(spec, j - 1) < k_max:
+        w = _witness(spec, j)
+        level, theta = (-1.0, _THETA_PI) if j % 2 else (1.0, 0.0)
+        if (phi_positive(spec, w) - level) * level <= 0.0:
+            if w < k_max:
+                touches.append(w * w)
         else:
-            theta_hi = edge_theta.get(b, math.nan)
-        bands.append(
-            Band(
-                e_lo=a * a,
-                e_hi=b * b,
-                edge_theta_lo=theta_lo,
-                edge_theta_hi=theta_hi,
-                kind="positive-ac",
-                truncated_hi=trunc_hi,
-                touch_energies=tuple(e for e, _ in sorted(in_band)),
-            )
-        )
-
-    # a tangency inside a gap is an isolated spectral point: zero-width band
-    for x, tgt in touches:
-        if not any(b.e_lo < x * x < b.e_hi for b in bands):
-            th = 0.0 if tgt > 0 else _THETA_PI
-            bands.append(
-                Band(
-                    e_lo=x * x,
-                    e_hi=x * x,
-                    edge_theta_lo=th,
-                    edge_theta_hi=th,
-                    kind="positive-ac",
-                )
-            )
-    bands.sort(key=lambda b: b.e_lo)
+            k_gap = _crossing(spec, level, _witness(spec, j - 1), w)
+            if k_gap >= k_max:
+                break
+            bands.append(_positive_band(lo, (k_gap, theta), touches))
+            lo, touches = (_crossing(spec, level, w, _witness(spec, j + 1)), theta), []
+            if lo[0] >= k_max:  # the window ends in this gap
+                return bands
+        j += 1
+    cut = (k_max, math.acos(min(max(phi_positive(spec, k_max), -1.0), 1.0)))
+    bands.append(_positive_band(lo, cut, touches, truncated_hi=True))
     return bands
+
+
+def _positive_band(lo, hi, touches, truncated_hi=False) -> Band:
+    (k_lo, theta_lo), (k_hi, theta_hi) = lo, hi
+    return Band(
+        e_lo=k_lo * k_lo,
+        e_hi=k_hi * k_hi,
+        edge_theta_lo=theta_lo,
+        edge_theta_hi=theta_hi,
+        kind="positive-ac",
+        truncated_hi=truncated_hi,
+        touch_energies=tuple(touches),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -522,23 +410,21 @@ def negative_bands(spec: ChainSpec) -> list[Band]:
 
 
 def dispersion(
-    spec: ChainSpec,
-    q: Quasimomentum,
-    k_range: tuple[float, float],
-    resolution: float = 1e-3,
+    spec: ChainSpec, q: Quasimomentum, k_range: tuple[float, float]
 ) -> list[SpectralParameter]:
     """All k in the range with Phi(k) = cos(theta), as spectral parameters.
 
     For the tight chain the solutions are |theta/pi + 2n| and are returned
-    exactly; for the loose chain crossings are scanned and refined by
-    bracketed root finding (tangent roots, where Phi only touches the level,
-    are not crossings and are out of scope here).
+    exactly.  For the loose chain Phi runs between consecutive gap
+    witnesses w_j, w_{j+1} (see ``positive_bands``) from one side of
+    [-1, 1] to the other and crosses cos(theta) once, so each root is one
+    bracketed solve on [w_j, w_{j+1}].  A tangent root, where Phi only
+    touches +-1 at a witness of a closed gap, is not a crossing and is not
+    returned.
     """
     lo, hi = (float(k_range[0]), float(k_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0 <= lo < hi:
         raise ValueError(f"invalid k range {k_range}")
-    if not 0 < resolution <= 1e-2:
-        raise ValueError(f"resolution must be in (0, 1e-2], got {resolution}")
 
     if spec.is_tight:
         base = q.theta / math.pi
@@ -551,16 +437,17 @@ def dispersion(
                 ks.append(k)
         return [SpectralParameter.from_k(k) for k in sorted(set(ks))]
 
-    _check_resolution(spec, hi, resolution)
     c = q.cos
-
-    def fvec(x):
-        return np.asarray(phi_positive(spec, x)) - c
-
-    def fscalar(x):
-        return float(phi_positive(spec, x)) - c
-
-    start = max(lo, 1e-12)
-    ks_grid, y = _refined_grid(fvec, start, hi, resolution)
-    roots = _dedupe(_bracket_roots(fscalar, ks_grid, y))
-    return [SpectralParameter.from_k(r) for r in roots if lo < r <= hi]
+    roots = []
+    j = max(int(lo * (math.pi + spec.link_length) / math.pi) - 1, 0)
+    a = _witness(spec, j)
+    fa = phi_positive(spec, a) - c
+    while a < hi:
+        b = _witness(spec, j + 1)
+        fb = phi_positive(spec, b) - c
+        if fa * fb < 0.0:
+            r = _crossing(spec, c, a, b)
+            if lo < r <= hi:
+                roots.append(SpectralParameter.from_k(r))
+        j, a, fa = j + 1, b, fb
+    return roots

@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -121,9 +122,9 @@ def _band_rows(bands) -> list[list]:
 
 def _cmd_bands(args) -> int:
     spec = _chain_spec(args)
-    bands = positive_bands(spec, args.k_max, resolution=args.resolution)
+    bands = positive_bands(spec, args.k_max)
     cfg = _config_common(args, spec)
-    cfg.update(k_max=args.k_max, resolution=args.resolution)
+    cfg["k_max"] = args.k_max
     _write_report(
         args,
         ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"],
@@ -149,10 +150,10 @@ def _cmd_negative(args) -> int:
 def _cmd_dispersion(args) -> int:
     spec = _chain_spec(args)
     q = Quasimomentum(args.theta)
-    sols = dispersion(spec, q, (args.k_min, args.k_max), resolution=args.resolution)
+    sols = dispersion(spec, q, (args.k_min, args.k_max))
     rows = [[q.theta, sp.k, sp.energy] for sp in sols]
     cfg = _config_common(args, spec)
-    cfg.update(theta=q.theta, k_min=args.k_min, k_max=args.k_max, resolution=args.resolution)
+    cfg.update(theta=q.theta, k_min=args.k_min, k_max=args.k_max)
     _write_report(args, ["theta", "k", "energy"], rows, cfg)
     return 0
 
@@ -161,10 +162,10 @@ def _cmd_measure(args) -> int:
     spec = _chain_spec(args)
     rows = []
     for window in args.e_max:
-        rep = spectrum_measure(spec, window, resolution=args.resolution)
+        rep = spectrum_measure(spec, window)
         rows.append([window, rep.measure, rep.fraction, rep.band_count, rep.gap_count])
     cfg = _config_common(args, spec)
-    cfg.update(e_max=",".join(_fmt(w) for w in args.e_max), resolution=args.resolution)
+    cfg["e_max"] = ",".join(_fmt(w) for w in args.e_max)
     _write_report(
         args, ["K", "measure", "fraction", "band_count", "gap_count"], rows, cfg
     )
@@ -330,6 +331,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache  # parsing leaves the parser unchanged: build it once
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ringchain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -344,8 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default="-",
                        help="output path, or - for standard output; relative "
                             f"paths resolve against ${_OUTPUT_DIR_ENV} when set")
-        p.add_argument("--resolution", type=float, default=1e-3,
-                       help="scan step in k (default 1e-3)")
 
     p = sub.add_parser("flat", help="flat bands up to an energy cap")
     common(p)

@@ -35,22 +35,22 @@ class MeasureReport:
     fraction: float
     band_count: int
     gap_count: int
-    resolution: float
     bands: tuple[Band, ...]
 
 
-def spectrum_measure(
-    spec: ChainSpec, window_hi: float, resolution: float = 1e-3
-) -> MeasureReport:
+def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
     """Measure of the positive spectrum in [0, window_hi].
 
     The measure is summed over band lengths in the energy variable
-    (band length = k_hi^2 - k_lo^2), clipped to the window.
+    (band length = k_hi^2 - k_lo^2), clipped to the window.  The bands come
+    from ``positive_bands``, two bracketed solves per gap and no scan, so
+    every window is accepted and the cost grows with the number of gaps,
+    about sqrt(window_hi) (pi + ell)/pi.
     """
     if not window_hi > 0:
         raise ValueError(f"window_hi must be > 0, got {window_hi}")
     k_max = math.sqrt(window_hi)
-    bands = positive_bands(spec, k_max, resolution=resolution)
+    bands = positive_bands(spec, k_max)
     measure = sum(b.clipped_length(0.0, window_hi) for b in bands)
     measure = min(measure, window_hi)
 
@@ -70,7 +70,6 @@ def spectrum_measure(
         fraction=measure / window_hi,
         band_count=len(bands),
         gap_count=gap_count,
-        resolution=resolution,
         bands=tuple(bands),
     )
 

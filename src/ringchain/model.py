@@ -201,7 +201,7 @@ class Band:
 
     ``edge_theta_lo``/``edge_theta_hi`` give the quasimomentum at which the
     band edge is attained: 0 where the dispersion equals +1 and -pi where it
-    equals -1.  Edges cut off by the requested scan window instead of a true
+    equals -1.  Edges cut off by the requested window instead of a true
     crossing carry ``truncated_* = True`` and the theta value solving
     cos(theta) = Phi at the cut.
 

@@ -20,7 +20,7 @@ from ringchain import (
 )
 from ringchain._numerics import sincospi
 from ringchain.asymptotics import h_prime
-from ringchain.bands import _refined_grid, f_prime_scaled, f_shifted
+from ringchain.bands import _phi_minus, f_prime_scaled, f_shifted
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
@@ -76,10 +76,10 @@ def test_positive_bands_loose_frozen_structure():
     )
 
 
-def test_positive_bands_match_dense_oracle():
-    bands = positive_bands(LOOSE1, 10.0)
-    ks = np.arange(1e-5, 10.0, 1e-5)
-    inside = np.abs(phi_positive(LOOSE1, ks)) <= 1.0
+def _assert_matches_dense_scan(spec, k_max):
+    bands = positive_bands(spec, k_max)
+    ks = np.arange(1e-5, k_max, 1e-5)
+    inside = np.abs(phi_positive(spec, ks)) <= 1.0
     transitions = int(np.sum(np.abs(np.diff(inside.astype(int)))))
     # every band boundary is a transition except the k = 0 start of the
     # first band and the k_max cut of the last one
@@ -89,6 +89,10 @@ def test_positive_bands_match_dense_oracle():
     for b in bands:
         sel = (es > b.e_lo + 1e-4) & (es < b.e_hi - 1e-4)
         assert np.all(inside[sel])
+
+
+def test_positive_bands_match_dense_oracle():
+    _assert_matches_dense_scan(LOOSE1, 10.0)
 
 
 def test_positive_band_edges_consistent():
@@ -135,17 +139,173 @@ def test_positive_anchor_inclusion():
             assert any(b.e_lo - 1e-8 <= e <= b.e_hi + 1e-8 for b in bands), (ell, a)
 
 
-def test_positive_bands_resolution_rejected_near_coincident_anchors():
-    # anchors m*pi/ell = m*3.001 sit 0.003 away from integers
-    with pytest.raises(ValueError):
-        positive_bands(ChainSpec(math.pi / 3.001), 5.0, resolution=2e-3)
+def test_positive_bands_near_coincident_anchors_match_dense_scan():
+    # anchors m*pi/ell = m*3.001 sit 0.003 away from integers: the gap
+    # between 3 and 3.001 is 5.6e-4 wide in k
+    _assert_matches_dense_scan(ChainSpec(math.pi / 3.001), 5.0)
 
 
 def test_positive_bands_ell_pi_touchings_at_integers():
     bands = positive_bands(ChainSpec(math.pi), 3.5)
     touched = [t for b in bands for t in b.touch_energies]
     for target in (1.0, 4.0, 9.0):
-        assert any(abs(t - target) < 1e-6 for t in touched)
+        assert any(abs(t - target) <= 1e-12 * target for t in touched)
+
+
+@pytest.mark.parametrize(
+    "ell, period", [(math.pi / 3, 3), (2 * math.pi, 1), (3 * math.pi / 4, 4)]
+)
+def test_positive_bands_touch_at_every_coincident_anchor(ell, period):
+    # anchors n and m*pi/ell coincide at the multiples of `period`; there the
+    # gap witness coincides with them too and the gap is closed
+    bands = positive_bands(ChainSpec(ell), 20.0)
+    touched = [t for b in bands for t in b.touch_energies]
+    for n in range(period, 20, period):
+        assert any(abs(t - n * n) <= 1e-12 * n * n for t in touched), n
+    assert len(touched) == len(range(period, 20, period))
+    assert all(b.e_hi > b.e_lo for b in bands)
+
+
+def _mp_phi(k, ell):
+    k2 = k * k
+    r = (k2 * k2 + 2 * k2 + 5) / (4 * (k2 + 1))
+    return mp.cos(k * ell) * mp.cos(k * mp.pi) - r * mp.sin(k * ell) * mp.sin(k * mp.pi)
+
+
+@pytest.mark.parametrize(
+    "ell",
+    [3.2728864855871245, 0.05897670027847663, 6.256382181672539, 15.894970028275994],
+)
+def test_positive_bands_find_narrow_gap_near_k1(ell):
+    # r(1) = 1 makes the gap at the witness next to k = 1 only 5e-6 to
+    # 8e-4 wide in k, below the step of a 1e-3 scan
+    bands = positive_bands(ChainSpec(ell), 1.5)
+    gaps = [
+        (math.sqrt(b1.e_hi), math.sqrt(b2.e_lo), b1.edge_theta_hi)
+        for b1, b2 in zip(bands, bands[1:])
+    ]
+    lo, hi, theta = min(gaps, key=lambda g: abs(g[0] - 1.0))
+    assert 0.95 < lo < hi < 1.01
+    level = 1 if theta == 0.0 else -1
+    with mp.workdps(50):
+        e = mp.mpf(ell)
+        for k in (lo, hi):
+            # bisect Phi = level on k (1 +- 1e-9) at 50 digits
+            a, b = mp.mpf(k) * (1 - mp.mpf(1e-9)), mp.mpf(k) * (1 + mp.mpf(1e-9))
+            fa = _mp_phi(a, e) - level
+            assert fa * (_mp_phi(b, e) - level) < 0
+            for _ in range(170):
+                m = (a + b) / 2
+                fm = _mp_phi(m, e) - level
+                if (fm > 0) == (fa > 0):
+                    a, fa = m, fm
+                else:
+                    b = m
+            assert abs((k - a) / a) < 1e-13
+
+
+def test_positive_band_edges_alternate_theta_labels():
+    # a band runs from one level of +-1 to the other unless a touching
+    # merges two bands; a scan that steps over a gap merges the bands
+    # beside it, and both edges of the result carry the same label
+    rng = np.random.default_rng(1000)
+    k_max = math.sqrt(1000.0)
+    for ell in np.exp(rng.uniform(math.log(0.05), math.log(20.0), 200)):
+        bands = positive_bands(ChainSpec(float(ell)), k_max)
+        for b in bands[1:]:
+            if not b.touch_energies and not b.truncated_hi:
+                assert b.edge_theta_lo != b.edge_theta_hi, (ell, b)
+
+
+# ---------------------------------------------------------------------------
+# the premise of the positive-branch solver
+#
+# |Phi| <= 1 at the anchors k = n and k = m*pi/ell, and at the witnesses
+# w_j = j*pi/(pi + ell) Phi = (-1)^j (1 + (r - 1) sin^2(pi w_j)) lies on or
+# beyond (-1)^j.  That the two sets alternate follows from
+# floor(x) + floor(y) <= floor(x + y) <= floor(x) + floor(y) + 1.  That Phi
+# crosses |Phi| = 1 exactly once between an anchor and a neighbouring
+# witness is not proved: it is checked here, by dense scans on a grid of ell.
+
+_PREMISE_ELLS = [float(x) for x in np.geomspace(0.01, 30.0, 41)]
+
+
+def _anchors_and_witnesses(ell, k_max):
+    ms = np.arange(1, math.floor(k_max * ell / math.pi) + 1)
+    ns = np.arange(1.0, math.floor(k_max) + 1)
+    anchors = np.sort(np.concatenate([ns, ms * math.pi / ell]))
+    js = np.arange(1, math.floor(k_max * (math.pi + ell) / math.pi) + 1)
+    return anchors, js * math.pi / (math.pi + ell)
+
+
+def test_anchors_and_witnesses_alternate():
+    for ell in _PREMISE_ELLS:
+        anchors, witnesses = _anchors_and_witnesses(ell, 40.0)
+        n = anchors.size
+        assert witnesses.size - n in (0, 1)
+        # w_1 < a_1 < w_2 < a_2 < ...: no two anchors coincide on this grid
+        assert np.all(witnesses[:n] < anchors), ell
+        assert np.all(anchors[:-1] < witnesses[1:n]), ell
+
+
+@pytest.mark.parametrize("ell", [math.pi / 3, math.pi, 2 * math.pi, 3 * math.pi / 4])
+def test_anchors_and_witnesses_tie_only_at_coincident_anchors(ell):
+    anchors, witnesses = _anchors_and_witnesses(ell, 39.5)
+    n = anchors.size
+    tol = 1e-12 * 40.0
+    assert np.all(witnesses[:n] < anchors + tol)
+    assert np.all(anchors[:-1] < witnesses[1:n] + tol)
+    coincident = np.flatnonzero(np.diff(anchors) < tol)
+    assert coincident.size > 0
+    for i in np.flatnonzero(np.abs(witnesses[:n] - anchors) < tol):
+        assert i - 1 in coincident  # a_{i-1} = a_i = w_i
+    for i in np.flatnonzero(np.abs(witnesses[1:n] - anchors[:-1]) < tol):
+        assert i in coincident  # a_i = a_{i+1} = w_{i+1}
+
+
+def test_one_crossing_between_anchor_and_witness():
+    for ell in _PREMISE_ELLS:
+        spec = ChainSpec(ell)
+        anchors, witnesses = _anchors_and_witnesses(ell, 40.0)
+        # 0, w_1, a_1, w_2, a_2, ...; k = 0 is an anchor with Phi(0) = 1
+        pts = np.empty(anchors.size + witnesses.size + 1)
+        pts[0] = 0.0
+        pts[1::2] = witnesses
+        pts[2::2] = anchors[: (pts.size - 1) // 2]
+        t = np.linspace(0.0, 1.0, 801)[1:-1]
+        interior = pts[:-1, None] + (pts[1:] - pts[:-1])[:, None] * t
+        outside = np.abs(phi_positive(spec, interior)) > 1.0
+        # the ends are known: |Phi| <= 1 at an anchor and >= 1 at a witness
+        from_witness = (np.arange(pts.size - 1) % 2 == 1)[:, None]
+        path = np.hstack([from_witness, outside, ~from_witness]).astype(int)
+        crossings = np.abs(np.diff(path, axis=1)).sum(axis=1)
+        assert np.all(crossings == 1), (ell, pts[np.flatnonzero(crossings != 1)])
+
+
+@pytest.mark.parametrize("ell", ["0.3", "1", "3.14159", "7.5"])
+def test_phi_identities_mpmath(ell):
+    spec = ChainSpec(float(ell))
+    with mp.workdps(40):
+        e = mp.mpf(ell)
+        tiny = mp.mpf(10) ** -35
+        for j in range(1, 40):
+            w = j * mp.pi / (mp.pi + e)
+            r1 = (w * w - 1) ** 2 / (4 * (w * w + 1))
+            want = (-1) ** j * (1 + r1 * mp.sin(mp.pi * w) ** 2)
+            assert abs(_mp_phi(w, e) - want) < tiny * (1 + r1)
+        for k in [mp.mpf(x) / 7 for x in range(1, 200)]:
+            r1 = (k * k - 1) ** 2 / (4 * (k * k + 1))
+            g = mp.sin(k * mp.pi) * mp.sin(k * e)
+            h = k * (mp.pi + e) / 2
+            phi = _mp_phi(k, e)
+            minus1, plus1 = -2 * mp.sin(h) ** 2 - r1 * g, 2 * mp.cos(h) ** 2 - r1 * g
+            assert abs(phi - 1 - minus1) < tiny * (1 + r1)
+            assert abs(phi + 1 - plus1) < tiny * (1 + r1)
+            # the float kernel the edge solves use
+            kf = float(k)
+            phi_f = _mp_phi(mp.mpf(kf), e)
+            assert abs(_phi_minus(spec, kf, 1.0) - (phi_f - 1)) < 1e-14 * (1 + r1)
+            assert abs(_phi_minus(spec, kf, -1.0) - (phi_f + 1)) < 1e-14 * (1 + r1)
 
 
 def test_phi_small_ell_limit_is_tight_dispersion():
@@ -160,38 +320,7 @@ def test_phi_small_ell_limit_is_tight_dispersion():
 
 
 # ---------------------------------------------------------------------------
-# exactness of the kernels and of the incremental refinement
-
-
-def _refined_grid_union1d(fvec, lo, hi, resolution, max_depth=14):
-    """Reference refinement: re-evaluate the whole merged grid every round."""
-    n = max(int(math.ceil((hi - lo) / resolution)) + 1, 8)
-    ks = np.linspace(lo, hi, n)
-    y = fvec(ks)
-    for _ in range(max_depth):
-        jump = np.abs(np.diff(y)) > 0.5
-        if not jump.any():
-            break
-        mids = 0.5 * (ks[:-1][jump] + ks[1:][jump])
-        ks = np.union1d(ks, mids)
-        y = fvec(ks)
-    return ks, y
-
-
-@pytest.mark.parametrize("ell", [0.3, 1.0, 2.7, 7.5])
-@pytest.mark.parametrize("k_max", [10.0, 60.0])
-def test_refined_grid_equals_union1d_refinement(ell, k_max):
-    spec = ChainSpec(ell)
-
-    def fvec(x):
-        return np.asarray(phi_positive(spec, x))
-
-    ks, y = _refined_grid(fvec, 0.0, k_max, 1e-3)
-    ks_ref, y_ref = _refined_grid_union1d(fvec, 0.0, k_max, 1e-3)
-    if k_max == 60.0:  # |Phi'| ~ k^2 (ell + pi) / 4 outgrows the step
-        assert ks.size > np.ceil(k_max / 1e-3) + 1
-    assert np.array_equal(ks.view(np.int64), ks_ref.view(np.int64))
-    assert np.array_equal(y.view(np.int64), y_ref.view(np.int64))
+# exactness of the kernels
 
 
 @pytest.mark.parametrize(
@@ -403,6 +532,29 @@ def test_dispersion_loose_matches_dense_scan():
     assert len(roots) == len(idx)
     for r, i in zip(roots, idx):
         assert abs(r - ks[i]) < 2e-6
+
+
+@pytest.mark.parametrize("ell", [0.05, 1.0, math.pi, math.pi / 3.001, 12.0])
+def test_dispersion_at_edge_levels_gives_the_band_edges(ell):
+    # theta = 0 and -pi solve Phi = +-1 on the same witness brackets as the
+    # band edges; tangent roots at the touchings of a closed gap are not
+    # crossings and are not returned
+    spec = ChainSpec(ell)
+    bands = positive_bands(spec, 12.0)
+    for theta in (0.0, -math.pi):
+        edges = sorted(
+            {
+                math.sqrt(e)
+                for b in bands
+                for e, th, cut in (
+                    (b.e_lo, b.edge_theta_lo, False),
+                    (b.e_hi, b.edge_theta_hi, b.truncated_hi),
+                )
+                if th == theta and e > 0.0 and not cut
+            }
+        )
+        roots = [sp.k for sp in dispersion(spec, Quasimomentum(theta), (0.0, 12.0))]
+        assert roots == edges
 
 
 def test_dispersion_energy_roundtrip():

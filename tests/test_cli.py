@@ -46,6 +46,13 @@ def test_bands_schema(capsys):
     assert "# config:" in out
 
 
+def test_measure_wide_window_exit_zero(capsys):
+    code, out, _ = run_cli(capsys, "measure", "--ell", "1", "--e-max", "2e5")
+    assert code == 0
+    _, rows = csv_rows(out)
+    assert len(rows) == 1 and 0.0 < float(rows[0][2]) < 1e-3
+
+
 def test_negative_band_count_dichotomy(capsys):
     code, out, _ = run_cli(capsys, "negative", "--ell-pi")
     assert code == 0

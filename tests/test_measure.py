@@ -51,10 +51,11 @@ def test_gap_count_grows():
     assert all(r.gap_count >= r.band_count - 1 for r in reps)
 
 
-def test_measure_resolution_stability():
-    a = spectrum_measure(LOOSE1, 100.0, resolution=1e-3).measure
-    b = spectrum_measure(LOOSE1, 100.0, resolution=5e-4).measure
-    assert abs(a - b) < 1e-4 * 100.0
+def test_measure_wide_window_with_close_anchors():
+    # 113*pi ~ 355 puts two anchors 3.0e-5 apart below sqrt(2e5)
+    rep = spectrum_measure(LOOSE1, 2e5)
+    assert rep.band_count == len(rep.bands) > 500
+    assert 0.0 < rep.fraction < spectrum_measure(LOOSE1, 1e4).fraction
 
 
 def test_measure_consistent_with_bands():
