@@ -1,9 +1,10 @@
 """Certifying spectral gaps without solving for bands.
 
 A sufficient condition for an energy k^2 to lie in a gap reads
-r(k) |sin(k ell) sin(k pi)| > 2; a weaker high-energy variant replaces the
-left side with k^2/8 |...|.  Certified points can be trusted without any
-scanning, which is how the measure-zero statement is proved.
+r(k) |sin(k ell) sin(k pi)| > 2; the high-energy variant
+|sin(k ell) sin(k pi)| > 8/k^2 implies it, since r(k) > k^2/4.  Certified
+points can be trusted without any scanning, which is how the measure-zero
+statement is proved.
 """
 
 import math

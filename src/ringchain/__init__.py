@@ -34,7 +34,6 @@ from .asymptotics import (
 )
 from .bands import (
     dispersion,
-    f_ell,
     flat_bands,
     negative_bands,
     phi_positive,
@@ -57,10 +56,8 @@ from .model import (
     SpectralParameter,
     VertexCoupling,
     make_coupling,
-    normalize_theta,
 )
 from .secular import (
-    SecularSystem,
     assemble,
     closed_form_value,
     determinant,
@@ -80,9 +77,7 @@ __all__ = [
     "SpectralParameter",
     "VertexCoupling",
     "make_coupling",
-    "normalize_theta",
     # secular
-    "SecularSystem",
     "assemble",
     "closed_form_value",
     "determinant",
@@ -90,7 +85,6 @@ __all__ = [
     "vertex_scattering",
     # bands
     "dispersion",
-    "f_ell",
     "flat_bands",
     "negative_bands",
     "phi_positive",

@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
-from ._numerics import coth, xcothx
+from ._numerics import brentq_strict, coth, xcothx
 from .bands import _negative_brackets, _negative_edge, positive_bands
 from .errors import LemmaWitnessError, SolverError
 from .model import Band, ChainSpec, Quasimomentum
@@ -40,7 +39,6 @@ __all__ = [
     "g2_function",
     "g2_small_ell_limit",
     "g2_ell_derivative_at_pi",
-    "tanh_crossing_rhs",
     "big_f",
     "implicit_g",
     "lemma_witnesses",
@@ -120,15 +118,6 @@ def g2_ell_derivative_at_pi(kappa):
     return out if out.ndim else float(out)
 
 
-def tanh_crossing_rhs(kappa):
-    """(pi/kappa)(kappa^2 - 1)(3 - kappa^2)/(kappa^2 + 1): the value tanh
-    (kappa pi) would have to take for h'(kappa) to vanish in (1, sqrt(3))."""
-    kappa = np.asarray(kappa, dtype=float)
-    k2 = kappa * kappa
-    out = (math.pi / kappa) * (k2 - 1.0) * (3.0 - k2) / (k2 + 1.0)
-    return out if out.ndim else float(out)
-
-
 def big_f(u):
     """F(u) = (sinh u - u) / (2 sinh^2(u/2)): odd, increasing, F(inf) = 1.
 
@@ -180,27 +169,26 @@ def lemma_witnesses() -> dict:
     Any witness off by more than 1e-2 raises ``LemmaWitnessError``: these
     are transcription checks, not tolerances to tune.
     Returns {name: (computed, reference, ok)} plus monotonicity flags.
+
+    g1 diverges at both ends of (1, sqrt(3)); with x = kappa^2, g1' = 0 is
+    the cubic x^3 + 7x^2 - 13x - 3 = 0, increasing on [1, 3], whose one root
+    there gives the minimum.  The value tanh(kappa pi) would need for h' to
+    vanish, (pi/kappa)(kappa^2 - 1)(3 - kappa^2)/(kappa^2 + 1), is 2 pi/g1,
+    so its maximum sits at the same kappa.
     """
-    res = minimize_scalar(
-        g1_function, bounds=(1.0 + 1e-9, _SQRT3 - 1e-9), method="bounded",
-        options={"xatol": 1e-12},
-    )
+    x_min = brentq_strict(lambda x: ((x + 7.0) * x - 13.0) * x - 3.0, 1.0, 3.0)
+    kappa_min = math.sqrt(x_min)
+    g1_min = g1_function(kappa_min)
     computed = {
-        "g1_min": float(res.fun),
-        "g1_argmin": float(res.x),
+        "g1_min": g1_min,
+        "g1_argmin": kappa_min,
         "g2_small_ell_at_sqrt3": float(g2_small_ell_limit(_SQRT3)),
         "g2_ell_derivative_bound": float(g2_ell_derivative_at_pi(1.0)),
         "g2_sup_bound": float(math.pi * (1.0 + coth(math.pi))),
+        "tanh_rhs_max": 2.0 * math.pi / g1_min,
+        "tanh_rhs_argmax": kappa_min,
+        "tanh_pi": math.tanh(math.pi),
     }
-    res2 = minimize_scalar(
-        lambda x: -tanh_crossing_rhs(x),
-        bounds=(1.0 + 1e-9, _SQRT3 - 1e-9),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    computed["tanh_rhs_max"] = float(-res2.fun)
-    computed["tanh_rhs_argmax"] = float(res2.x)
-    computed["tanh_pi"] = math.tanh(math.pi)
 
     report = {}
     for name, ref in _WITNESS_REFS.items():
@@ -365,11 +353,14 @@ def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
 
 
 def _one_sided_hausdorff(ref_hi: float, bands: list[Band]) -> float:
-    """sup over [0, ref_hi] of the distance to the union of bands."""
+    """sup over [0, ref_hi] of the distance to the union of bands, with the
+    spectrum cut at ref_hi: bands that start at or above it are ignored."""
     best = 0.0
     cursor = 0.0
     for b in bands:
-        lo = max(0.0, min(b.e_lo, ref_hi))
+        if b.e_lo >= ref_hi:
+            break
+        lo = max(0.0, b.e_lo)
         if lo > cursor:
             best = max(best, 0.5 * (lo - cursor))
         cursor = max(cursor, min(b.e_hi, ref_hi))
@@ -385,22 +376,24 @@ def _gap_fraction(bands: list[Band], lo: float, hi: float) -> float:
     return 1.0 - covered / (hi - lo)
 
 
-def set_convergence_check(
-    ell_list: list[float],
-    e_max: float = 25.0,
-    window_width: float = 10.0,
-    gap_threshold: float = 0.5,
-    search_cap: float = 12000.0,
-) -> dict:
+# the non-uniformity witness: the first energy window [K, K + _WINDOW_WIDTH],
+# K <= _SEARCH_CAP on a half-window grid, whose gap fraction exceeds
+# _GAP_THRESHOLD
+_WINDOW_WIDTH = 10.0
+_GAP_THRESHOLD = 0.5
+_SEARCH_CAP = 12000.0
+
+
+def set_convergence_check(ell_list: list[float], e_max: float = 25.0) -> dict:
     """Quantify spectral set convergence as the link shrinks.
 
     For each ell (the list must be decreasing) computes (a) the one-sided
     Hausdorff distance from the tight positive spectrum [0, e_max] to the
     loose one, which must shrink with ell, and (b) a non-uniformity witness:
-    the first energy window [K, K + window_width] whose gap fraction exceeds
-    ``gap_threshold``.  Gaps always dominate again at high enough energy, so
-    the witness exists for every ell > 0; the threshold K grows as the link
-    shrinks."""
+    the first energy window [K, K + 10] whose gap fraction exceeds 1/2.
+    Gaps always dominate again at high enough energy, so the witness exists
+    for every ell > 0; the threshold K grows as the link shrinks.  One band
+    list serves both: [0, e_max] is a prefix of the witness search range."""
     ells = [float(x) for x in ell_list]
     if any(b >= a for a, b in zip(ells, ells[1:])):
         raise ValueError("ell_list must be strictly decreasing")
@@ -409,31 +402,27 @@ def set_convergence_check(
 
     rows = []
     for ell in ells:
-        spec = ChainSpec(ell)
-        bands_small = positive_bands(spec, math.sqrt(e_max))
-        dist = _one_sided_hausdorff(e_max, bands_small)
-
-        bands_big = positive_bands(spec, math.sqrt(search_cap + window_width))
+        bands = positive_bands(ChainSpec(ell), math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH))
         witness_k = None
         k0 = 0.0
-        while k0 + window_width <= search_cap + window_width:
-            if _gap_fraction(bands_big, k0, k0 + window_width) > gap_threshold:
+        while k0 <= _SEARCH_CAP:
+            if _gap_fraction(bands, k0, k0 + _WINDOW_WIDTH) > _GAP_THRESHOLD:
                 witness_k = k0
                 break
-            k0 += window_width / 2.0
+            k0 += _WINDOW_WIDTH / 2.0
         if witness_k is None:
             raise SolverError(
-                f"no window with gap fraction > {gap_threshold} found below "
-                f"{search_cap} for ell={ell}"
+                f"no window with gap fraction > {_GAP_THRESHOLD} found below "
+                f"{_SEARCH_CAP} for ell={ell}"
             )
         rows.append(
             {
                 "ell": ell,
-                "hausdorff_to_tight": dist,
+                "hausdorff_to_tight": _one_sided_hausdorff(e_max, bands),
                 "witness_window_lo": witness_k,
                 "witness_gap_fraction": _gap_fraction(
-                    bands_big, witness_k, witness_k + window_width
+                    bands, witness_k, witness_k + _WINDOW_WIDTH
                 ),
             }
         )
-    return {"e_max": e_max, "window_width": window_width, "rows": rows}
+    return {"e_max": e_max, "window_width": _WINDOW_WIDTH, "rows": rows}

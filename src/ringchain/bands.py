@@ -62,7 +62,6 @@ from .secular import closed_form_value
 __all__ = [
     "r_coefficient",
     "phi_positive",
-    "f_ell",
     "f_shifted",
     "f_prime_scaled",
     "flat_bands",
@@ -143,15 +142,6 @@ def f_shifted(spec: ChainSpec, kappa, c: float):
     return out if out.ndim else float(out)
 
 
-def f_ell(spec: ChainSpec, kappa):
-    """Negative-branch dispersion value itself (may overflow to +-inf)."""
-    kappa = np.asarray(kappa, dtype=float)
-    s = kappa * (math.pi + spec.link_length)
-    with np.errstate(over="ignore"):
-        out = f_shifted(spec, kappa, 0.0) * np.exp(s)
-    return out if np.ndim(out) else float(out)
-
-
 def f_prime_scaled(spec: ChainSpec, kappa):
     """d(Phi)/d(kappa) * e^{-s} for the loose chain, kappa > 1.
 
@@ -198,17 +188,13 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
     entries: list[FlatBand] = []
     if spec.is_tight:
         entries.append(FlatBand(energy=-1.0, source="kappa_sq_minus_1", embedded=False))
-        first_n = 1
     else:
         entries.append(FlatBand(energy=0.0, source="sin_k_pi", embedded=True))
-        first_n = 1
-    n = first_n
+    n = 1
     while n * n <= e_max:
         k = float(n)
-        if spec.is_tight:
-            embedded = abs(sincospi(k)[1]) <= 1.0  # always true: ac part is [0, inf)
-        else:
-            embedded = abs(phi_positive(spec, k)) <= 1.0
+        # the tight chain's ac spectrum is all of [0, inf)
+        embedded = spec.is_tight or abs(phi_positive(spec, k)) <= 1.0
         entries.append(FlatBand(energy=k * k, source="sin_k_pi", embedded=embedded))
         n += 1
 

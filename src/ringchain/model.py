@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "ARC_LENGTH",
     "VertexCoupling",
     "ChainSpec",
     "SpectralParameter",
@@ -34,11 +33,7 @@ __all__ = [
     "Band",
     "FlatBand",
     "make_coupling",
-    "normalize_theta",
 ]
-
-#: Length of a single ring arc; four arcs of this length make one ring.
-ARC_LENGTH = math.pi / 2
 
 _TWO_PI = 2.0 * math.pi
 
@@ -127,11 +122,6 @@ class Quasimomentum:
     @property
     def cos(self) -> float:
         return math.cos(self.theta)
-
-
-def normalize_theta(raw: float) -> Quasimomentum:
-    """Reduce ``raw`` modulo 2*pi into the Brillouin zone [-pi, pi)."""
-    return Quasimomentum(raw)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,6 @@ random brackets for both energy branches.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .errors import OverflowGuardError, SolverError
 from .model import ChainSpec, Quasimomentum, SpectralParameter, make_coupling
 
 __all__ = [
-    "SecularSystem",
     "assemble",
     "determinant",
     "normalized_determinant",
@@ -38,38 +36,6 @@ __all__ = [
 #: beyond this value of kappa*max(pi, ell) the raw system entries overflow;
 #: callers must fall back to the closed forms.
 _HYPERBOLIC_GUARD = 700.0
-
-
-@dataclass(frozen=True, eq=False)
-class SecularSystem:
-    """Assembled fiber-operator linear system at one (energy, theta) point.
-
-    Unknown layout (two columns per edge, + then - coefficient):
-      tight:  (c1+, c1-, c2+, c2-, c3+, c3-, c4+, c4-)
-      loose:  (a1+, a1-, a2+, a2-, a3+, a3-, b1+, b1-, b2+, b2-, b3+, b3-)
-
-    Row layout:
-      tight:  rows 0-3 quasi-periodic boundary conditions (value and
-              derivative for each of the two boundary edge pairs),
-              rows 4-7 the four vertex relations.
-      loose:  rows 0-1 midpoint smoothness of the connecting segment,
-              rows 2-5 quasi-periodic boundary conditions,
-              rows 6-11 the six vertex relations (three per vertex).
-
-    The positive branch uses the basis (e^{ikx}, e^{-ikx}); the negative
-    branch uses (cosh(kappa x), sinh(kappa x)), which keeps the matrix real
-    apart from the e^{i theta} boundary factors and the i's of the vertex
-    condition.
-    """
-
-    spec: ChainSpec
-    sp: SpectralParameter
-    q: Quasimomentum
-    matrix: np.ndarray = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _basis(sp: SpectralParameter):
@@ -99,8 +65,25 @@ def _basis(sp: SpectralParameter):
     return val, der
 
 
-def assemble(spec: ChainSpec, sp: SpectralParameter, q: Quasimomentum) -> SecularSystem:
-    """Build the secular system for the given chain, energy and theta.
+def assemble(spec: ChainSpec, sp: SpectralParameter, q: Quasimomentum) -> np.ndarray:
+    """The complex secular matrix for the given chain, energy and theta.
+
+    Unknown layout (two columns per edge, + then - coefficient):
+      tight, 8x8:    (c1+, c1-, c2+, c2-, c3+, c3-, c4+, c4-)
+      loose, 12x12:  (a1+, a1-, a2+, a2-, a3+, a3-, b1+, b1-, b2+, b2-, b3+, b3-)
+
+    Row layout:
+      tight:  rows 0-3 quasi-periodic boundary conditions (value and
+              derivative for each of the two boundary edge pairs),
+              rows 4-7 the four vertex relations.
+      loose:  rows 0-1 midpoint smoothness of the connecting segment,
+              rows 2-5 quasi-periodic boundary conditions,
+              rows 6-11 the six vertex relations (three per vertex).
+
+    The positive branch uses the basis (e^{ikx}, e^{-ikx}); the negative
+    branch uses (cosh(kappa x), sinh(kappa x)), which keeps the matrix real
+    apart from the e^{i theta} boundary factors and the i's of the vertex
+    condition.
 
     Rejects zero energy: the k -> 0 degeneracy of the trial basis is handled
     by the closed forms, not by the raw determinant.  On the negative branch
@@ -146,7 +129,7 @@ def assemble(spec: ChainSpec, sp: SpectralParameter, q: Quasimomentum) -> Secula
         for row, (pred, succ) in enumerate(cycle, start=4):
             put(row, succ, val(0.0) + 1j * sign[succ] * der(0.0))
             put(row, pred, -val(0.0) + 1j * sign[pred] * der(0.0))
-        return SecularSystem(spec=spec, sp=sp, q=q, matrix=m)
+        return m
 
     # loose chain: edges psi1 [0, ell/2], psi2, psi3 [0, pi/2],
     # phi1 [-ell/2, 0], phi2, phi3 [-pi/2, 0]
@@ -189,22 +172,21 @@ def assemble(spec: ChainSpec, sp: SpectralParameter, q: Quasimomentum) -> Secula
     put(10, "f2", -v0 - 1j * d0)
     put(11, "f1", f1v + 1j * f1d)
     put(11, "f3", -v0 - 1j * d0)
-    return SecularSystem(spec=spec, sp=sp, q=q, matrix=m)
+    return m
 
 
-def determinant(sys: SecularSystem) -> complex:
-    """Raw determinant (LU with partial pivoting via LAPACK)."""
-    return complex(np.linalg.det(sys.matrix))
+def determinant(m: np.ndarray) -> complex:
+    """Raw determinant of an assembled matrix (LU with partial pivoting)."""
+    return complex(np.linalg.det(m))
 
 
-def normalized_determinant(sys: SecularSystem) -> complex:
-    """Determinant of the row-normalized system.
+def normalized_determinant(m: np.ndarray) -> complex:
+    """Determinant of the row-normalized matrix.
 
     Each row is divided by its 2-norm before elimination, which is the
     quantity to threshold for zero detection: raw determinants grow like
     exp(kappa*(pi + ell)) and make absolute thresholds meaningless.
     """
-    m = sys.matrix
     norms = np.linalg.norm(m, axis=1)
     if np.any(norms == 0.0):
         raise SolverError("secular system has a zero row")

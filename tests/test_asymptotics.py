@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -9,7 +10,6 @@ from ringchain import (
     ChainSpec,
     Quasimomentum,
     big_f,
-    f_ell,
     g1_function,
     g2_function,
     h_function,
@@ -26,8 +26,16 @@ from ringchain import (
     solve_negative_edge,
 )
 from ringchain.asymptotics import _one_sided_hausdorff, g2_ell_derivative_at_pi
+from ringchain.bands import f_shifted
 
 SQRT3 = math.sqrt(3.0)
+
+
+def tanh_crossing_rhs(kappa):
+    """(pi/kappa)(kappa^2 - 1)(3 - kappa^2)/(kappa^2 + 1): the value tanh
+    (kappa pi) would have to take for h'(kappa) to vanish in (1, sqrt(3))."""
+    k2 = kappa * kappa
+    return (math.pi / kappa) * (k2 - 1.0) * (3.0 - k2) / (k2 + 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +55,36 @@ def test_lemma_witnesses_pass():
     assert math.tanh(math.pi) > vals["tanh_rhs_max"]
 
 
+def test_lemma_critical_point_mpmath():
+    # with x = kappa^2, g1'(kappa) = 0 is x^3 + 7x^2 - 13x - 3 = 0
+    with mp.workdps(50):
+        x = mp.findroot(lambda x: x**3 + 7 * x**2 - 13 * x - 3, 1.7)
+        assert 1 < x < 3
+        kappa = mp.sqrt(x)
+        dg1 = mp.diff(lambda k: 2 * k * (k**2 + 1) / ((3 - k**2) * (k**2 - 1)), kappa)
+        assert abs(dg1) < mp.mpf(10) ** -40
+        report = lemma_witnesses()
+        assert abs(report["g1_argmin"][0] - kappa) < 1e-12
+        assert abs(report["tanh_rhs_argmax"][0] - kappa) < 1e-12
+        g1_min = 2 * kappa * (x + 1) / ((3 - x) * (x - 1))
+        assert abs(report["g1_min"][0] - g1_min) < 1e-12 * g1_min
+        assert abs(report["tanh_rhs_max"][0] - 2 * mp.pi / g1_min) < 1e-12
+
+
+def test_tanh_crossing_rhs_is_two_pi_over_g1():
+    ks = np.linspace(1.0005, SQRT3 - 0.0005, 400)
+    rhs = tanh_crossing_rhs(ks)
+    np.testing.assert_allclose(rhs * g1_function(ks), 2.0 * math.pi, rtol=1e-14)
+    # below tanh(pi) < tanh(kappa pi) everywhere, so h' never vanishes there
+    assert float(rhs.max()) <= lemma_witnesses()["tanh_rhs_max"][0] < math.tanh(math.pi)
+    assert np.all(h_prime(ks) > 0.0)
+
+
 def test_f_pi_equals_one_minus_h_squared():
     spec = ChainSpec(math.pi)
     ks = np.linspace(1.01, 10.0, 400)
-    f = np.array([f_ell(spec, float(k)) for k in ks])
+    # f itself, from the overflow-safe kernel (f - 0) e^{-s}, s = 2 pi kappa
+    f = f_shifted(spec, ks, 0.0) * np.exp(2.0 * math.pi * ks)
     h2 = h_function(ks) ** 2
     rel = np.abs(f + h2 - 1.0) / (1.0 + np.abs(h2))
     assert float(rel.max()) < 1e-9

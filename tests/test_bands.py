@@ -11,7 +11,6 @@ from ringchain import (
     ChainSpec,
     Quasimomentum,
     dispersion,
-    f_ell,
     flat_bands,
     negative_bands,
     phi_positive,
@@ -493,11 +492,14 @@ def test_negative_level_crossing_unique_beyond_sqrt3():
 
 
 def test_f_ell_pole_guard_nan():
-    assert math.isnan(f_ell(LOOSE1, 1.0))
-    assert math.isfinite(f_ell(LOOSE1, 1.1))
+    # f_ell is the paper's negative-branch dispersion, compared through the
+    # kernel (f_ell - c) e^{-s}
+    assert math.isnan(f_shifted(LOOSE1, 1.0, 0.0))
+    assert math.isfinite(f_shifted(LOOSE1, 1.1, 0.0))
     # only kappa = 1 itself is NaN; just above it f is finite and far below -1
-    near = f_ell(LOOSE1, 1.0 + 1e-9)
-    assert math.isfinite(near) and near < -1.0
+    near = f_shifted(LOOSE1, 1.0 + 1e-9, -1.0)
+    assert math.isfinite(near) and near < 0.0
+    assert f_shifted(LOOSE1, 1.0 + 1e-9, -1e6) < 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ringchain import (
     positive_bands,
     spectrum_measure,
 )
+from ringchain._numerics import sincospi
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
@@ -49,6 +50,30 @@ def test_gap_count_grows():
     assert counts[0] < counts[1] < counts[2]
     # roughly one gap per band: at least linear growth in band index
     assert all(r.gap_count >= r.band_count - 1 for r in reps)
+
+
+def test_gap_count_includes_gaps_narrower_than_window_rounding():
+    # seven gaps 2.5e-8 to 1.9e-7 wide in energy, below 1e-12 * K, and the
+    # window ends in a gap
+    rep = spectrum_measure(ChainSpec(3.1415926567313861), 2e5)
+    assert rep.band_count == 892 and rep.gap_count == 892
+    widths = [b.e_lo - a.e_hi for a, b in zip(rep.bands, rep.bands[1:])]
+    assert sum(w < 1e-12 * 2e5 for w in widths) == 7
+    assert min(widths) > 2e-8
+
+
+def test_gap_count_matches_band_structure_over_ell():
+    # a gap of positive width between every two consecutive bands, and one
+    # past the last band exactly when the window ends inside it
+    for ell in np.geomspace(1e-3, 30.0, 37):
+        spec = ChainSpec(float(ell))
+        for window in (10.0, 1e3, 1e4):
+            rep = spectrum_measure(spec, window)
+            bands = rep.bands
+            assert all(b.e_lo > a.e_hi for a, b in zip(bands, bands[1:]))
+            last = bands[-1]
+            assert last.truncated_hi or last.e_hi < window
+            assert rep.gap_count == len(bands) - 1 + (not last.truncated_hi)
 
 
 def test_measure_wide_window_with_close_anchors():
@@ -92,13 +117,20 @@ def test_certified_points_outside_bands():
 
 def test_asymptotic_implies_strong():
     # |sin(k ell) sin(k pi)| > 8/k^2 forces the strong inequality because
-    # 2/r(k) < 8/k^2 for every k > 0; the converse can fail in a thin window
+    # r(k) - k^2/4 = (k^2 + 5)/(4 (k^2 + 1)) >= 1/4, so gap_certificate
+    # needs no separate high-energy test; the converse can fail in a thin
+    # window.  ss is formed as gap_certificate forms it, with its margin.
     rng = np.random.default_rng(31)
-    for k in rng.uniform(1.0, 100.0, 5000):
-        k = float(k)
-        ss = abs(math.sin(k) * math.sin(k * math.pi))
-        if ss > 8.0 / (k * k):
-            assert gap_certificate(LOOSE1, k) is GapCertificate.STRONG
+    for ell in (1e-3, 0.05, 1.0, math.pi, 7.5, 30.0):
+        spec = ChainSpec(ell)
+        hits = 0
+        for k in np.exp(rng.uniform(math.log(0.01), math.log(1e8), 20_000)):
+            k = float(k)
+            ss = abs(math.sin(k * ell) * sincospi(k)[0])
+            if ss > 8.0 / (k * k) + 1e-12:
+                hits += 1
+                assert gap_certificate(spec, k) is GapCertificate.STRONG
+        assert hits > 1000
 
 
 def test_m_ell_membership_examples():

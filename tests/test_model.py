@@ -13,7 +13,6 @@ from ringchain import (
     Quasimomentum,
     SpectralParameter,
     make_coupling,
-    normalize_theta,
 )
 
 
@@ -65,26 +64,26 @@ def test_coupling_matrix_is_readonly():
 
 
 def test_theta_examples():
-    assert normalize_theta(math.pi).theta == -math.pi
-    assert normalize_theta(0.0).theta == 0.0
-    assert abs(normalize_theta(1.5 * math.pi).theta + 0.5 * math.pi) < 1e-15
+    assert Quasimomentum(math.pi).theta == -math.pi
+    assert Quasimomentum(0.0).theta == 0.0
+    assert abs(Quasimomentum(1.5 * math.pi).theta + 0.5 * math.pi) < 1e-15
 
 
 def test_theta_rejects_nonfinite():
     with pytest.raises(ValueError):
-        normalize_theta(math.inf)
+        Quasimomentum(math.inf)
     with pytest.raises(ValueError):
-        normalize_theta(math.nan)
+        Quasimomentum(math.nan)
 
 
 @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
 @settings(max_examples=500)
 def test_theta_normalization_properties(raw):
-    q = normalize_theta(raw)
+    q = Quasimomentum(raw)
     assert -math.pi <= q.theta < math.pi
     assert abs(math.cos(q.theta) - math.cos(math.fmod(raw, 2 * math.pi))) < 1e-9
     # idempotent
-    assert normalize_theta(q.theta).theta == q.theta
+    assert Quasimomentum(q.theta).theta == q.theta
 
 
 def test_spectral_parameter_roundtrip_exact():

@@ -27,10 +27,10 @@ def ndet(spec, sp, theta):
 
 
 def test_system_sizes():
-    sys8 = assemble(TIGHT, SpectralParameter.from_k(0.7), Quasimomentum(0.4))
-    assert sys8.size == 8
-    sys12 = assemble(LOOSE1, SpectralParameter.from_k(0.7), Quasimomentum(0.4))
-    assert sys12.size == 12
+    m8 = assemble(TIGHT, SpectralParameter.from_k(0.7), Quasimomentum(0.4))
+    assert m8.shape == (8, 8)
+    m12 = assemble(LOOSE1, SpectralParameter.from_k(0.7), Quasimomentum(0.4))
+    assert m12.shape == (12, 12)
 
 
 def test_assemble_rejects_zero_energy():
@@ -79,10 +79,10 @@ def test_loose_flat_band_integer_k():
 
 
 def test_normalization_consistency():
-    sys = assemble(LOOSE1, SpectralParameter.from_k(2.2), Quasimomentum(0.8))
-    norms = np.linalg.norm(sys.matrix, axis=1)
-    expected = determinant(sys) / np.prod(norms)
-    assert abs(normalized_determinant(sys) - expected) < 1e-12 * abs(expected) + 1e-15
+    m = assemble(LOOSE1, SpectralParameter.from_k(2.2), Quasimomentum(0.8))
+    norms = np.linalg.norm(m, axis=1)
+    expected = determinant(m) / np.prod(norms)
+    assert abs(normalized_determinant(m) - expected) < 1e-12 * abs(expected) + 1e-15
 
 
 def test_closed_form_tight_negative_flat():
