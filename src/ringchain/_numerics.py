@@ -1,6 +1,7 @@
 """Low-level numeric helpers shared across the package.
 
-Everything here is vectorized over numpy arrays and safe for scalars.
+The array helpers are vectorized over numpy arrays and safe for scalars;
+``brentq_strict`` is the one scalar root finder every solver uses.
 """
 
 from __future__ import annotations
@@ -8,6 +9,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import SolverError
 
 __all__ = ["sincospi", "coth", "xcothx", "brentq_strict"]
 
@@ -54,8 +57,87 @@ def xcothx(x):
     return out if out.ndim else float(out)
 
 
-def brentq_strict(f, a, b):
-    """Brent root refinement at machine precision; thin scipy wrapper."""
-    from scipy.optimize import brentq
+#: stopping rule of brentq_strict: half the bracket below (XTOL + RTOL |x|)/2
+XTOL = 1e-13
+RTOL = 8.9e-16
+MAXITER = 200
 
-    return brentq(f, a, b, xtol=1e-13, rtol=8.9e-16, maxiter=200)
+
+def brentq_strict(f, a, b):
+    """The root of f in [a, b] by Brent's method, at machine precision.
+
+    A transcription of scipy's ``brentq.c``: the same float operations in
+    the same order, so it returns the float that
+    ``scipy.optimize.brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER)``
+    returns, with one call of f per iterate.  An endpoint where f is exactly
+    zero is returned as it is.  ``signbit`` is written as ``< 0.0``: the
+    values it is applied to are never zero or NaN.  A bracket without a
+    sign change, a NaN value of f and no convergence in MAXITER iterations
+    raise SolverError, with the bracket and f at its ends in the message.
+    """
+    xpre, xcur = float(a), float(b)
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise _failure(f"f is NaN at x={xpre!r}", xpre, xcur, fpre, None)
+    fcur = float(f(xcur))
+    if fcur != fcur:
+        raise _failure(f"f is NaN at x={xcur!r}", xpre, xcur, fpre, fcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise _failure("f has the same sign at both ends", xpre, xcur, fpre, fcur)
+    ends = (xpre, xcur, fpre, fcur)
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # the best iterate so far becomes xcur, the previous one xpre
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (XTOL + RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # a zero divisor (dblk*dpre*(fblk - fpre) underflows for tiny
+                # f) gives C an infinite or NaN step, which the test rejects
+                stry = math.inf
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = float(f(xcur))
+        if fcur != fcur:
+            raise _failure(f"f is NaN at x={xcur!r}", *ends)
+    raise _failure(f"no convergence in {MAXITER} iterations, last x={xcur!r}", *ends)
+
+
+def _failure(reason: str, a: float, b: float, fa, fb) -> SolverError:
+    values = f"f(a)={fa!r}" + ("" if fb is None else f", f(b)={fb!r}")
+    return SolverError(f"Brent solve on [{a!r}, {b!r}]: {reason} ({values})")

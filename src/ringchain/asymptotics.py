@@ -353,22 +353,21 @@ def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
 
 
 def _one_sided_hausdorff(ref_hi: float, bands: list[Band]) -> float:
-    """sup over [0, ref_hi] of the distance to the union of bands, with the
-    spectrum cut at ref_hi: bands that start at or above it are ignored."""
+    """sup over x in [0, ref_hi] of the distance from x to the union of bands.
+
+    In a gap the distance peaks at its midpoint, or at ref_hi if ref_hi cuts
+    the gap before that; the band above ref_hi bounds the last gap.  Past the
+    last band the spectrum is taken to end."""
     best = 0.0
     cursor = 0.0
     for b in bands:
-        if b.e_lo >= ref_hi:
-            break
         lo = max(0.0, b.e_lo)
         if lo > cursor:
-            best = max(best, 0.5 * (lo - cursor))
-        cursor = max(cursor, min(b.e_hi, ref_hi))
+            best = max(best, min(0.5 * (lo - cursor), ref_hi - cursor))
+        cursor = max(cursor, b.e_hi)
         if cursor >= ref_hi:
-            break
-    if cursor < ref_hi:
-        best = max(best, ref_hi - cursor)
-    return best
+            return best
+    return max(best, ref_hi - cursor)
 
 
 def _gap_fraction(bands: list[Band], lo: float, hi: float) -> float:

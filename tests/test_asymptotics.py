@@ -286,6 +286,37 @@ def test_hausdorff_tight_to_itself_zero():
     assert _one_sided_hausdorff(25.0, bands) == 0.0
 
 
+def _dense_distance(ref_hi, bands, n=200_001):
+    """max over a uniform grid of [0, ref_hi] of the distance to the bands."""
+    x = np.linspace(0.0, ref_hi, n)
+    d = np.full_like(x, np.inf)
+    for b in bands:
+        d = np.minimum(d, np.maximum(np.maximum(b.e_lo - x, x - b.e_hi), 0.0))
+    return float(d.max()), ref_hi / (n - 1)
+
+
+@pytest.mark.parametrize("ell", [0.3, 1.0, 2.0, 5.0, 12.0])
+@pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
+def test_hausdorff_with_e_max_inside_a_gap_matches_dense_scan(ell, frac):
+    bands = positive_bands(ChainSpec(ell), 12.0)
+    # e_max inside the first gap and inside a gap near E = 25
+    gaps = [(a.e_hi, b.e_lo) for a, b in zip(bands, bands[1:]) if b.e_lo > a.e_hi]
+    later = min(gaps, key=lambda g: abs(g[0] - 25.0))
+    for lo, hi in (gaps[0], later):
+        e_max = lo + frac * (hi - lo)
+        dense, step = _dense_distance(e_max, bands)
+        value = _one_sided_hausdorff(e_max, bands)
+        assert dense - 1e-12 <= value <= dense + step
+
+
+def test_hausdorff_at_e_max_inside_first_gap_ell2():
+    # e_max 90% across the first gap: the band above is nearer than e_max is
+    # to the band below, so the distance peaks at the gap's midpoint
+    bands = positive_bands(ChainSpec(2.0), 12.0)
+    lo, hi = bands[0].e_hi, bands[1].e_lo
+    assert _one_sided_hausdorff(lo + 0.9 * (hi - lo), bands) == 0.5 * (hi - lo)
+
+
 def test_set_convergence_validates_input():
     with pytest.raises(ValueError):
         set_convergence_check([0.01, 0.1])
