@@ -1,7 +1,9 @@
 """Low-level numeric helpers shared across the package.
 
-The array helpers are vectorized over numpy arrays and safe for scalars;
-``brentq_strict`` is the one scalar root finder every solver uses.
+The array helpers are vectorized over numpy arrays and safe for scalars.
+``brent_iterates`` is the one Brent root finder: ``brentq_strict`` drives
+it with a scalar function, ``brentq_lockstep`` drives many of it with a
+vectorized one.
 """
 
 from __future__ import annotations
@@ -12,7 +14,9 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["sincospi", "coth", "xcothx", "brentq_strict"]
+__all__ = [
+    "sincospi", "coth", "xcothx", "brent_iterates", "brentq_strict", "brentq_lockstep",
+]
 
 
 def sincospi(x):
@@ -63,23 +67,25 @@ RTOL = 8.9e-16
 MAXITER = 200
 
 
-def brentq_strict(f, a, b):
-    """The root of f in [a, b] by Brent's method, at machine precision.
+def brent_iterates(a, b):
+    """Brent's method on [a, b] as a generator, at machine precision.
 
-    A transcription of scipy's ``brentq.c``: the same float operations in
-    the same order, so it returns the float that
+    It yields each x at which it needs f, first a and then b, and is sent
+    f(x) back; it returns the root (as ``StopIteration.value``).  A
+    transcription of scipy's ``brentq.c``: the same float operations in the
+    same order, so it finds the float that
     ``scipy.optimize.brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER)``
-    returns, with one call of f per iterate.  An endpoint where f is exactly
+    returns, with one value of f per iterate.  An endpoint where f is exactly
     zero is returned as it is.  ``signbit`` is written as ``< 0.0``: the
     values it is applied to are never zero or NaN.  A bracket without a
     sign change, a NaN value of f and no convergence in MAXITER iterations
     raise SolverError, with the bracket and f at its ends in the message.
     """
     xpre, xcur = float(a), float(b)
-    fpre = float(f(xpre))
+    fpre = float((yield xpre))
     if fpre != fpre:
         raise _failure(f"f is NaN at x={xpre!r}", xpre, xcur, fpre, None)
-    fcur = float(f(xcur))
+    fcur = float((yield xcur))
     if fcur != fcur:
         raise _failure(f"f is NaN at x={xcur!r}", xpre, xcur, fpre, fcur)
     if fpre == 0.0:
@@ -132,10 +138,55 @@ def brentq_strict(f, a, b):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = float(f(xcur))
+        fcur = float((yield xcur))
         if fcur != fcur:
             raise _failure(f"f is NaN at x={xcur!r}", *ends)
     raise _failure(f"no convergence in {MAXITER} iterations, last x={xcur!r}", *ends)
+
+
+def brentq_strict(f, a, b):
+    """The root of f in [a, b]: ``brent_iterates`` with f called on each
+    iterate, so equal to scipy's brentq bit for bit."""
+    steps = brent_iterates(a, b)
+    x = next(steps)
+    try:
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as done:
+        return done.value
+
+
+def brentq_lockstep(f, brackets):
+    """The roots of many Brent solves, advanced together.
+
+    Solve i finds the root of its own function f_i in [a_i, b_i];
+    ``brackets`` holds (a_i, b_i, f_i(a_i), f_i(b_i)), the end values
+    already known.  ``f(indices, xs)`` returns f_i(x) for each pair of i in
+    ``indices`` and x in ``xs``.  Each call of f takes the next iterate of
+    every unfinished solve, so the solves need as many calls as the longest
+    one has iterates.  Each root is the float that ``brentq_strict`` finds
+    on the same bracket, and a failure raises its SolverError, which names
+    the bracket.
+    """
+    roots = [0.0] * len(brackets)
+    solves = []
+    for i, (a, b, fa, fb) in enumerate(brackets):
+        steps = brent_iterates(a, b)
+        next(steps)
+        steps.send(fa)
+        solves.append((i, steps, fb))
+    while solves:
+        wanted = []
+        for i, steps, value in solves:
+            try:
+                wanted.append((i, steps, steps.send(value)))
+            except StopIteration as done:
+                roots[i] = done.value
+        if not wanted:
+            break
+        values = f([i for i, _, _ in wanted], [x for _, _, x in wanted])
+        solves = [(i, steps, v) for (i, steps, _), v in zip(wanted, values)]
+    return roots
 
 
 def _failure(reason: str, a: float, b: float, fa, fb) -> SolverError:

@@ -289,14 +289,27 @@ def _cmd_selfcheck(args) -> int:
     record("scattering_parity", parity_small < 1e-3 and parity_big >= 1.0,
            f"odd {parity_small:.2e}; even {parity_big:.2e}")
 
+    # each row brackets known on-shell points too, so that it matches a root:
+    # the flat bands k = 1, 2, 3 and kappa = 1, and the two negative-band
+    # crossings of cos(theta) on the loose chain
     for ell in (0.0, 1.0):
         spec = ChainSpec(ell)
         for branch, lo, hi in (("positive", 0.1, 12.0), ("negative", 0.1, 4.0)):
-            rep = match_roots(spec, branch, lo, hi, n_brackets=60,
-                              seed=int(rng.integers(2**31)))
+            seed = int(rng.integers(2**31))
+            theta = None
+            if branch == "positive":
+                anchors = (1.0, 2.0, 3.0)
+            elif spec.is_tight:
+                anchors = (1.0,)
+            else:
+                theta = float(rng.uniform(-math.pi, math.pi))
+                anchors = tuple(solve_negative_edge(spec, math.cos(theta), band)
+                                for band in ("upper", "lower"))
+            rep = match_roots(spec, branch, lo, hi, n_brackets=60, seed=seed,
+                              extra_roots=anchors, theta=theta)
             record(
                 f"oracle_equivalence_ell{ell:g}_{branch}",
-                rep.ok,
+                rep.ok and rep.matched_roots >= 1,
                 f"{rep.matched_roots} roots; worst {rep.worst_distance:.2e}; "
                 f"{len(rep.mismatches)} mismatches",
             )

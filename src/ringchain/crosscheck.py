@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import brentq_strict
+from ._numerics import brentq_lockstep, brentq_strict
 from .model import ChainSpec, Quasimomentum, SpectralParameter
 from .secular import assemble, closed_form_value, normalized_determinant
 
@@ -44,34 +44,6 @@ class RootMatchReport:
         return not self.mismatches
 
 
-def _scalar_fns(spec: ChainSpec, branch: str, q: Quasimomentum):
-    par = (
-        SpectralParameter.from_k if branch == "positive" else SpectralParameter.from_kappa
-    )
-
-    def closed(x: float) -> float:
-        return closed_form_value(spec, par(x), q)
-
-    def ndet(x: float) -> complex:
-        return normalized_determinant(assemble(spec, par(x), q))
-
-    return closed, ndet
-
-
-def _phase_anchored(ndet, a: float, b: float):
-    """The real proxy and its values at a and b, from one determinant each."""
-    za, zb = ndet(a), ndet(b)
-    anchor = za if abs(za) >= abs(zb) else zb
-    if anchor == 0:
-        return None
-    ph = anchor / abs(anchor)
-
-    def proxy(x: float) -> float:
-        return (ndet(x) * ph.conjugate()).real
-
-    return proxy, (za * ph.conjugate()).real, (zb * ph.conjugate()).real
-
-
 def match_roots(
     spec: ChainSpec,
     branch: str,
@@ -90,60 +62,83 @@ def match_roots(
     functions brackets a root, or the refined roots differ by more than
     ``tol``, a mismatch is recorded.  ``extra_roots`` adds deterministic
     brackets around known on-shell points so that sparse zero sets are
-    still exercised.
+    still exercised.  A bracket is 0.01 to 0.05 wide, or the whole window
+    if that is narrower.
+
+    The determinant at every bracket end comes from one stacked assembly;
+    the determinant-proxy solves then advance in lock-step, one stacked
+    assembly per Brent iteration.
     """
     if branch not in ("positive", "negative"):
         raise ValueError(f"unknown branch {branch!r}")
+    lo, hi = float(lo), float(hi)
+    if not (math.isfinite(lo) and math.isfinite(hi) and 0.0 < lo < hi):
+        raise ValueError(f"need finite 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     rng = np.random.default_rng(seed)
     q = Quasimomentum(rng.uniform(-math.pi, math.pi) if theta is None else theta)
-    closed, ndet = _scalar_fns(spec, branch, q)
+    par = SpectralParameter.from_k if branch == "positive" else SpectralParameter.from_kappa
+
+    def closed(x: float) -> float:
+        return closed_form_value(spec, par(x), q)
+
+    def ndets(xs) -> list[complex]:
+        return [complex(z) for z in normalized_determinant(assemble(spec, map(par, xs), q))]
 
     pairs = []
     for _ in range(n_brackets):
-        w = rng.uniform(0.01, 0.05)
-        a = rng.uniform(lo, hi - w)
+        w = min(rng.uniform(0.01, 0.05), hi - lo)
+        a = rng.uniform(lo, max(lo, hi - w))
         pairs.append((a, a + w))
     for r in extra_roots:
         halfw = 5e-4
         if lo < r - halfw and r + halfw < hi:
             pairs.append((r - halfw, r + halfw))
 
-    matched = 0
-    worst = 0.0
-    mismatches: list[str] = []
+    ends = []
     for a, b in pairs:
         fa, fb = closed(a), closed(b)
-        if fa == 0.0 or fb == 0.0:
-            continue  # endpoint exactly on shell; perturbing is the caller's job
-        anchored = _phase_anchored(ndet, a, b)
-        if anchored is None:
-            mismatches.append(f"determinant exactly zero at a bracket end in [{a},{b}]")
+        if fa != 0.0 and fb != 0.0:  # an end on shell: perturbing is the caller's job
+            ends.append((a, b, fa, fb))
+    z_ends = ndets([x for a, b, _, _ in ends for x in (a, b)]) if ends else []
+
+    # per bracket in order: a mismatch, or the index of its pair of solves
+    outcomes: list[str | int] = []
+    solves, phases = [], []
+    for (a, b, fa, fb), za, zb in zip(ends, z_ends[0::2], z_ends[1::2]):
+        anchor = za if abs(za) >= abs(zb) else zb
+        if anchor == 0:
+            outcomes.append(f"determinant exactly zero at a bracket end in [{a},{b}]")
             continue
-        proxy, pa, pb = anchored
+        phase = (anchor / abs(anchor)).conjugate()
+        pa, pb = (za * phase).real, (zb * phase).real
         f_change = fa * fb < 0.0
-        p_change = pa * pb < 0.0
-        if f_change != p_change:
+        if f_change != (pa * pb < 0.0):
             who = "closed-form" if f_change else "determinant"
-            mismatches.append(
+            outcomes.append(
                 f"{who} root unmatched in [{a:.9g},{b:.9g}] theta={q.theta:.9g}"
             )
-            continue
-        if not f_change:
-            continue
-        r_f = brentq_strict(closed, a, b)
-        r_d = brentq_strict(proxy, a, b)
-        matched += 1
-        dist = abs(r_f - r_d)
-        worst = max(worst, dist)
-        if dist > tol:
-            mismatches.append(
-                f"roots differ by {dist:.3e} near {r_f:.9g} theta={q.theta:.9g}"
-            )
+        elif f_change:
+            outcomes.append(len(solves))
+            solves.append((a, b, pa, pb))
+            phases.append(phase)
+
+    def proxies(indices, xs):
+        return [(z * phases[i]).real for i, z in zip(indices, ndets(xs))]
+
+    closed_roots = [brentq_strict(closed, a, b) for a, b, _, _ in solves]
+    det_roots = brentq_lockstep(proxies, solves)
+
+    dists = [abs(r_f - r_d) for r_f, r_d in zip(closed_roots, det_roots)]
+    mismatches = tuple(
+        out if isinstance(out, str) else
+        f"roots differ by {dists[out]:.3e} near {closed_roots[out]:.9g} theta={q.theta:.9g}"
+        for out in outcomes if isinstance(out, str) or dists[out] > tol
+    )
     return RootMatchReport(
         spec=spec,
         branch=branch,
         brackets=len(pairs),
-        matched_roots=matched,
-        worst_distance=worst,
-        mismatches=tuple(mismatches),
+        matched_roots=len(solves),
+        worst_distance=max(dists, default=0.0),
+        mismatches=mismatches,
     )

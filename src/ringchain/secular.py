@@ -5,7 +5,8 @@ Two independent formulations of the same spectral condition live here:
 * ``assemble``/``determinant`` build the raw linear system for the trial
   coefficients on the cell edges (8 unknowns for the tight chain, 12 for the
   loose one) directly from the quasi-periodic boundary conditions and the
-  vertex matching.  Its determinant vanishes exactly on shell.
+  vertex matching.  Its determinant vanishes exactly on shell.  Both work
+  on stacks: many energies are assembled and factored in one call.
 
 * ``closed_form_value`` evaluates the factored scalar conditions obtained by
   eliminating the system by hand.  These are overflow safe and are what the
@@ -38,35 +39,78 @@ __all__ = [
 _HYPERBOLIC_GUARD = 700.0
 
 
-def _basis(sp: SpectralParameter):
-    """Value/derivative row pieces for one edge as functions of x."""
-    if sp.branch == "positive":
-        k = sp.k
+_HALF = math.pi / 2
 
-        def val(x):
-            return np.array([np.exp(1j * k * x), np.exp(-1j * k * x)])
-
-        def der(x):
-            return np.array(
-                [1j * k * np.exp(1j * k * x), -1j * k * np.exp(-1j * k * x)]
-            )
-
-    else:
-        kap = sp.kappa
-
-        def val(x):
-            return np.array([np.cosh(kap * x), np.sinh(kap * x)], dtype=complex)
-
-        def der(x):
-            return np.array(
-                [kap * np.sinh(kap * x), kap * np.cosh(kap * x)], dtype=complex
-            )
-
-    return val, der
+#: the pieces rows are made of, in the order ``assemble`` stacks them: V and
+#: D are the basis values and derivatives at x (two entries, the + and -
+#: coefficient), t = e^{i theta}, 0 the vertex x = 0 and l the link length
+_PIECES = (
+    "V(pi/2)", "D(pi/2)", "-tV(-pi/2)", "-tD(-pi/2)",
+    "V0+iD0", "-V0+iD0", "V0-iD0", "-V0-iD0",
+    # loose chain only
+    "V0", "D0", "-V0", "-D0",
+    "-V(l/2)-iD(l/2)", "V(l/2)-iD(l/2)", "-V(-l/2)+iD(-l/2)", "V(-l/2)+iD(-l/2)",
+)
 
 
-def assemble(spec: ChainSpec, sp: SpectralParameter, q: Quasimomentum) -> np.ndarray:
+def _scatter(edges, rows):
+    """Index arrays (row, column, piece) that put each row's two pieces into
+    the columns of their edges; ``edges`` maps an edge to its first column."""
+    rr, cc, src = [], [], []
+    for r, pair in enumerate(rows):
+        for piece, edge in pair:
+            rr += [r, r]
+            cc += [edges[edge], edges[edge] + 1]
+            src += [_PIECES.index(piece)] * 2
+    return np.array(rr), np.array(cc), np.array(src)
+
+
+# Rows 0-3: quasi-periodic matching psi_j(pi/2) = t psi_{5-j}(-pi/2),
+# j = 1, 2, and its derivative.  Rows 4-7: the vertex relations of the
+# (pred, succ) pairs (1,2), (2,3), (3,4), (4,1), with outward derivative
+# sign +1 on edges 1, 2 (which live on [0, pi/2]) and -1 on edges 3, 4 (on
+# [-pi/2, 0]).
+_TIGHT = _scatter({"c1": 0, "c2": 2, "c3": 4, "c4": 6}, (
+    (("V(pi/2)", "c1"), ("-tV(-pi/2)", "c4")),
+    (("D(pi/2)", "c1"), ("-tD(-pi/2)", "c4")),
+    (("V(pi/2)", "c2"), ("-tV(-pi/2)", "c3")),
+    (("D(pi/2)", "c2"), ("-tD(-pi/2)", "c3")),
+    (("V0+iD0", "c2"), ("-V0+iD0", "c1")),
+    (("V0-iD0", "c3"), ("-V0+iD0", "c2")),
+    (("V0-iD0", "c4"), ("-V0-iD0", "c3")),
+    (("V0+iD0", "c1"), ("-V0-iD0", "c4")),
+))
+
+# Rows 0-1: smoothness psi1(0) = phi1(0), psi1'(0) = phi1'(0) of the
+# connecting segment (psi1 on [0, ell/2], phi1 on [-ell/2, 0]).  Rows 2-5:
+# quasi-periodic matching psi_j(pi/2) = t phi_j(-pi/2), j = 2, 3.  Rows 6-8:
+# vertex A joins psi1 at x = ell/2 (outward -1) with psi2, psi3 at x = 0
+# (outward +1), cyclic order 1 -> 3 -> 2 -> 1.  Rows 9-11: vertex B joins
+# phi1 at x = -ell/2 (outward +1) with phi2, phi3 at x = 0 (outward -1),
+# cyclic order 1 -> 2 -> 3 -> 1.
+_LOOSE = _scatter({"psi1": 0, "psi2": 2, "psi3": 4, "phi1": 6, "phi2": 8, "phi3": 10}, (
+    (("V0", "psi1"), ("-V0", "phi1")),
+    (("D0", "psi1"), ("-D0", "phi1")),
+    (("V(pi/2)", "psi2"), ("-tV(-pi/2)", "phi2")),
+    (("D(pi/2)", "psi2"), ("-tD(-pi/2)", "phi2")),
+    (("V(pi/2)", "psi3"), ("-tV(-pi/2)", "phi3")),
+    (("D(pi/2)", "psi3"), ("-tD(-pi/2)", "phi3")),
+    (("V0+iD0", "psi3"), ("-V(l/2)-iD(l/2)", "psi1")),
+    (("V0+iD0", "psi2"), ("-V0+iD0", "psi3")),
+    (("V(l/2)-iD(l/2)", "psi1"), ("-V0+iD0", "psi2")),
+    (("V0-iD0", "phi2"), ("-V(-l/2)+iD(-l/2)", "phi1")),
+    (("V0-iD0", "phi3"), ("-V0-iD0", "phi2")),
+    (("V(-l/2)+iD(-l/2)", "phi1"), ("-V0-iD0", "phi3")),
+))
+
+
+def assemble(spec: ChainSpec, sp, q: Quasimomentum) -> np.ndarray:
     """The complex secular matrix for the given chain, energy and theta.
+
+    ``sp`` is one SpectralParameter, which gives the (n, n) matrix, or a
+    sequence of them on one branch, which gives the (N, n, n) stack of their
+    matrices.  The entries of a stacked matrix equal those of the matrix
+    assembled alone, bit for bit.
 
     Unknown layout (two columns per edge, + then - coefficient):
       tight, 8x8:    (c1+, c1-, c2+, c2-, c3+, c3-, c4+, c4-)
@@ -87,92 +131,68 @@ def assemble(spec: ChainSpec, sp: SpectralParameter, q: Quasimomentum) -> np.nda
 
     Rejects zero energy: the k -> 0 degeneracy of the trial basis is handled
     by the closed forms, not by the raw determinant.  On the negative branch
-    kappa*max(pi, ell) > 700 is refused (entries would overflow).
+    kappa*max(pi, ell) > 700 is refused at every point (entries would
+    overflow).
     """
     if not isinstance(spec, ChainSpec):
         raise TypeError("spec must be a ChainSpec")
-    if sp.branch == "zero":
+    single = isinstance(sp, SpectralParameter)
+    points = (sp,) if single else tuple(sp)
+    if not points:
+        raise ValueError("no spectral parameter to assemble")
+    branch = points[0].branch
+    if any(p.branch != branch for p in points):
+        raise ValueError("a stack of spectral parameters must share one branch")
+    if branch == "zero":
         raise ValueError("zero energy is not admissible in the raw system")
     if not math.isfinite(q.theta):
         raise ValueError("non-finite quasimomentum")
-    if sp.branch == "negative":
-        reach = sp.kappa * max(math.pi, spec.link_length)
-        if reach > _HYPERBOLIC_GUARD:
+    # the basis at x = pi/2, -pi/2, 0 and, on the loose chain, +-ell/2
+    ell2 = spec.link_length / 2
+    xs = np.array((_HALF, -_HALF, 0.0) + (() if spec.is_tight else (ell2, -ell2)))
+    if branch == "positive":
+        k = np.array([p.k for p in points])
+        ik = np.stack((1j * k, -1j * k), axis=-1)[:, None, :]
+        val = np.exp(ik * xs[None, :, None])
+        der = ik * val
+    else:
+        kap = np.array([p.kappa for p in points])
+        reach = kap * max(math.pi, spec.link_length)
+        over = np.flatnonzero(reach > _HYPERBOLIC_GUARD)
+        if over.size:
             raise OverflowGuardError(
-                f"kappa*max(pi, ell) = {reach:.3g} exceeds {_HYPERBOLIC_GUARD}; "
+                f"kappa*max(pi, ell) = {reach[over[0]]:.3g} exceeds {_HYPERBOLIC_GUARD}; "
                 "use the closed-form spectral condition instead"
             )
+        kx = kap[:, None] * xs
+        ch, sh = np.cosh(kx), np.sinh(kx)
+        val = np.stack((ch, sh), axis=-1).astype(complex)
+        der = (kap[:, None, None] * np.stack((sh, ch), axis=-1)).astype(complex)
 
-    val, der = _basis(sp)
+    # the pieces of _PIECES, each (N, 2), with the same float operations in
+    # the same order as entry-by-entry assembly
     t = np.exp(1j * q.theta)
-    half = math.pi / 2
-
-    if spec.is_tight:
-        m = np.zeros((8, 8), dtype=complex)
-        cols = {1: 0, 2: 2, 3: 4, 4: 6}  # edge -> first column
-
-        def put(row, edge, piece):
-            m[row, cols[edge] : cols[edge] + 2] += piece
-
-        # boundary matching: psi_j(pi/2) = t * psi_{5-j}(-pi/2), j = 1, 2,
-        # plus the same for the derivatives
-        for row, (ja, jb) in zip((0, 1, 2, 3), ((1, 4), (1, 4), (2, 3), (2, 3))):
-            fn = val if row % 2 == 0 else der
-            put(row, ja, fn(half))
-            put(row, jb, -t * fn(-half))
-
-        # vertex relations with outward derivatives; edges 1,2 live on
-        # [0, pi/2] (outward sign +1 at x=0), edges 3,4 on [-pi/2, 0]
-        # (outward sign -1 at x=0)
-        sign = {1: 1.0, 2: 1.0, 3: -1.0, 4: -1.0}
-        cycle = ((1, 2), (2, 3), (3, 4), (4, 1))  # (pred, succ) pairs
-        for row, (pred, succ) in enumerate(cycle, start=4):
-            put(row, succ, val(0.0) + 1j * sign[succ] * der(0.0))
-            put(row, pred, -val(0.0) + 1j * sign[pred] * der(0.0))
-        return m
-
-    # loose chain: edges psi1 [0, ell/2], psi2, psi3 [0, pi/2],
-    # phi1 [-ell/2, 0], phi2, phi3 [-pi/2, 0]
-    ell2 = spec.link_length / 2
-    m = np.zeros((12, 12), dtype=complex)
-    cols = {"p1": 0, "p2": 2, "p3": 4, "f1": 6, "f2": 8, "f3": 10}
-
-    def put(row, edge, piece):
-        m[row, cols[edge] : cols[edge] + 2] += piece
-
-    # segment midpoint smoothness: psi1(0) = phi1(0), psi1'(0) = phi1'(0)
-    put(0, "p1", val(0.0))
-    put(0, "f1", -val(0.0))
-    put(1, "p1", der(0.0))
-    put(1, "f1", -der(0.0))
-
-    # boundary matching: psi_j(pi/2) = t * phi_j(-pi/2), j = 2, 3
-    for row, (pa, fb) in zip((2, 3, 4, 5), (("p2", "f2"),) * 2 + (("p3", "f3"),) * 2):
-        fn = val if row % 2 == 0 else der
-        put(row, pa, fn(half))
-        put(row, fb, -t * fn(-half))
-
-    # vertex A joins psi1 at x=ell/2 (outward -1) with psi2, psi3 at x=0
-    # (outward +1); cyclic successor order 1 -> 3 -> 2 -> 1
-    p1v, p1d = val(ell2), der(ell2)
-    v0, d0 = val(0.0), der(0.0)
-    put(6, "p3", v0 + 1j * d0)
-    put(6, "p1", -p1v - 1j * p1d)
-    put(7, "p2", v0 + 1j * d0)
-    put(7, "p3", -v0 + 1j * d0)
-    put(8, "p1", p1v - 1j * p1d)
-    put(8, "p2", -v0 + 1j * d0)
-
-    # vertex B joins phi1 at x=-ell/2 (outward +1) with phi2, phi3 at x=0
-    # (outward -1); cyclic successor order 1 -> 2 -> 3 -> 1
-    f1v, f1d = val(-ell2), der(-ell2)
-    put(9, "f2", v0 - 1j * d0)
-    put(9, "f1", -f1v + 1j * f1d)
-    put(10, "f3", v0 - 1j * d0)
-    put(10, "f2", -v0 - 1j * d0)
-    put(11, "f1", f1v + 1j * f1d)
-    put(11, "f3", -v0 - 1j * d0)
-    return m
+    ider = 1j * der
+    # V+iD, -V+iD, V-iD, -V-iD at every x
+    vertex = np.stack((val + ider, -val + ider, val - ider, -val - ider), axis=1)
+    pieces = [
+        val[:, 0, None],
+        der[:, 0, None],
+        -t * np.stack((val[:, 1], der[:, 1]), axis=1),
+        vertex[:, :, 2],
+    ]
+    rows, cols, src = _TIGHT
+    if spec.is_loose:
+        pieces += [
+            np.stack((val[:, 2], der[:, 2], -val[:, 2], -der[:, 2]), axis=1),
+            vertex[:, (3, 2, 1, 0), (3, 3, 4, 4)],
+        ]
+        rows, cols, src = _LOOSE
+    n = 12 if spec.is_loose else 8
+    m = np.zeros((len(points), n, n), dtype=complex)
+    # every entry is 0 + piece, as in entry-by-entry assembly
+    m[:, rows, cols] += np.concatenate(pieces, axis=1)[:, src, cols % 2]
+    return m[0] if single else m
 
 
 def determinant(m: np.ndarray) -> complex:
@@ -180,17 +200,20 @@ def determinant(m: np.ndarray) -> complex:
     return complex(np.linalg.det(m))
 
 
-def normalized_determinant(m: np.ndarray) -> complex:
-    """Determinant of the row-normalized matrix.
+def normalized_determinant(m: np.ndarray):
+    """Determinant of the row-normalized matrix, or of each in a stack.
 
     Each row is divided by its 2-norm before elimination, which is the
     quantity to threshold for zero detection: raw determinants grow like
-    exp(kappa*(pi + ell)) and make absolute thresholds meaningless.
+    exp(kappa*(pi + ell)) and make absolute thresholds meaningless.  An
+    (n, n) matrix gives a complex; an (..., n, n) stack gives an array of
+    them, from one batched determinant.
     """
-    norms = np.linalg.norm(m, axis=1)
+    norms = np.linalg.norm(m, axis=-1)
     if np.any(norms == 0.0):
         raise SolverError("secular system has a zero row")
-    return complex(np.linalg.det(m / norms[:, None]))
+    det = np.linalg.det(m / norms[..., None])
+    return complex(det) if m.ndim == 2 else det
 
 
 def closed_form_value(

@@ -168,6 +168,33 @@ def test_selfcheck_passes(capsys):
     assert all(r[1] == "pass" for r in rows)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_selfcheck_oracle_rows_match_roots(capsys, seed):
+    _, out, _ = run_cli(capsys, "selfcheck", "--seed", str(seed))
+    _, rows = csv_rows(out)
+    oracle = [r for r in rows if r[0].startswith("oracle_equivalence")]
+    assert len(oracle) == 4
+    for name, status, detail in oracle:
+        assert status == "pass" and int(detail.split(" ")[0]) >= 1, (name, detail)
+
+
+def test_selfcheck_fails_a_vacuous_oracle_row(capsys, monkeypatch):
+    import dataclasses
+
+    import ringchain.cli as cli_mod
+
+    real = cli_mod.match_roots
+
+    def no_roots(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), matched_roots=0)
+
+    monkeypatch.setattr(cli_mod, "match_roots", no_roots)
+    code, out, _ = run_cli(capsys, "selfcheck")
+    _, rows = csv_rows(out)
+    assert code == 3
+    assert [r[1] for r in rows if r[0].startswith("oracle_equivalence")] == ["fail"] * 4
+
+
 def test_output_file_and_dir_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RINGCHAIN_OUTPUT_DIR", str(tmp_path))
     code, out, _ = run_cli(capsys, "flat", "--ell", "1", "--e-max", "5",

@@ -1,11 +1,22 @@
 """Zero-set agreement between the assembled determinant and closed forms."""
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
-from ringchain import ChainSpec, solve_negative_edge
-from ringchain.crosscheck import match_roots
+import ringchain.crosscheck
+from ringchain import ChainSpec, SolverError, solve_negative_edge
+from ringchain.crosscheck import RootMatchReport, match_roots
+
+#: match_roots calls of the tests, demos/07, selfcheck (seeds 0-2, without
+#: anchors) and the benchmark's oracle-crosscheck rounds (seeds 1-3), with
+#: the reports that the per-point implementation returned for them, plus
+#: calls whose mismatches interleave (see _flipped)
+FROZEN = json.loads(
+    (Path(__file__).parent / "data" / "root_match_reports.json").read_text()
+)
 
 
 @pytest.mark.parametrize("ell", [0.0, 1.0])
@@ -41,3 +52,77 @@ def test_negative_branch_tight_flat_point():
 def test_match_roots_rejects_unknown_branch():
     with pytest.raises(ValueError):
         match_roots(ChainSpec(1.0), "diagonal", 0.1, 1.0)
+
+
+def _flipped(closed_form_value):
+    """The closed form negated on every other third of a unit, which plants
+    closed-form roots the determinant does not have."""
+
+    def flipped(spec, sp, q):
+        x = sp.k if sp.k is not None else sp.kappa
+        v = closed_form_value(spec, sp, q)
+        return -v if math.floor(3.0 * x) % 2 else v
+
+    return flipped
+
+
+@pytest.mark.parametrize(
+    "source", sorted({e["source"] for e in FROZEN}),
+)
+def test_reports_equal_the_per_point_implementation(source, monkeypatch):
+    if "flipped" in source:
+        monkeypatch.setattr(ringchain.crosscheck, "closed_form_value",
+                            _flipped(ringchain.crosscheck.closed_form_value))
+    entries = [e for e in FROZEN if e["source"] == source]
+    for e in entries:
+        call = dict(e["call"])
+        spec = ChainSpec(call.pop("ell"))
+        if "extra_roots" in call:
+            call["extra_roots"] = tuple(call["extra_roots"])
+        rep = match_roots(spec, call.pop("branch"), call.pop("lo"), call.pop("hi"), **call)
+        want = e["report"]
+        assert rep == RootMatchReport(
+            spec=spec, branch=e["call"]["branch"], brackets=want["brackets"],
+            matched_roots=want["matched_roots"], worst_distance=want["worst_distance"],
+            mismatches=tuple(want["mismatches"]),
+        ), e["call"]
+
+
+def test_frozen_reports_cover_mismatch_order():
+    assert len(FROZEN) >= 150
+    kinds = [m.split(" ")[0] for e in FROZEN for m in e["report"]["mismatches"]]
+    assert {"roots", "closed-form", "determinant"} <= set(kinds)
+
+
+def test_window_narrower_than_a_bracket():
+    # brackets are drawn 0.01 to 0.05 wide; a narrower window is one bracket
+    rep = match_roots(ChainSpec(1.0), "positive", 1.0, 1.02, n_brackets=20, seed=3)
+    assert rep.ok and rep.brackets == 20
+    rep = match_roots(ChainSpec(1.0), "positive", 0.99, 1.02, n_brackets=20, seed=3)
+    assert rep.ok and rep.matched_roots >= 1  # k = 1 is a flat band
+    rep = match_roots(ChainSpec(0.0), "negative", 0.999, 1.001, n_brackets=5, seed=3)
+    assert rep.ok and rep.matched_roots == 5  # kappa = 1, in every bracket
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (1.0, math.nan), (math.nan, 2.0), (1.0, math.inf), (-math.inf, 2.0),
+    (0.0, 2.0), (-0.5, 2.0), (2.0, 2.0), (3.0, 2.0),
+])
+def test_match_roots_rejects_bad_window(lo, hi):
+    with pytest.raises(ValueError, match="need finite 0 < lo < hi"):
+        match_roots(ChainSpec(1.0), "positive", lo, hi)
+
+
+def test_nan_in_a_lockstep_round_names_its_bracket(monkeypatch):
+    true_det = ringchain.crosscheck.normalized_determinant
+    calls = []
+
+    def det_nan_after_ends(m):
+        calls.append(len(m))
+        z = true_det(m)
+        return z if len(calls) == 1 else z * math.nan
+
+    monkeypatch.setattr(ringchain.crosscheck, "normalized_determinant", det_nan_after_ends)
+    with pytest.raises(SolverError, match=r"Brent solve on \[0\.9995, 1\.0005\]: f is NaN"):
+        match_roots(ChainSpec(0.0), "negative", 0.1, 5.0, n_brackets=0, extra_roots=(1.0,))
+    assert calls == [2, 1]

@@ -12,8 +12,8 @@ from scipy.optimize import brentq
 import ringchain.asymptotics
 import ringchain.bands
 import ringchain.crosscheck
-from ringchain import ChainSpec, Quasimomentum, SolverError
-from ringchain._numerics import MAXITER, RTOL, XTOL, brentq_strict
+from ringchain import ChainSpec, Quasimomentum, SolverError, solve_negative_edge
+from ringchain._numerics import MAXITER, RTOL, XTOL, brentq_lockstep, brentq_strict
 from ringchain.asymptotics import lemma_witnesses
 from ringchain.bands import dispersion, negative_bands, positive_bands
 from ringchain.cli import main
@@ -130,3 +130,81 @@ def test_cli_exit_code_for_nan_kernel(capsys, monkeypatch):
     code = main(["negative", "--ell", "1"])
     err = capsys.readouterr().err
     assert code == 2 and "solver error" in err and "NaN" in err
+
+
+def _recorded_lockstep(monkeypatch):
+    """Every (f, brackets, roots) that match_roots hands to brentq_lockstep."""
+    runs = []
+
+    def recorder(f, brackets):
+        roots = brentq_lockstep(f, brackets)
+        runs.append((f, brackets, roots))
+        return roots
+
+    monkeypatch.setattr(ringchain.crosscheck, "brentq_lockstep", recorder)
+    spec = ChainSpec(0.7)
+    extra = tuple(solve_negative_edge(spec, math.cos(0.4), band) for band in ("upper", "lower"))
+    match_roots(spec, "negative", 0.1, 5.0, n_brackets=60, seed=9, extra_roots=extra, theta=0.4)
+    match_roots(ChainSpec(0.0), "negative", 0.1, 5.0, n_brackets=20, seed=1, extra_roots=(1.0,))
+    for ell in (0.0, 1.0, math.pi + 1e-8, 7.0):
+        match_roots(ChainSpec(ell), "positive", 0.1, 15.0, n_brackets=200, seed=4,
+                    extra_roots=(1.0, 2.0, 3.0))
+    return runs
+
+
+def test_lockstep_roots_equal_scipy_on_the_scalar_proxy(monkeypatch):
+    runs = _recorded_lockstep(monkeypatch)
+    solves = [(f, i, bracket, root) for f, brackets, roots in runs
+              for i, (bracket, root) in enumerate(zip(brackets, roots))]
+    assert len(solves) >= 60
+    for f, i, (a, b, fa, fb), root in solves:
+        def proxy(x, f=f, i=i):
+            return f([i], [x])[0]
+
+        assert (fa, fb) == (proxy(a), proxy(b))
+        assert type(root) is float
+        assert root == scipy_brentq(proxy, a, b) == brentq_strict(proxy, a, b)
+
+
+def _lines(indices, xs):
+    # solve i: f_i(x) = x - 0.1 (i + 1)
+    return [x - 0.1 * (i + 1) for i, x in zip(indices, xs)]
+
+
+def test_lockstep_matches_brentq_strict_and_counts_rounds():
+    rounds = []
+
+    def f(indices, xs):
+        rounds.append(len(xs))
+        return [math.sin(3.0 * x) - 0.1 - 0.2 * i for i, x in zip(indices, xs)]
+
+    brackets = [(0.0, 0.5, f([i], [0.0])[0], f([i], [0.5])[0]) for i in range(4)]
+    rounds.clear()
+    roots = brentq_lockstep(f, brackets)
+    for i, (a, b, _, _) in enumerate(brackets):
+        assert roots[i] == scipy_brentq(lambda x: math.sin(3.0 * x) - 0.1 - 0.2 * i, a, b)
+    # one call per round, each taking the unfinished solves only
+    assert rounds == sorted(rounds, reverse=True) and rounds[0] == 4
+    assert brentq_lockstep(f, []) == []
+
+
+def test_lockstep_exact_zero_end_is_returned():
+    assert brentq_lockstep(_lines, [(0.1, 1.0, 0.0, 0.9), (0.0, 0.2, -0.2, 0.0)]) == [0.1, 0.2]
+
+
+def test_lockstep_same_sign_names_its_bracket():
+    brackets = [(0.0, 1.0, -0.1, 0.9), (0.5, 1.0, 0.3, 0.8)]
+    with pytest.raises(SolverError) as exc:
+        brentq_lockstep(_lines, brackets)
+    msg = str(exc.value)
+    assert "[0.5, 1.0]" in msg and "same sign" in msg and "f(a)=0.3, f(b)=0.8" in msg
+
+
+def test_lockstep_nan_in_a_round_names_its_bracket():
+    def f(indices, xs):
+        return [math.nan if i == 1 else v for i, v in zip(indices, _lines(indices, xs))]
+
+    with pytest.raises(SolverError) as exc:
+        brentq_lockstep(f, [(0.0, 1.0, -0.1, 0.9), (0.0, 1.0, -0.2, 0.8)])
+    msg = str(exc.value)
+    assert "[0.0, 1.0]" in msg and "NaN at x=" in msg and "f(a)=-0.2, f(b)=0.8" in msg

@@ -9,6 +9,7 @@ from ringchain import (
     ChainSpec,
     OverflowGuardError,
     Quasimomentum,
+    SolverError,
     SpectralParameter,
     assemble,
     closed_form_value,
@@ -116,6 +117,154 @@ def test_closed_form_no_overflow_at_large_kappa():
     v = closed_form_value(LOOSE1, SpectralParameter.from_kappa(500.0),
                           Quasimomentum(0.0))
     assert math.isfinite(v) or abs(v) == pytest.approx(1.7976931348623157e308)
+
+
+# ---------------------------------------------------------------------------
+# stacked assembly against the per-point reference
+
+
+def _assemble_point(spec, sp, q):
+    """The secular matrix of one point, entry by entry: the reference that
+    the stacked assembly must equal bit for bit."""
+    half = math.pi / 2
+    if sp.branch == "positive":
+        k = sp.k
+
+        def val(x):
+            return np.array([np.exp(1j * k * x), np.exp(-1j * k * x)])
+
+        def der(x):
+            return np.array([1j * k * np.exp(1j * k * x), -1j * k * np.exp(-1j * k * x)])
+    else:
+        kap = sp.kappa
+
+        def val(x):
+            return np.array([np.cosh(kap * x), np.sinh(kap * x)], dtype=complex)
+
+        def der(x):
+            return np.array([kap * np.sinh(kap * x), kap * np.cosh(kap * x)], dtype=complex)
+
+    t = np.exp(1j * q.theta)
+    if spec.is_tight:
+        m = np.zeros((8, 8), dtype=complex)
+        cols = {1: 0, 2: 2, 3: 4, 4: 6}
+
+        def put(row, edge, piece):
+            m[row, cols[edge]: cols[edge] + 2] += piece
+
+        for row, (ja, jb) in zip((0, 1, 2, 3), ((1, 4), (1, 4), (2, 3), (2, 3))):
+            fn = val if row % 2 == 0 else der
+            put(row, ja, fn(half))
+            put(row, jb, -t * fn(-half))
+        sign = {1: 1.0, 2: 1.0, 3: -1.0, 4: -1.0}
+        for row, (pred, succ) in enumerate(((1, 2), (2, 3), (3, 4), (4, 1)), start=4):
+            put(row, succ, val(0.0) + 1j * sign[succ] * der(0.0))
+            put(row, pred, -val(0.0) + 1j * sign[pred] * der(0.0))
+        return m
+
+    ell2 = spec.link_length / 2
+    m = np.zeros((12, 12), dtype=complex)
+    cols = {"p1": 0, "p2": 2, "p3": 4, "f1": 6, "f2": 8, "f3": 10}
+
+    def put(row, edge, piece):
+        m[row, cols[edge]: cols[edge] + 2] += piece
+
+    put(0, "p1", val(0.0))
+    put(0, "f1", -val(0.0))
+    put(1, "p1", der(0.0))
+    put(1, "f1", -der(0.0))
+    for row, (pa, fb) in zip((2, 3, 4, 5), (("p2", "f2"),) * 2 + (("p3", "f3"),) * 2):
+        fn = val if row % 2 == 0 else der
+        put(row, pa, fn(half))
+        put(row, fb, -t * fn(-half))
+    p1v, p1d = val(ell2), der(ell2)
+    v0, d0 = val(0.0), der(0.0)
+    put(6, "p3", v0 + 1j * d0)
+    put(6, "p1", -p1v - 1j * p1d)
+    put(7, "p2", v0 + 1j * d0)
+    put(7, "p3", -v0 + 1j * d0)
+    put(8, "p1", p1v - 1j * p1d)
+    put(8, "p2", -v0 + 1j * d0)
+    f1v, f1d = val(-ell2), der(-ell2)
+    put(9, "f2", v0 - 1j * d0)
+    put(9, "f1", -f1v + 1j * f1d)
+    put(10, "f3", v0 - 1j * d0)
+    put(10, "f2", -v0 - 1j * d0)
+    put(11, "f1", f1v + 1j * f1d)
+    put(11, "f3", -v0 - 1j * d0)
+    return m
+
+
+def _normalized_determinant_point(m):
+    norms = np.linalg.norm(m, axis=1)
+    return complex(np.linalg.det(m / norms[:, None]))
+
+
+def _largest_admissible_kappa(ell):
+    """The largest kappa with kappa*max(pi, ell) <= 700, the guard boundary."""
+    reach = max(math.pi, ell)
+    kap = 700.0 / reach
+    while kap * reach > 700.0:
+        kap = math.nextafter(kap, 0.0)
+    return kap
+
+
+def _points(branch, ell, rng):
+    if branch == "positive":
+        xs = [*rng.uniform(0.01, 15.0, 24), 1e-6, 0.5, 1.0, 2.0, 100.0]
+        return [SpectralParameter.from_k(x) for x in xs]
+    edge = _largest_admissible_kappa(ell)
+    xs = [*rng.uniform(0.01, 5.0, 24), 1e-6, 1.0, math.sqrt(3.0), edge * (1 - 1e-9), edge]
+    return [SpectralParameter.from_kappa(x) for x in xs]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("ell", [0.0, 1e-3, 1.0, math.pi - 1e-8, math.pi + 1e-8, 7.0, 50.0])
+def test_stacked_assembly_equals_per_point_bit_for_bit(ell, branch):
+    spec = ChainSpec(ell)
+    rng = np.random.default_rng(int(ell * 1e3) + len(branch))
+    points = _points(branch, ell, rng)
+    for theta in (-math.pi, -2.0, 0.0, 0.4, 1.3, 3.0):
+        q = Quasimomentum(theta)
+        ref = np.array([_assemble_point(spec, sp, q) for sp in points])
+        stack = assemble(spec, points, q)
+        assert stack.shape == ref.shape
+        assert stack.tobytes() == ref.tobytes()
+        for i in (0, len(points) - 1):
+            assert assemble(spec, points[i], q).tobytes() == ref[i].tobytes()
+        dets = np.array([_normalized_determinant_point(m) for m in ref])
+        assert normalized_determinant(stack).tobytes() == dets.tobytes()
+        assert type(normalized_determinant(ref[0])) is complex
+
+
+def test_stack_guard_applies_to_every_point():
+    spec = ChainSpec(5.0)
+    inside = SpectralParameter.from_kappa(_largest_admissible_kappa(5.0))
+    outside = SpectralParameter.from_kappa(141.0)
+    assemble(spec, [inside, inside], Quasimomentum(0.0))
+    with pytest.raises(OverflowGuardError, match="705"):
+        assemble(spec, [inside, outside, inside], Quasimomentum(0.0))
+
+
+def test_stack_zero_row_raises():
+    stack = assemble(LOOSE1, [SpectralParameter.from_k(k) for k in (0.7, 1.3, 2.1)],
+                     Quasimomentum(0.4))
+    normalized_determinant(stack)
+    stack[1, 5] = 0.0
+    with pytest.raises(SolverError, match="zero row"):
+        normalized_determinant(stack)
+
+
+def test_stack_needs_points_on_one_branch():
+    q = Quasimomentum(0.0)
+    with pytest.raises(ValueError, match="one branch"):
+        assemble(LOOSE1, [SpectralParameter.from_k(1.2), SpectralParameter.from_kappa(1.2)], q)
+    with pytest.raises(ValueError):
+        assemble(LOOSE1, [], q)
+    with pytest.raises(ValueError):
+        assemble(LOOSE1, [SpectralParameter.from_energy(0.0)], q)
 
 
 # ---------------------------------------------------------------------------
