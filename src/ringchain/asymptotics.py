@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import brentq_strict, coth, xcothx
-from .bands import _negative_brackets, _negative_edge, positive_bands
+from .bands import _negative_brackets, _negative_edge, f_shifted, positive_bands
 from .errors import LemmaWitnessError, SolverError
 from .model import Band, ChainSpec, Quasimomentum
 
@@ -339,12 +339,16 @@ def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
 
     ``band='upper'`` solves on (1, sqrt(3)], ``'lower'`` on [sqrt(3), cap),
     the brackets of ``negative_bands``.  Used as the independent check of
-    the asymptotic predictions."""
+    the asymptotic predictions.  f(sqrt3) - cos(theta) is positive except
+    for cos(theta) = 1 at ell = pi (to float resolution), where f only
+    touches 1 at sqrt3; sqrt3 is returned then."""
     if not spec.is_loose:
         raise ValueError("negative edges exist for the loose chain only")
     if band not in ("upper", "lower"):
         raise ValueError(f"band must be 'upper' or 'lower', got {band!r}")
     upper, lower = _negative_brackets(spec)
+    if f_shifted(spec, _SQRT3, theta_cos) <= 0.0:
+        return _SQRT3
     return _negative_edge(spec, theta_cos, upper if band == "upper" else lower)
 
 

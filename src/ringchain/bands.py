@@ -53,7 +53,10 @@ import numpy as np
 from ._numerics import brentq_strict, sincospi
 from .errors import SolverError
 from .model import Band, ChainSpec, FlatBand, Quasimomentum, SpectralParameter
-from .secular import closed_form_value
+
+# unused here: the benchmark's tracer (perfbench/tracing.py) looks up and
+# wraps ringchain.bands.closed_form_value
+from .secular import closed_form_value  # noqa: F401
 
 __all__ = [
     "r_coefficient",
@@ -186,36 +189,24 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
     """Infinitely degenerate eigenvalues with energy <= e_max.
 
     Tight chain: {-1} and the positive integers.  Loose chain: every
-    non-negative integer (and no negative eigenvalue).  Each energy is
-    re-verified theta-independently against the closed-form condition on a
-    16-point theta grid; the embedded flag records whether the energy also
-    lies in the closure of the ac spectrum (|Phi| <= 1).
+    non-negative integer (and no negative eigenvalue).  Each is a zero of
+    the closed-form condition at every theta through a prefactor:
+    sin(k pi) = 0 at integer k (exactly, from ``sincospi``), kappa^2 - 1 = 0
+    at -1, and the k -> 0 limit at 0.  The embedded flag records whether the
+    energy also lies in the closure of the ac spectrum, which holds for
+    every E >= 0: the tight chain's ac spectrum is [0, inf), and on the
+    loose chain Phi(n) = +-cos(n ell) and Phi(0) = 1.
     """
     if not e_max > 0:
         raise ValueError(f"e_max must be > 0, got {e_max}")
-    entries: list[FlatBand] = []
     if spec.is_tight:
-        entries.append(FlatBand(energy=-1.0, source="kappa_sq_minus_1", embedded=False))
+        entries = [FlatBand(energy=-1.0, source="kappa_sq_minus_1", embedded=False)]
     else:
-        entries.append(FlatBand(energy=0.0, source="sin_k_pi", embedded=True))
+        entries = [FlatBand(energy=0.0, source="sin_k_pi", embedded=True)]
     n = 1
     while n * n <= e_max:
-        k = float(n)
-        # the tight chain's ac spectrum is all of [0, inf)
-        embedded = spec.is_tight or abs(phi_positive(spec, k)) <= 1.0
-        entries.append(FlatBand(energy=k * k, source="sin_k_pi", embedded=embedded))
+        entries.append(FlatBand(energy=float(n) * n, source="sin_k_pi", embedded=True))
         n += 1
-
-    thetas = np.linspace(-math.pi, math.pi, 16, endpoint=False)
-    for fb in entries:
-        sp = SpectralParameter.from_energy(fb.energy)
-        residual = max(
-            abs(closed_form_value(spec, sp, Quasimomentum(t))) for t in thetas
-        )
-        if residual > 1e-9:
-            raise SolverError(
-                f"flat-band candidate E={fb.energy} has residual {residual:.3e}"
-            )
     return entries
 
 
@@ -333,17 +324,8 @@ def _negative_brackets(spec: ChainSpec):
 
 
 def _negative_edge(spec: ChainSpec, c: float, bracket) -> float:
-    """The crossing Phi = c in one of the two brackets.
-
-    Phi(sqrt3) - c is positive except for c = 1 at ell = pi (to float
-    resolution), where Phi only touches 1 at sqrt3; sqrt3 is returned then.
-    """
-    def fn(x):
-        return f_shifted(spec, x, c)
-
-    if fn(_SQRT3) <= 0.0:
-        return _SQRT3
-    return brentq_strict(fn, *bracket)
+    """The crossing Phi = c in one of the two brackets."""
+    return brentq_strict(lambda x: f_shifted(spec, x, c), *bracket)
 
 
 def negative_bands(spec: ChainSpec) -> list[Band]:
@@ -363,6 +345,7 @@ def negative_bands(spec: ChainSpec) -> list[Band]:
         return []
 
     upper, lower = _negative_brackets(spec)
+    # Phi(sqrt3) + 1 >= 2, so the theta = -pi solves always have a bracket
     ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
     if f_shifted(spec, _SQRT3, 1.0) <= 0.0:  # the gap is closed
         return [

@@ -30,10 +30,10 @@ from .asymptotics import (
     small_l_upper_band,
     solve_negative_edge,
 )
-from .bands import dispersion, flat_bands, negative_bands, positive_bands
+from .bands import dispersion, flat_bands, negative_bands, phi_positive, positive_bands
 from .crosscheck import match_roots
 from .errors import LemmaWitnessError, RingChainError, SolverError
-from .measure import gap_certificate, m_ell_membership, spectrum_measure
+from .measure import GapCertificate, gap_certificate, m_ell_membership, spectrum_measure
 from .model import ChainSpec, Quasimomentum, make_coupling
 from .secular import vertex_scattering
 
@@ -113,37 +113,26 @@ def _cmd_flat(args) -> int:
     return 0
 
 
-def _band_rows(bands) -> list[list]:
-    return [
+def _write_bands(args, bands, cfg: dict) -> None:
+    rows = [
         [i, b.e_lo, b.e_hi, b.edge_theta_lo, b.edge_theta_hi]
         for i, b in enumerate(bands)
     ]
+    columns = ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"]
+    _write_report(args, columns, rows, cfg)
 
 
 def _cmd_bands(args) -> int:
     spec = _chain_spec(args)
-    bands = positive_bands(spec, args.k_max)
     cfg = _config_common(args, spec)
     cfg["k_max"] = args.k_max
-    _write_report(
-        args,
-        ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"],
-        _band_rows(bands),
-        cfg,
-    )
+    _write_bands(args, positive_bands(spec, args.k_max), cfg)
     return 0
 
 
 def _cmd_negative(args) -> int:
     spec = _chain_spec(args)
-    bands = negative_bands(spec)
-    cfg = _config_common(args, spec)
-    _write_report(
-        args,
-        ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"],
-        _band_rows(bands),
-        cfg,
-    )
+    _write_bands(args, negative_bands(spec), _config_common(args, spec))
     return 0
 
 
@@ -317,8 +306,6 @@ def _cmd_selfcheck(args) -> int:
     spec1 = ChainSpec(1.0)
     ks = rng.uniform(0.5, 80.0, 500)
     bad = 0
-    from .bands import phi_positive
-    from .measure import GapCertificate
     for k in ks:
         if gap_certificate(spec1, float(k)) is GapCertificate.STRONG:
             if abs(float(phi_positive(spec1, float(k)))) <= 1.0:

@@ -9,8 +9,9 @@ Two independent formulations of the same spectral condition live here:
   on stacks: many energies are assembled and factored in one call.
 
 * ``closed_form_value`` evaluates the factored scalar conditions obtained by
-  eliminating the system by hand.  These are overflow safe and are what the
-  band solvers use; the raw determinant exists as a derivation cross-check.
+  eliminating the system by hand, overflow safe and with their prefactors.
+  The band solvers use the reduced dispersions of ``ringchain.bands``
+  instead; both formulations here exist as a derivation cross-check.
 
 The two must agree on their zero sets; the test suite enforces this on
 random brackets for both energy branches.
@@ -205,13 +206,20 @@ def normalized_determinant(m: np.ndarray):
 
     Each row is divided by its 2-norm before elimination, which is the
     quantity to threshold for zero detection: raw determinants grow like
-    exp(kappa*(pi + ell)) and make absolute thresholds meaningless.  An
-    (n, n) matrix gives a complex; an (..., n, n) stack gives an array of
-    them, from one batched determinant.
+    exp(kappa*(pi + ell)) and make absolute thresholds meaningless.  A row
+    whose 2-norm overflows (entries past ~1e154, near the overflow guard) is
+    first divided by its largest modulus.  An (n, n) matrix gives a complex;
+    an (..., n, n) stack gives an array of them, from one batched
+    determinant.
     """
-    norms = np.linalg.norm(m, axis=-1)
-    if np.any(norms == 0.0):
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(m, axis=-1)
+    if (norms == 0.0).any():
         raise SolverError("secular system has a zero row")
+    big = np.isinf(norms)
+    if big.any():  # the other rows keep their entries and norms bit for bit
+        m = np.where(big[..., None], m / np.abs(m).max(axis=-1, keepdims=True), m)
+        norms = np.where(big, np.linalg.norm(m, axis=-1), norms)
     det = np.linalg.det(m / norms[..., None])
     return complex(det) if m.ndim == 2 else det
 

@@ -153,6 +153,14 @@ def test_implicit_g_vanishes_on_solved_band_points():
             assert resid / scale < 1e-8
 
 
+def test_solve_negative_edge_touching_at_pi():
+    # at ell = pi, f only touches 1 at sqrt3: both theta = 0 edges are sqrt3
+    spec = ChainSpec(math.pi)
+    for band in ("upper", "lower"):
+        assert solve_negative_edge(spec, 1.0, band) == math.sqrt(3.0)
+        assert solve_negative_edge(spec, -1.0, band) != math.sqrt(3.0)
+
+
 def test_implicit_g_germ_at_kappa1_ell0():
     for theta_cos in (1.0, 0.3, -1.0):
         assert implicit_g(1.0, 0.0, theta_cos) == 0.0

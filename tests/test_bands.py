@@ -10,6 +10,8 @@ from scipy.optimize import brentq
 from ringchain import (
     ChainSpec,
     Quasimomentum,
+    SpectralParameter,
+    closed_form_value,
     dispersion,
     flat_bands,
     negative_bands,
@@ -48,6 +50,23 @@ def test_flat_bands_loose():
 def test_flat_bands_e_max_cut():
     assert [fb.energy for fb in flat_bands(TIGHT, 100.0)] == \
         [-1.0] + [float(n * n) for n in range(1, 11)]
+
+
+@pytest.mark.parametrize("ell", [0.0, math.pi, *np.geomspace(1e-6, 300.0, 12)])
+def test_flat_bands_are_exact_zeros_and_embedded(ell):
+    # why flat_bands needs no check of its own: the closed form vanishes
+    # exactly at every theta (sin(k pi) = +-0 from sincospi at integer k,
+    # kappa^2 - 1 = 0 at E = -1, and 0 at E = 0), and Phi(n) = +-cos(n ell)
+    spec = ChainSpec(float(ell))
+    fbs = flat_bands(spec, 1e6)
+    assert len(fbs) == 1001
+    qs = [Quasimomentum(t) for t in np.linspace(-math.pi, math.pi, 16, endpoint=False)]
+    for fb in fbs:
+        sp = SpectralParameter.from_energy(fb.energy)
+        assert all(closed_form_value(spec, sp, q) == 0.0 for q in qs), fb
+        assert fb.embedded == (fb.energy >= 0.0), fb
+        if fb.energy > 0.0:
+            assert abs(phi_positive(spec, sp.k)) == abs(math.cos(sp.k * ell))
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +451,11 @@ def _mp_crossing(ell, c, lo, hi):
     return (lo + hi) / 2
 
 
-@pytest.mark.parametrize("ell", [1.0, math.pi - 1e-6, math.pi + 1e-8, 20.0])
+@pytest.mark.parametrize(
+    "ell",
+    [1e-8, 1e-3, 0.3, 1.0, math.pi - 1e-3, math.pi - 1e-6, math.pi + 1e-8,
+     math.pi + 1e-3, 5.0, 20.0, 60.0, 300.0],
+)
 def test_negative_edges_match_mpmath(ell):
     lower, upper = negative_bands(ChainSpec(ell))
     with mp.workdps(50):
@@ -489,6 +512,57 @@ def test_negative_level_crossing_unique_beyond_sqrt3():
     sgn = np.sign(d)
     changes = int(np.sum(sgn[:-1] * sgn[1:] < 0))
     assert changes == 1
+
+
+@pytest.mark.parametrize(
+    "ell", [1e-6, 0.5, 1.0, math.pi - 1e-8, math.pi, math.pi + 1e-8, 7.0, 40.0]
+)
+def test_f_shifted_matches_mpmath(ell):
+    # (f - c) e^{-s} at 50 digits, below and above the pole kappa = 1.  The
+    # reference's ring arcs are math.pi long, as the kernel's: near ell = pi
+    # the rounding of pi would otherwise swamp the kernel's own.  The bound is
+    # relative to the terms the kernel sums, which it keeps to rounding,
+    # plus the floor (3 eps)^2/8 sinh u sinh v e^{-s} that rounding kappa^2
+    # puts on q = (kappa^2 - 3)^2 / (4 (kappa^2 - 1)) at kappa = sqrt3.
+    spec = ChainSpec(ell)
+    kappas = [*np.geomspace(1e-3, 0.99, 12), *np.geomspace(1.01, 60.0, 40), SQRT3]
+    with mp.workdps(50):
+        e, pi = mp.mpf(ell), mp.mpf(math.pi)
+        for kappa in kappas:
+            x = mp.mpf(kappa)
+            u, v, s = x * pi, x * e, x * (pi + e)
+            q = (x * x - 3) ** 2 / (4 * (x * x - 1))
+            for c in (-1.0, -0.3, 0.0, 0.8, 1.0):
+                ref = (mp.cosh(u - v) - q * mp.sinh(u) * mp.sinh(v) - c) * mp.exp(-s)
+                if x > 1:
+                    terms = 2 * mp.sinh((u - v) / 2) ** 2 + abs(1 - c)
+                else:
+                    terms = mp.cosh(u) * mp.cosh(v) + abs(c)
+                ss = mp.sinh(u) * mp.sinh(v) * mp.exp(-s)
+                bound = 1e-13 * (terms * mp.exp(-s) + abs(q) * ss) + 1e-31 * ss
+                got = f_shifted(spec, float(kappa), c)
+                assert abs(got - ref) <= bound, (kappa, c, got, ref)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_f_shifted_large_kappa_is_inf_or_nan():
+    # never an OverflowError: q(kappa) overflows to inf first (-inf), then
+    # its kappa^2 too (NaN)
+    for kappa in (1e3, 1e10, 1e76, 1e78, 1e150, 1e155, 1e300, math.inf):
+        for c in (-1.0, 1.0):
+            got = f_shifted(LOOSE1, kappa, c)
+            assert math.isnan(got) or got < 0.0, (kappa, got)
+            assert f_shifted(TIGHT, kappa, c) == 0.5
+    assert f_shifted(LOOSE1, 1e78, 1.0) == -math.inf
+    assert math.isnan(f_shifted(LOOSE1, 1e155, 1.0))
+
+
+def test_f_shifted_at_sqrt3_clears_minus_one():
+    # f(sqrt3) + 1 = 2 cosh^2(sqrt3 (pi - ell)/2) >= 2: the theta = -pi solves
+    # of negative_bands need no check at sqrt3
+    for ell in np.geomspace(1e-12, 1e6, 400):
+        assert f_shifted(ChainSpec(float(ell)), SQRT3, -1.0) > 0.0, ell
+    assert f_shifted(ChainSpec(math.pi), SQRT3, -1.0) > 0.0
 
 
 def test_f_ell_pole_guard_nan():

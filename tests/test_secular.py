@@ -197,6 +197,10 @@ def _assemble_point(spec, sp, q):
 
 def _normalized_determinant_point(m):
     norms = np.linalg.norm(m, axis=1)
+    big = np.isinf(norms)
+    # a row whose sum of squares overflows is scaled by its largest modulus first
+    m = np.array([row / np.abs(row).max() if b else row for row, b in zip(m, big)])
+    norms = np.where(big, np.linalg.norm(m, axis=1), norms)
     return complex(np.linalg.det(m / norms[:, None]))
 
 
@@ -246,6 +250,19 @@ def test_stack_guard_applies_to_every_point():
     assemble(spec, [inside, inside], Quasimomentum(0.0))
     with pytest.raises(OverflowGuardError, match="705"):
         assemble(spec, [inside, outside, inside], Quasimomentum(0.0))
+
+
+@pytest.mark.parametrize("ell", [0.0, 1.0, 3.0, 7.0])
+def test_normalized_determinant_nonzero_up_to_the_guard(ell):
+    # at kappa*max(pi, ell) in [699, 700) and ell <= pi, row entries near
+    # 1e154 overflow the 2-norm; the determinant once read exactly 0 there
+    reach = np.linspace(600.0, 700.0, 2000, endpoint=False)
+    points = [SpectralParameter.from_kappa(r / max(math.pi, ell)) for r in reach]
+    dets = normalized_determinant(assemble(ChainSpec(ell), points, Quasimomentum(0.3)))
+    assert np.all(np.isfinite(dets)) and not np.any(dets == 0.0)
+    # and it runs on smoothly across the overflow
+    ratio = np.abs(dets[1:] / dets[:-1])
+    assert np.all((ratio > 0.9) & (ratio < 1.1))
 
 
 def test_stack_zero_row_raises():
