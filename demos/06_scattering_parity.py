@@ -14,7 +14,7 @@ from ringchain import make_coupling, vertex_scattering
 
 print("S(1) equals the coupling unitary:")
 for n in (3, 4, 5):
-    err = np.linalg.norm(vertex_scattering(n, 1.0) - make_coupling(n).matrix)
+    err = np.linalg.norm(vertex_scattering(n, 1.0) - make_coupling(n))
     print(f"  degree {n}: ||S(1) - U|| = {err:.2e}")
 
 print()

@@ -21,9 +21,6 @@ from .asymptotics import (
     big_f,
     g1_function,
     g2_function,
-    h_function,
-    h_prime,
-    implicit_g,
     large_l_gap_spacing,
     large_l_squeeze,
     lemma_witnesses,
@@ -54,13 +51,11 @@ from .model import (
     FlatBand,
     Quasimomentum,
     SpectralParameter,
-    VertexCoupling,
     make_coupling,
 )
 from .secular import (
     assemble,
     closed_form_value,
-    determinant,
     normalized_determinant,
     vertex_scattering,
 )
@@ -75,12 +70,10 @@ __all__ = [
     "FlatBand",
     "Quasimomentum",
     "SpectralParameter",
-    "VertexCoupling",
     "make_coupling",
     # secular
     "assemble",
     "closed_form_value",
-    "determinant",
     "normalized_determinant",
     "vertex_scattering",
     # bands
@@ -103,9 +96,6 @@ __all__ = [
     "big_f",
     "g1_function",
     "g2_function",
-    "h_function",
-    "h_prime",
-    "implicit_g",
     "large_l_gap_spacing",
     "large_l_squeeze",
     "lemma_witnesses",

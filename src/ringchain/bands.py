@@ -25,19 +25,20 @@ A gap whose witness does not pass its level in floats is closed to float
 precision: the bands beside it touch there, which happens exactly where
 two anchors coincide.
 
-Negative branch (E = -kappa^2):
+Negative branch (E = -kappa^2, the positive branch at k = i kappa):
     tight:  Phi(kappa) = cosh(kappa*pi)  (> 1 for kappa > 0: no ac spectrum)
-    loose, kappa > 1:
-            Phi(kappa) = f(kappa) = cosh(kappa*(pi - ell))
-                         - (kappa^2 - 3)^2 / (4 (kappa^2 - 1))
-                           * sinh(kappa*ell) sinh(kappa*pi)
-    loose, kappa < 1: the equivalent form with positive coefficient, which
-            is always > 1, so the energy interval (-1, 0) is never in the
-            spectrum.
+    loose:  Phi(kappa) = f(kappa) = cosh(kappa*(pi - ell))
+                         - q(kappa) sinh(kappa*ell) sinh(kappa*pi),
+            q(kappa) = (kappa^2 - 3)^2 / (4 (kappa^2 - 1)).
+
+One formula holds on both sides of the pole kappa = 1.  Below it q < 0,
+so f - 1 = 2 sinh^2(kappa (pi - ell)/2) - q sinh(kappa*ell) sinh(kappa*pi)
+is a sum of non-negative terms with nothing to cancel, and positive: the
+energy interval (-1, 0) is never in the spectrum.
 
 Every comparison f <=> c is made on one kernel, (f - c) * e^{-s} with
-s = kappa*(pi + ell), which has the same sign and zeros and never
-overflows.  f -> -inf as kappa -> 1+ and as kappa -> inf, and
+s = kappa*(pi + ell), which has the same sign and zeros and is finite
+below kappa = 2**256.  f -> -inf as kappa -> 1+ and as kappa -> inf, and
 f(sqrt3) = cosh(sqrt3 (pi - ell)) >= 1, so each negative band edge is one
 bracketed solve: f = -1 and f = +1 once each on (1, sqrt3] and on
 [sqrt3, cap).  The bands merge into one exactly when f(sqrt3) - 1 =
@@ -72,6 +73,9 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _ABOVE_POLE = math.nextafter(1.0, 2.0)  # smallest float kappa above the pole
 _ABOVE_SQRT3 = math.nextafter(_SQRT3, 2.0)
+#: the last doubling of 8 at which q(kappa) is finite: at 2**256 its
+#: numerator (kappa^2 - 3)^2 overflows
+_CAP_LIMIT = 2.0**255
 
 _THETA_PI = -math.pi  # canonical representative of the cos(theta) = -1 edge
 
@@ -120,14 +124,17 @@ def phi_positive(spec: ChainSpec, k):
 def f_shifted(spec: ChainSpec, kappa, c: float):
     """(Phi(kappa) - c) * e^{-s} with s = kappa*(pi + ell), vectorized.
 
-    Same sign and zeros as Phi - c, and never overflows.  Above the pole,
-    with u = kappa*pi, v = kappa*ell and w = u - v = kappa*(pi - ell),
+    Same sign and zeros as Phi - c.  With u = kappa*pi, v = kappa*ell and
+    w = u - v = kappa*(pi - ell), on both sides of the pole
 
         Phi - c = [2 sinh^2(w/2) + (1 - c)] - q(kappa) sinh u sinh v,
 
-    and for |c| <= 1 both scaled terms are non-negative, so the sign of their
-    difference is right even where they agree to rounding.  NaN at the pole
-    kappa = 1.
+    and for |c| <= 1 the bracket is non-negative.  Above the pole q >= 0 and
+    both scaled terms are non-negative, so the sign of their difference is
+    right even where they agree to rounding.  Below it q < 0 and every term
+    is non-negative, so nothing cancels.  Finite for kappa in [0, 2**256)
+    but NaN at the pole kappa = 1; from 2**256 on q overflows, and the value
+    is -inf or NaN, with no warning.
     """
     kappa = np.asarray(kappa, dtype=float)
     u = kappa * math.pi
@@ -135,21 +142,17 @@ def f_shifted(spec: ChainSpec, kappa, c: float):
         out = 0.5 * (1.0 + np.exp(-2.0 * u)) - c * np.exp(-u)
         return out if out.ndim else float(out)
     ell = spec.link_length
-    v = kappa * ell
-    w = kappa * (math.pi - ell)
-    k2 = kappa * kappa
-    es = np.exp(-(u + v))
-    ss = 0.25 * np.expm1(-2.0 * u) * np.expm1(-2.0 * v)  # sinh u sinh v e^{-s}
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        v = kappa * ell
+        w = kappa * (math.pi - ell)
+        k2 = kappa * kappa
+        es = np.exp(-(u + v))
+        ss = 0.25 * np.expm1(-2.0 * u) * np.expm1(-2.0 * v)  # sinh u sinh v e^{-s}
         # t^2 = sinh^2(w/2) e^{-s}, with no cancellation as ell -> pi
         t = 0.5 * np.exp(-np.minimum(u, v)) * np.expm1(-np.abs(w))
         q = (k2 - 3.0) ** 2 / (4.0 * (k2 - 1.0))
-        above = 2.0 * t * t + (1.0 - c) * es - q * ss
-        # kappa < 1: Phi = cosh u cosh v + p sinh u sinh v with p > 0
-        p = (k2 * k2 - 2.0 * k2 + 5.0) / (-4.0 * (k2 - 1.0))
-        cc = 0.25 * (1.0 + np.exp(-2.0 * u)) * (1.0 + np.exp(-2.0 * v))
-        below = cc + p * ss - c * es
-    out = np.where(kappa == 1.0, np.nan, np.where(k2 > 1.0, above, below))
+        out = 2.0 * t * t + (1.0 - c) * es - q * ss
+    out = np.where(kappa == 1.0, np.nan, out)
     return out if out.ndim else float(out)
 
 
@@ -197,8 +200,8 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
     every E >= 0: the tight chain's ac spectrum is [0, inf), and on the
     loose chain Phi(n) = +-cos(n ell) and Phi(0) = 1.
     """
-    if not e_max > 0:
-        raise ValueError(f"e_max must be > 0, got {e_max}")
+    if not 0 < e_max < math.inf:
+        raise ValueError(f"e_max must be finite and > 0, got {e_max}")
     if spec.is_tight:
         entries = [FlatBand(energy=-1.0, source="kappa_sq_minus_1", embedded=False)]
     else:
@@ -262,8 +265,8 @@ def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
     happens exactly at coincident anchors, e.g. ell = pi p/q.  The band
     the window ends in is cut at k_max (``truncated_hi``).
     """
-    if not k_max > 0:
-        raise ValueError(f"k_max must be > 0, got {k_max}")
+    if not 0 < k_max < math.inf:
+        raise ValueError(f"k_max must be finite and > 0, got {k_max}")
 
     bands: list[Band] = []
     lo, touches = (0.0, 0.0), []  # (k, theta) of the open band's lower edge
@@ -313,18 +316,30 @@ def _negative_brackets(spec: ChainSpec):
     Phi -> -inf at both outer ends, Phi(sqrt3) = cosh(sqrt3 (pi - ell))
     >= 1, and every critical point of Phi but its one peak lies below -1.
     So each bracket holds exactly one crossing Phi = c for every c in
-    [-1, 1].
+    [-1, 1].  The lower band sits near kappa = (4/ell)^(1/3); past
+    ``_CAP_LIMIT`` (ell below ~2e-230) the kernel overflows first.
     """
     cap = 8.0
     while f_shifted(spec, cap, -1.0) >= 0.0:
+        if cap >= _CAP_LIMIT:
+            raise SolverError(
+                f"could not cap the negative branch: Phi >= -1 up to kappa = "
+                f"{cap!r}, where q(kappa) is about to overflow; the lower band "
+                f"near (4/ell)^(1/3) lies beyond it for ell = {spec.link_length!r}"
+            )
         cap *= 2.0
-        if cap > 65536.0:
-            raise SolverError("could not cap the negative branch: Phi never < -1")
     return (_ABOVE_POLE, _SQRT3), (_SQRT3, cap)
 
 
 def _negative_edge(spec: ChainSpec, c: float, bracket) -> float:
-    """The crossing Phi = c in one of the two brackets."""
+    """The crossing Phi = c in one of the two brackets.
+
+    For ell below ~5e-16 the upper band's crossings lie within one float
+    above the pole, Phi - c > 0 already at ``_ABOVE_POLE``, and that float
+    is returned.
+    """
+    if bracket[0] == _ABOVE_POLE and f_shifted(spec, _ABOVE_POLE, c) > 0.0:
+        return _ABOVE_POLE
     return brentq_strict(lambda x: f_shifted(spec, x, c), *bracket)
 
 

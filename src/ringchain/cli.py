@@ -258,7 +258,7 @@ def _cmd_selfcheck(args) -> int:
         record("lemma_witnesses", False, str(exc))
 
     for n in range(2, 9):
-        u = make_coupling(n).matrix
+        u = make_coupling(n)
         res = float(np.linalg.norm(u.conj().T @ u - np.eye(n)))
         respow = float(np.linalg.norm(np.linalg.matrix_power(u, n) - np.eye(n)))
         record(f"coupling_unitary_n{n}", res < 1e-12 and respow < 1e-12,

@@ -54,8 +54,8 @@ def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
     a gap lies between each pair of consecutive bands, and one more past
     the last band unless the window ends inside it (``truncated_hi``).
     """
-    if not window_hi > 0:
-        raise ValueError(f"window_hi must be > 0, got {window_hi}")
+    if not 0 < window_hi < math.inf:
+        raise ValueError(f"window_hi must be finite and > 0, got {window_hi}")
     k_max = math.sqrt(window_hi)
     bands = positive_bands(spec, k_max)
     measure = sum(b.clipped_length(0.0, window_hi) for b in bands)

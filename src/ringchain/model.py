@@ -21,12 +21,11 @@ All types are immutable value objects and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "VertexCoupling",
     "ChainSpec",
     "SpectralParameter",
     "Quasimomentum",
@@ -38,31 +37,15 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True, eq=False)
-class VertexCoupling:
-    """The cyclic-rotation unitary that parametrizes the vertex matching.
+def make_coupling(n: int) -> np.ndarray:
+    """Cyclic-shift coupling unitary of size ``n`` (n >= 2), read-only.
 
-    ``matrix`` is the n x n cyclic shift: row j has a single 1 in column
-    (j+1) mod n.  Componentwise the matching condition at a degree-n vertex
-    reads (psi_{j+1} - psi_j) + i(psi'_{j+1} + psi'_j) = 0 with outward
+    Row j has a single 1 in column (j+1) mod n.  The matrix is unitary,
+    satisfies U^n = I, and its eigenvalues are exactly the n-th roots of
+    unity.  Componentwise the matching condition at a degree-n vertex reads
+    (psi_{j+1} - psi_j) + i(psi'_{j+1} + psi'_j) = 0 with outward
     derivatives, which is manifestly not invariant under complex
     conjugation, i.e. it breaks time reversal.
-    """
-
-    degree: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if self.degree < 2:
-            raise ValueError(f"vertex degree must be >= 2, got {self.degree}")
-        self.matrix.setflags(write=False)
-
-
-def make_coupling(n: int) -> VertexCoupling:
-    """Cyclic-shift coupling unitary of size ``n`` (n >= 2).
-
-    The matrix is unitary, satisfies U^n = I, and its eigenvalues are
-    exactly the n-th roots of unity.
     """
     if not isinstance(n, (int, np.integer)):
         raise TypeError(f"degree must be an integer, got {type(n).__name__}")
@@ -71,7 +54,8 @@ def make_coupling(n: int) -> VertexCoupling:
     u = np.zeros((n, n), dtype=complex)
     for j in range(n):
         u[j, (j + 1) % n] = 1.0
-    return VertexCoupling(degree=int(n), matrix=u)
+    u.setflags(write=False)
+    return u
 
 
 @dataclass(frozen=True)
@@ -165,10 +149,6 @@ class SpectralParameter:
         if self.energy < 0.0:
             return "negative"
         return "zero"
-
-    @classmethod
-    def from_energy(cls, energy: float) -> "SpectralParameter":
-        return cls(energy=energy)
 
     @classmethod
     def from_k(cls, k: float) -> "SpectralParameter":

@@ -2,10 +2,11 @@
 
 Two independent formulations of the same spectral condition live here:
 
-* ``assemble``/``determinant`` build the raw linear system for the trial
-  coefficients on the cell edges (8 unknowns for the tight chain, 12 for the
-  loose one) directly from the quasi-periodic boundary conditions and the
-  vertex matching.  Its determinant vanishes exactly on shell.  Both work
+* ``assemble`` builds the raw linear system for the trial coefficients on
+  the cell edges (8 unknowns for the tight chain, 12 for the loose one)
+  directly from the quasi-periodic boundary conditions and the vertex
+  matching, and ``normalized_determinant`` takes its determinant with
+  every row scaled to unit norm.  It vanishes exactly on shell.  Both work
   on stacks: many energies are assembled and factored in one call.
 
 * ``closed_form_value`` evaluates the factored scalar conditions obtained by
@@ -29,7 +30,6 @@ from .model import ChainSpec, Quasimomentum, SpectralParameter, make_coupling
 
 __all__ = [
     "assemble",
-    "determinant",
     "normalized_determinant",
     "closed_form_value",
     "vertex_scattering",
@@ -196,11 +196,6 @@ def assemble(spec: ChainSpec, sp, q: Quasimomentum) -> np.ndarray:
     return m[0] if single else m
 
 
-def determinant(m: np.ndarray) -> complex:
-    """Raw determinant of an assembled matrix (LU with partial pivoting)."""
-    return complex(np.linalg.det(m))
-
-
 def normalized_determinant(m: np.ndarray):
     """Determinant of the row-normalized matrix, or of each in a stack.
 
@@ -306,7 +301,7 @@ def vertex_scattering(n: int, k: float) -> np.ndarray:
     k = float(k)
     if not math.isfinite(k) or k <= 0.0:
         raise ValueError(f"k must be finite and > 0, got {k}")
-    u = make_coupling(n).matrix
+    u = make_coupling(n)
     eye = np.eye(n, dtype=complex)
     num = (k - 1.0) * eye + (k + 1.0) * u
     den = (k + 1.0) * eye + (k - 1.0) * u

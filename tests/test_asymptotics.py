@@ -12,9 +12,6 @@ from ringchain import (
     big_f,
     g1_function,
     g2_function,
-    h_function,
-    h_prime,
-    implicit_g,
     large_l_gap_spacing,
     large_l_squeeze,
     lemma_witnesses,
@@ -29,6 +26,40 @@ from ringchain.asymptotics import _one_sided_hausdorff, g2_ell_derivative_at_pi
 from ringchain.bands import f_shifted
 
 SQRT3 = math.sqrt(3.0)
+
+
+def h_function(kappa):
+    """h(kappa) = (kappa^2 - 3) sinh(kappa*pi) / (2 sqrt(kappa^2 - 1)).
+
+    On the kappa > 1 axis the ell = pi dispersion factorizes as
+    f(kappa) = 1 - h(kappa)^2, and h is strictly increasing with its only
+    zero at sqrt(3)."""
+    k2 = kappa * kappa
+    return 0.5 * (k2 - 3.0) / np.sqrt(k2 - 1.0) * np.sinh(kappa * math.pi)
+
+
+def h_prime(kappa):
+    """Closed-form derivative of ``h_function``."""
+    k2 = kappa * kappa
+    u = kappa * math.pi
+    return (k2 - 3.0) / (2.0 * np.sqrt(k2 - 1.0)) * math.pi * np.cosh(u) + kappa * (
+        k2 + 1.0
+    ) / (2.0 * (k2 - 1.0) ** 1.5) * np.sinh(u)
+
+
+def implicit_g(kappa, ell, theta_cos):
+    """g(kappa, ell) = (kappa^2-3)^2 sinh(kappa ell) sinh(kappa pi)
+    + 4 (kappa^2-1)(cos(theta) - cosh(kappa (pi - ell))).
+
+    Vanishes exactly on the negative-branch dispersion relation; g(1, 0) = 0
+    with d g/d kappa = 8 (cos(theta) - cosh(pi)) != 0 there, the germ of the
+    small-ell expansion of the upper band."""
+    k2 = kappa * kappa
+    u = kappa * math.pi
+    v = kappa * ell
+    return (k2 - 3.0) ** 2 * math.sinh(v) * math.sinh(u) + 4.0 * (k2 - 1.0) * (
+        theta_cos - math.cosh(u - v)
+    )
 
 
 def tanh_crossing_rhs(kappa):
@@ -96,6 +127,28 @@ def test_h_prime_matches_finite_differences():
     fd = (h_function(ks + step) - h_function(ks - step)) / (2 * step)
     rel = np.abs(fd - h_prime(ks)) / np.abs(h_prime(ks))
     assert float(rel.max()) < 1e-6
+
+
+def test_g2_below_its_supremum():
+    # g2(kappa, ell) < pi (1 + coth(kappa pi)) on (1, sqrt3) for every ell:
+    # the supremum over ell is approached from below, never attained.  The
+    # gap, ~2 (ell - pi) e^{-kappa (ell - pi)}, is below float rounding from
+    # ell ~ 25 on (1.7e-145 of the supremum at ell = 200), so the inequality
+    # is checked at 200 digits, and the package's g2 is held to that value
+    # within the rounding of its ell-sized terms
+    eps = np.finfo(float).eps
+    ks = np.linspace(1.0, SQRT3, 42)[1:-1]
+    with mp.workdps(200):
+        for kappa in ks:
+            x = mp.mpf(kappa)
+            sup = mp.pi * (1 + mp.coth(x * mp.pi))
+            for ell in [*np.geomspace(1e-3, 200.0, 24), math.pi]:
+                e = mp.mpf(ell)
+                g2 = (mp.pi * mp.coth(x * mp.pi) + e * mp.coth(x * e)
+                      + (e - mp.pi) * mp.coth(x * (mp.pi - e) / 2))
+                assert g2 < sup, (kappa, ell)
+                err = abs(g2_function(float(kappa), float(ell)) - g2)
+                assert err <= 4 * (ell + math.pi) * eps, (kappa, ell)
 
 
 def test_big_f_limits_and_monotonicity():

@@ -1,6 +1,7 @@
 """Band extraction: flat bands, positive/negative ac bands, dispersion roots."""
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.optimize import brentq
 from ringchain import (
     ChainSpec,
     Quasimomentum,
+    SolverError,
     SpectralParameter,
     closed_form_value,
     dispersion,
@@ -18,9 +20,9 @@ from ringchain import (
     phi_positive,
     positive_bands,
     small_l_upper_band,
+    solve_negative_edge,
 )
-from ringchain._numerics import sincospi
-from ringchain.asymptotics import h_prime
+from ringchain._numerics import RTOL, XTOL, sincospi
 from ringchain.bands import _phi_minus, f_prime_scaled, f_shifted
 
 TIGHT = ChainSpec(0.0)
@@ -62,7 +64,7 @@ def test_flat_bands_are_exact_zeros_and_embedded(ell):
     assert len(fbs) == 1001
     qs = [Quasimomentum(t) for t in np.linspace(-math.pi, math.pi, 16, endpoint=False)]
     for fb in fbs:
-        sp = SpectralParameter.from_energy(fb.energy)
+        sp = SpectralParameter(fb.energy)
         assert all(closed_form_value(spec, sp, q) == 0.0 for q in qs), fb
         assert fb.embedded == (fb.energy >= 0.0), fb
         if fb.energy > 0.0:
@@ -502,6 +504,52 @@ def test_negative_bands_tiny_link_upper_edge(ell):
     assert upper.e_lo == pytest.approx(pred, abs=1e-12)
 
 
+@pytest.mark.parametrize("ell", [1e-14, 1e-15, 1e-16, 1e-20, 1e-200])
+def test_negative_bands_tiny_links(ell):
+    # the lower band escapes like kappa = (4/ell)^(1/3), past any fixed cap;
+    # the upper band clings to -1, within Brent's tolerance of 1 + O(ell) in
+    # kappa, and from ell ~ 5e-16 on its crossings lie below the first float
+    # above the pole, which is returned for them
+    spec = ChainSpec(ell)
+    lower, upper = negative_bands(spec)
+    above_pole = math.nextafter(1.0, 2.0)
+    for e in (upper.e_lo, upper.e_hi):
+        assert -1.0 - 3.0 * (XTOL + RTOL) <= e < -1.0
+        if ell <= 1e-16:
+            assert e == -(above_pole * above_pole)
+    pred = (4.0 / ell) ** (1.0 / 3.0)
+    for e in (lower.e_lo, lower.e_hi):
+        assert abs(math.sqrt(-e) / pred - 1.0) < ell ** (2.0 / 3.0) + 1e-13
+    # solve_negative_edge solves on the same brackets
+    k = {(c, band): solve_negative_edge(spec, c, band)
+         for c in (1.0, -1.0) for band in ("upper", "lower")}
+    assert upper.e_hi == -(k[-1.0, "upper"] ** 2)
+    assert upper.e_lo == -(max(k[1.0, "upper"], k[-1.0, "upper"]) ** 2)
+    assert lower.e_lo == -(k[-1.0, "lower"] ** 2)
+    assert lower.e_hi == -(min(k[1.0, "lower"], k[-1.0, "lower"]) ** 2)
+
+
+def test_negative_bands_refuse_links_past_the_kernel_overflow():
+    # below ell ~ 2e-230 the lower band lies beyond kappa = 2**255, the last
+    # cap at which q(kappa) is finite: a refusal that says so, not an edge
+    # at the overflow point
+    for solve in (negative_bands, lambda s: solve_negative_edge(s, 1.0, "upper")):
+        with pytest.raises(SolverError, match="overflow"):
+            solve(ChainSpec(1e-231))
+    assert len(negative_bands(ChainSpec(1e-229))) == 2
+
+
+def test_f_shifted_overflow_is_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec in (LOOSE1, ChainSpec(math.pi), ChainSpec(1e-200)):
+            for kappa in (1.0, 2.0**255, 2.0**256, 1e155, 1e300, math.inf):
+                f_shifted(spec, kappa, -1.0)
+            f_shifted(spec, np.array([0.5, 1.0, 2.0**256, math.inf]), 1.0)
+    assert math.isfinite(f_shifted(LOOSE1, 2.0**255, -1.0))
+    assert f_shifted(LOOSE1, 2.0**256, -1.0) == -math.inf
+
+
 def test_negative_level_crossing_unique_beyond_sqrt3():
     # exactly one solution of f(kappa) = -1 in (sqrt(3), inf): the scan
     # profile must show a single sign change there
@@ -643,5 +691,11 @@ def test_dispersion_energy_roundtrip():
 
 
 def test_h_prime_positive_beyond_sqrt3():
+    # h = (kappa^2 - 3) sinh(kappa pi) / (2 sqrt(kappa^2 - 1)), f = 1 - h^2
+    # at ell = pi; both terms of h' are >= 0 from sqrt3 on, the second > 0
     ks = np.linspace(SQRT3, 10.0, 500)
-    assert np.all(h_prime(ks) > 0.0)
+    k2, u = ks * ks, ks * math.pi
+    h_prime = (k2 - 3.0) / (2.0 * np.sqrt(k2 - 1.0)) * math.pi * np.cosh(u) + ks * (
+        k2 + 1.0
+    ) / (2.0 * (k2 - 1.0) ** 1.5) * np.sinh(u)
+    assert np.all(h_prime > 0.0)

@@ -1,9 +1,12 @@
 """Command-line interface: schemas, determinism, exit codes, formats."""
 
+import contextlib
 import json
 import math
 import runpy
+import signal
 import sys
+import warnings
 
 import pytest
 
@@ -15,6 +18,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the calling thread after ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def csv_rows(text):
@@ -207,3 +226,37 @@ def test_output_file_and_dir_env(tmp_path, monkeypatch, capsys):
 def test_ell_pi_flag_exact(capsys):
     _, out, _ = run_cli(capsys, "negative", "--ell-pi")
     assert f"ell={format(math.pi, '.17g')}" in out
+
+
+@pytest.mark.parametrize("command", ["flat --e-max", "bands --k-max", "measure --e-max"])
+@pytest.mark.parametrize("ell", ["0", "1"])
+def test_infinite_window_is_refused_not_hung(capsys, command, ell):
+    # at an infinite window the loops over witnesses and integers never end
+    with time_limit(10.0):
+        code, out, err = run_cli(capsys, *command.split(), "inf", "--ell", ell)
+    assert code == 1 and out == "" and "finite" in err
+
+
+_SWEEP = [
+    "flat --e-max 100", "flat --e-max inf", "bands --k-max 10", "bands --k-max inf",
+    "negative", "dispersion --theta 0.7 --k-max 10", "measure --e-max 100 1000",
+    "measure --e-max inf", "certify --k 0.5 1.5 7.3", "asymptotics",
+]
+_SWEEP_ELLS = [["--ell", "0"], ["--ell", "1e-200"], ["--ell", "1e-14"], ["--ell", "1"],
+               ["--ell-pi"], ["--ell", "300"]]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [cmd.split() + ell for cmd in _SWEEP for ell in _SWEEP_ELLS]
+    + [["scattering", "--n", "3"], ["scattering", "--n", "4"], ["selfcheck"]],
+    ids=" ".join,
+)
+def test_every_command_answers_without_warnings(capsys, argv):
+    # every subcommand over the link range, ell -> 0 and ell >> 1 included:
+    # it answers (exit 0) or refuses its input (exit 1) in time, and no
+    # warning, numpy's RuntimeWarnings included, escapes
+    with warnings.catch_warnings(), time_limit(30.0):
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1), err

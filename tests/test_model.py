@@ -17,26 +17,26 @@ from ringchain import (
 
 
 def test_coupling_n2_is_swap():
-    u = make_coupling(2).matrix
+    u = make_coupling(2)
     np.testing.assert_allclose(u, [[0, 1], [1, 0]])
 
 
 def test_coupling_n4_eigenvalues_fourth_roots():
-    u = make_coupling(4).matrix
+    u = make_coupling(4)
     eig = np.sort_complex(np.linalg.eigvals(u))
     expected = np.sort_complex(np.array([1, 1j, -1, -1j]))
     np.testing.assert_allclose(eig, expected, atol=1e-12)
 
 
 def test_coupling_n3_order_three():
-    u = make_coupling(3).matrix
+    u = make_coupling(3)
     assert np.linalg.norm(np.linalg.matrix_power(u, 3) - np.eye(3)) < 1e-14
     assert np.linalg.norm(u - np.eye(3)) > 1
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_coupling_invariants(n):
-    u = make_coupling(n).matrix
+    u = make_coupling(n)
     assert np.linalg.norm(u.conj().T @ u - np.eye(n)) < 1e-12
     assert np.linalg.norm(np.linalg.matrix_power(u, n) - np.eye(n)) < 1e-12
     # permutation structure: one 1 per row and column
@@ -58,7 +58,7 @@ def test_coupling_rejects_degree_below_two(bad):
 
 
 def test_coupling_matrix_is_readonly():
-    u = make_coupling(3).matrix
+    u = make_coupling(3)
     with pytest.raises(ValueError):
         u[0, 0] = 5.0
 
@@ -91,7 +91,7 @@ def test_spectral_parameter_roundtrip_exact():
     assert sp.energy == 1.7 * 1.7 and sp.k == 1.7 and sp.branch == "positive"
     sp = SpectralParameter.from_kappa(2.3)
     assert sp.energy == -(2.3 * 2.3) and sp.kappa == 2.3 and sp.branch == "negative"
-    assert SpectralParameter.from_energy(0.0).branch == "zero"
+    assert SpectralParameter(0.0).branch == "zero"
 
 
 def test_spectral_parameter_random_roundtrip():
@@ -99,7 +99,7 @@ def test_spectral_parameter_random_roundtrip():
     es = rng.uniform(-100.0, 100.0, 1000)
     es = es[np.abs(es) > 1e-12]
     for e in es:
-        sp = SpectralParameter.from_energy(float(e))
+        sp = SpectralParameter(float(e))
         if sp.branch == "positive":
             back = SpectralParameter.from_k(sp.k).energy
         else:
@@ -113,7 +113,7 @@ def test_spectral_parameter_rejects_bad_input():
     with pytest.raises(ValueError):
         SpectralParameter.from_kappa(0.0)
     with pytest.raises(ValueError):
-        SpectralParameter.from_energy(math.inf)
+        SpectralParameter(math.inf)
 
 
 def test_chain_spec_flags():
