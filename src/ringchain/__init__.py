@@ -18,9 +18,7 @@ from .asymptotics import (
     LargeEllSqueeze,
     SmallEllLowerBand,
     SmallEllUpperBand,
-    big_f,
     g1_function,
-    g2_function,
     large_l_gap_spacing,
     large_l_squeeze,
     lemma_witnesses,
@@ -93,9 +91,7 @@ __all__ = [
     "LargeEllSqueeze",
     "SmallEllLowerBand",
     "SmallEllUpperBand",
-    "big_f",
     "g1_function",
-    "g2_function",
     "large_l_gap_spacing",
     "large_l_squeeze",
     "lemma_witnesses",

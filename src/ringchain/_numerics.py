@@ -1,9 +1,14 @@
 """Low-level numeric helpers shared across the package.
 
-The array helpers are vectorized over numpy arrays and safe for scalars.
-``brent_iterates`` is the one Brent root finder: ``brentq_strict`` drives
-it with a scalar function, ``brentq_lockstep`` drives many of it with a
-vectorized one.
+``sincospi`` and ``coth`` are vectorized over numpy arrays and safe for
+scalars.  Brent's root finder comes in two transcriptions of scipy's
+``brentq.c``, each with the same float operations in the same order, so
+both find the float that scipy's brentq finds: ``brentq_strict`` is a
+plain scalar loop, and ``brentq_batch`` advances many brackets at once on
+numpy arrays, one call of a vectorized f per round.  A round of array
+operations costs as much as a few dozen scalar iterations, so once fewer
+than BATCH_MIN brackets are open, ``brentq_batch`` runs the scalar loop's
+iteration on each of them instead.
 """
 
 from __future__ import annotations
@@ -14,9 +19,7 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = [
-    "sincospi", "coth", "xcothx", "brent_iterates", "brentq_strict", "brentq_lockstep",
-]
+__all__ = ["sincospi", "coth", "brentq_strict", "brentq_batch"]
 
 
 def sincospi(x):
@@ -48,55 +51,44 @@ def coth(x):
     return 1.0 / np.tanh(x)
 
 
-def xcothx(x):
-    """x*coth(x), continuous through x = 0 where the limit is 1."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    # series: x*coth(x) = 1 + x^2/3 - x^4/45 + ...
-    xs = np.where(small, x, 1.0)
-    series = 1.0 + xs * xs / 3.0 - xs**4 / 45.0
-    safe = np.where(small, 1.0, x)
-    direct = safe / np.tanh(safe)
-    out = np.where(small, series, direct)
-    return out if out.ndim else float(out)
-
-
-#: stopping rule of brentq_strict: half the bracket below (XTOL + RTOL |x|)/2
+#: stopping rule of both solvers: half the bracket below (XTOL + RTOL |x|)/2
 XTOL = 1e-13
 RTOL = 8.9e-16
 MAXITER = 200
+#: brentq_batch runs array rounds while at least this many brackets are
+#: open, and the scalar loop's iteration after that: near this count a
+#: round of array operations costs as much as the scalar iterations it
+#: replaces (measured on positive_bands and dispersion)
+BATCH_MIN = 48
 
 
-def brent_iterates(a, b):
-    """Brent's method on [a, b] as a generator, at machine precision.
+def _end_root(a: float, b: float, fa: float, fb: float):
+    """An end of [a, b] where f is exactly zero, or None if f changes sign
+    across the bracket; SolverError if f is NaN at an end or has the same
+    sign at both."""
+    if fa != fa:
+        raise _failure(f"f is NaN at x={a!r}", a, b, fa, None)
+    if fb != fb:
+        raise _failure(f"f is NaN at x={b!r}", a, b, fa, fb)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    if (fa < 0.0) == (fb < 0.0):
+        raise _failure("f has the same sign at both ends", a, b, fa, fb)
+    return None
 
-    It yields each x at which it needs f, first a and then b, and is sent
-    f(x) back; it returns the root (as ``StopIteration.value``).  A
-    transcription of scipy's ``brentq.c``: the same float operations in the
-    same order, so it finds the float that
-    ``scipy.optimize.brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER)``
-    returns, with one value of f per iterate.  An endpoint where f is exactly
-    zero is returned as it is.  ``signbit`` is written as ``< 0.0``: the
-    values it is applied to are never zero or NaN.  A bracket without a
-    sign change, a NaN value of f and no convergence in MAXITER iterations
-    raise SolverError, with the bracket and f at its ends in the message.
-    """
-    xpre, xcur = float(a), float(b)
-    fpre = float((yield xpre))
-    if fpre != fpre:
-        raise _failure(f"f is NaN at x={xpre!r}", xpre, xcur, fpre, None)
-    fcur = float((yield xcur))
-    if fcur != fcur:
-        raise _failure(f"f is NaN at x={xcur!r}", xpre, xcur, fpre, fcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise _failure("f has the same sign at both ends", xpre, xcur, fpre, fcur)
-    ends = (xpre, xcur, fpre, fcur)
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(MAXITER):
+
+def _brent_loop(f, state, fcur, iterations, ends):
+    """Brent's iteration from ``state`` = (xpre, xcur, xblk, fpre, fblk,
+    spre, scur) and fcur = f(xcur), for at most ``iterations`` more values
+    of f; the root.  With f None it stops at the next iterate instead and
+    returns the state there, whose xcur is where f is wanted next.
+    ``signbit`` is written as ``< 0.0``: the values it is applied to are
+    never zero or NaN.  ``ends`` (a, b, f(a), f(b)) names the bracket in a
+    SolverError."""
+    xpre, xcur, xblk, fpre, fblk, spre, scur = state
+    for _ in range(iterations):
         if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -138,55 +130,170 @@ def brent_iterates(a, b):
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = float((yield xcur))
+        if f is None:
+            return xpre, xcur, xblk, fpre, fblk, spre, scur
+        fcur = float(f(xcur))
         if fcur != fcur:
             raise _failure(f"f is NaN at x={xcur!r}", *ends)
     raise _failure(f"no convergence in {MAXITER} iterations, last x={xcur!r}", *ends)
 
 
 def brentq_strict(f, a, b):
-    """The root of f in [a, b]: ``brent_iterates`` with f called on each
-    iterate, so equal to scipy's brentq bit for bit."""
-    steps = brent_iterates(a, b)
-    x = next(steps)
-    try:
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as done:
-        return done.value
+    """The root of f in [a, b] by Brent's method, at machine precision.
 
-
-def brentq_lockstep(f, brackets):
-    """The roots of many Brent solves, advanced together.
-
-    Solve i finds the root of its own function f_i in [a_i, b_i];
-    ``brackets`` holds (a_i, b_i, f_i(a_i), f_i(b_i)), the end values
-    already known.  ``f(indices, xs)`` returns f_i(x) for each pair of i in
-    ``indices`` and x in ``xs``.  Each call of f takes the next iterate of
-    every unfinished solve, so the solves need as many calls as the longest
-    one has iterates.  Each root is the float that ``brentq_strict`` finds
-    on the same bracket, and a failure raises its SolverError, which names
-    the bracket.
+    The float that
+    ``scipy.optimize.brentq(f, a, b, xtol=XTOL, rtol=RTOL, maxiter=MAXITER)``
+    returns, with one value of f per iterate, first at a and then at b.  An
+    endpoint where f is exactly zero is returned as it is.  A bracket
+    without a sign change, a NaN value of f and no convergence in MAXITER
+    iterations raise SolverError, with the bracket and f at its ends in the
+    message.
     """
-    roots = [0.0] * len(brackets)
-    solves = []
-    for i, (a, b, fa, fb) in enumerate(brackets):
-        steps = brent_iterates(a, b)
-        next(steps)
-        steps.send(fa)
-        solves.append((i, steps, fb))
+    xpre, xcur = float(a), float(b)
+    fpre = float(f(xpre))
+    if fpre != fpre:
+        raise _failure(f"f is NaN at x={xpre!r}", xpre, xcur, fpre, None)
+    fcur = float(f(xcur))
+    root = _end_root(xpre, xcur, fpre, fcur)
+    if root is not None:
+        return root
+    ends = (xpre, xcur, fpre, fcur)
+    return _brent_loop(f, (xpre, xcur, 0.0, fpre, 0.0, 0.0, 0.0), fcur, MAXITER, ends)
+
+
+def brentq_batch(f, a, b, fa, fb, f_one=None) -> list[float]:
+    """The roots of many Brent solves, advanced together in rounds.
+
+    Solve i finds the root of its own function f_i in [a[i], b[i]], with
+    its end values fa[i] = f_i(a[i]) and fb[i] = f_i(b[i]) given.
+    ``f(indices, xs)`` returns f_i(x) for each i of ``indices`` and x of
+    ``xs``, numpy arrays in array rounds and lists in scalar rounds, where
+    making arrays would cost more than the iteration.  Each round runs one
+    iteration of ``brentq_strict`` on every open solve, makes one call of
+    f, and drops the solves that have converged.  While BATCH_MIN or more
+    are open, a round is array operations, the same float operations in the
+    same order; after that it is the scalar loop's iteration, solve by
+    solve, and a batch of fewer than BATCH_MIN takes no array round at all.
+    Given ``f_one(i)``, f_i as a function of one float, the solves still
+    open then finish one at a time in the scalar loop instead, with no
+    further call of f.
+
+    Each root is the float that ``brentq_strict`` finds for f_i on the same
+    bracket.  A failure raises the SolverError ``brentq_strict`` raises for
+    that bracket: the first failing bracket at the ends, or in the first
+    round with a failure.
+    """
+    a, b, fa, fb = (np.asarray(v, dtype=float) for v in (a, b, fa, fb))
+    ends = list(zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist()))
+    if len(ends) >= BATCH_MIN:
+        roots, solves, rounds = _array_rounds(f, a, b, fa, fb, ends)
+    else:
+        roots, solves, rounds = [0.0] * len(ends), [], 0
+        for j, (x0, x1, f0, f1) in enumerate(ends):
+            root = _end_root(x0, x1, f0, f1)
+            if root is None:
+                solves.append((j, (x0, x1, 0.0, f0, 0.0, 0.0, 0.0), f1))
+            else:
+                roots[j] = root
+
+    # fewer than BATCH_MIN open: the scalar loop, solve by solve
+    if f_one is not None:
+        for j, state, fcur in solves:
+            roots[j] = _brent_loop(f_one(j), state, fcur, MAXITER - rounds, ends[j])
+        return roots
+    # without f_one, one call of f per round still serves every open solve;
+    # _brent_loop raises at once when no iteration is left
     while solves:
-        wanted = []
-        for i, steps, value in solves:
-            try:
-                wanted.append((i, steps, steps.send(value)))
-            except StopIteration as done:
-                roots[i] = done.value
-        if not wanted:
+        left = MAXITER - rounds
+        stepped = []
+        for j, state, fcur in solves:
+            out = _brent_loop(None, state, fcur, left, ends[j])
+            if isinstance(out, tuple):
+                stepped.append((j, out))
+            else:
+                roots[j] = out
+        if not stepped:
             break
-        values = f([i for i, _, _ in wanted], [x for _, _, x in wanted])
-        solves = [(i, steps, v) for (i, steps, _), v in zip(wanted, values)]
+        indices, states = zip(*stepped)
+        values = f(list(indices), [state[1] for state in states])
+        rounds += 1
+        solves = []
+        for j, state, fcur in zip(indices, states, map(float, values)):
+            if fcur != fcur:
+                raise _failure(f"f is NaN at x={state[1]!r}", *ends[j])
+            solves.append((j, state, fcur))
     return roots
+
+
+def _array_rounds(f, a, b, fa, fb, ends):
+    """brentq_batch's array rounds, run while BATCH_MIN or more solves are
+    open: (roots, solves, rounds) with the roots found so far, each open
+    solve as (i, state, fcur) for ``_brent_loop``, and the number of rounds
+    run.  ``ends`` lists (a, b, fa, fb) by solve."""
+    bad = (fa != fa) | (fb != fb) | ((fa != 0.0) & (fb != 0.0) & ((fa < 0.0) == (fb < 0.0)))
+    if bad.any():
+        _end_root(*ends[int(np.argmax(bad))])  # raises
+    roots = np.where(fa == 0.0, a, b)  # the root where an end is exactly zero
+    idx = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    xpre, xcur, fpre, fcur = a[idx], b[idx], fa[idx], fb[idx]
+    xblk = fblk = spre = scur = np.zeros(idx.size)
+    rounds = 0
+    # a zero divisor gives a non-finite step, which the step test rejects
+    # as it rejects the scalar loop's infinite one
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while idx.size and idx.size >= BATCH_MIN and rounds < MAXITER:
+            flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = (
+                np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            )
+            fpre, fcur, fblk = (
+                np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            )
+
+            delta = (XTOL + RTOL * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if np.count_nonzero(done):
+                roots[idx[done]] = xcur[done]
+                keep = np.flatnonzero(~done)
+                idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                    v[keep] for v in (idx, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+                )
+                if not idx.size:
+                    break
+
+            interpolate = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            extrapolate = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            stry = np.where(xpre == xblk, interpolate, extrapolate)
+            aspre = np.abs(spre)
+            bound = 3 * np.abs(sbis) - delta
+            good = (
+                (aspre > delta)
+                & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.where(aspre < bound, aspre, bound))
+            )
+            spre, scur = np.where(good, scur, sbis), np.where(good, stry, sbis)
+
+            xpre, fpre = xcur, fcur
+            xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+            fcur = np.asarray(f(idx, xcur), dtype=float)
+            rounds += 1
+            nan = fcur != fcur
+            if np.count_nonzero(nan):
+                i = int(np.argmax(nan))
+                raise _failure(f"f is NaN at x={float(xcur[i])!r}", *ends[int(idx[i])])
+
+    states = zip(
+        xpre.tolist(), xcur.tolist(), xblk.tolist(),
+        fpre.tolist(), fblk.tolist(), spre.tolist(), scur.tolist(),
+    )
+    return roots.tolist(), list(zip(idx.tolist(), states, fcur.tolist())), rounds
 
 
 def _failure(reason: str, a: float, b: float, fa, fb) -> SolverError:

@@ -2,9 +2,9 @@
 
 Contains
 
-* g1, g2 and F, the functions of the negative-band monotonicity argument,
-  and ``lemma_witnesses``, which reproduces the extremal values that the
-  analysis quotes for them and for h' (at ell = pi, f = 1 - h^2 with
+* g1, and g2's small-link limit and ell-derivative at pi, from the
+  negative-band monotonicity argument, and ``lemma_witnesses``, which reproduces the extremal values that the
+  analysis quotes for g1, g2 and h' (at ell = pi, f = 1 - h^2 with
   h = (kappa^2 - 3) sinh(kappa pi) / (2 sqrt(kappa^2 - 1)));
 * ``solve_negative_edge``, one negative band edge on the brackets of
   ``negative_bands``;
@@ -30,17 +30,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import brentq_strict, coth, xcothx
+from ._numerics import brentq_strict, coth
 from .bands import _negative_brackets, _negative_edge, f_shifted, positive_bands
 from .errors import LemmaWitnessError, SolverError
 from .model import Band, ChainSpec, Quasimomentum
 
 __all__ = [
     "g1_function",
-    "g2_function",
     "g2_small_ell_limit",
     "g2_ell_derivative_at_pi",
-    "big_f",
     "lemma_witnesses",
     "SmallEllUpperBand",
     "small_l_upper_band",
@@ -69,16 +67,6 @@ def g1_function(kappa):
     return out if out.ndim else float(out)
 
 
-def g2_function(kappa, ell):
-    """g2(kappa, ell) = pi coth(kappa pi) + ell coth(kappa ell)
-    + (ell - pi) coth(kappa (pi - ell)/2), continuous through ell = pi."""
-    kappa = np.asarray(kappa, dtype=float)
-    ell = np.asarray(ell, dtype=float)
-    term = (xcothx(kappa * ell) - 2.0 * xcothx(kappa * (math.pi - ell) / 2.0)) / kappa
-    out = math.pi * coth(kappa * math.pi) + term
-    return out if np.ndim(out) else float(out)
-
-
 def g2_small_ell_limit(kappa):
     """g2(kappa, 0+) = 1/kappa + pi (coth(kappa pi) - coth(kappa pi / 2))."""
     kappa = np.asarray(kappa, dtype=float)
@@ -92,21 +80,6 @@ def g2_ell_derivative_at_pi(kappa):
     kappa = np.asarray(kappa, dtype=float)
     u = kappa * math.pi
     out = coth(u) - u / np.sinh(u) ** 2
-    return out if out.ndim else float(out)
-
-
-def big_f(u):
-    """F(u) = (sinh u - u) / (2 sinh^2(u/2)): odd, increasing, F(inf) = 1.
-
-    Near zero the direct quotient cancels catastrophically, so a series is
-    used for |u| < 1e-3: F(u) = u/3 - u^3/90 + O(u^5)."""
-    u = np.asarray(u, dtype=float)
-    small = np.abs(u) < 1e-3
-    us = np.where(small, u, 0.0)
-    series = us / 3.0 - us**3 / 90.0
-    ub = np.where(small, 1.0, u)
-    direct = (np.sinh(ub) - ub) / (np.cosh(ub) - 1.0)
-    out = np.where(small, series, direct)
     return out if out.ndim else float(out)
 
 

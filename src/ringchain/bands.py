@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from ._numerics import brentq_strict, sincospi
+from ._numerics import brentq_batch, brentq_strict, sincospi
 from .errors import SolverError
 from .model import Band, ChainSpec, FlatBand, Quasimomentum, SpectralParameter
 
@@ -222,26 +222,61 @@ def _witness(spec: ChainSpec, j: int) -> float:
     return j * math.pi / (math.pi + spec.link_length)
 
 
-def _phi_minus(spec: ChainSpec, k: float, c: float) -> float:
-    """Phi(k) - c for a loose chain and a scalar k.
+def _phi_minus(spec: ChainSpec, k, c):
+    """Phi(k) - c for a loose chain: k a float, or an array; c a float, or
+    an array of +-1 the shape of k.
 
     For c = +-1 it is -2 sin^2(h) - (r - 1) g resp. 2 cos^2(h) - (r - 1) g,
     h = k (pi + ell)/2: near an edge both terms are small and each keeps its
     relative precision, so the sign is right where they agree to rounding,
-    also across gaps far narrower than the rounding of Phi itself.
+    also across gaps far narrower than the rounding of Phi itself.  Squares
+    are products, as numpy's are, so an array k gives the floats a scalar k
+    gives, bit for bit, where numpy's sin and cos equal the math module's.
     """
-    if abs(c) != 1.0:
+    if isinstance(c, float) and abs(c) != 1.0:
         return phi_positive(spec, k) - c
+    xp = math if isinstance(k, float) else np
     h = 0.5 * k * (math.pi + spec.link_length)
-    head = -2.0 * math.sin(h) ** 2 if c > 0.0 else 2.0 * math.cos(h) ** 2
+    if not isinstance(c, float):
+        s, co = np.sin(h), np.cos(h)
+        head = np.where(c > 0.0, -2.0 * (s * s), 2.0 * (co * co))
+    elif c > 0.0:
+        s = xp.sin(h)
+        head = -2.0 * (s * s)
+    else:
+        co = xp.cos(h)
+        head = 2.0 * (co * co)
     k2 = k * k
-    g = sincospi(k)[0] * math.sin(k * spec.link_length)
-    return head - (k2 - 1.0) ** 2 / (4.0 * (k2 + 1.0)) * g
+    d = k2 - 1.0
+    g = sincospi(k)[0] * xp.sin(k * spec.link_length)
+    return head - d * d / (4.0 * (k2 + 1.0)) * g
 
 
-def _crossing(spec: ChainSpec, c: float, a: float, b: float) -> float:
-    """The one k in [a, b] with Phi(k) = c, for a bracket of two witnesses."""
-    return brentq_strict(lambda x: _phi_minus(spec, x, c), a, b)
+def _crossings(spec: ChainSpec, c, a: list[float], b: list[float]) -> list[float]:
+    """For each bracket [a_i, b_i] of two witnesses, the one k in it with
+    Phi(k) = c, or = c[i] for a list c of +-1: all in one ``brentq_batch``."""
+    a, b = np.array(a), np.array(b)
+    if isinstance(c, list):
+        levels = np.array(c)
+        at_ends = np.concatenate((levels, levels))
+
+        def f(i, xs):
+            return _phi_minus(spec, np.asarray(xs), levels[i])
+
+        def f_one(i):
+            level = c[i]
+            return lambda x: _phi_minus(spec, x, level)
+    else:
+        at_ends = c
+
+        def f(i, xs):
+            return _phi_minus(spec, np.asarray(xs), c)
+
+        def f_one(i):
+            return lambda x: _phi_minus(spec, x, c)
+
+    ends = _phi_minus(spec, np.concatenate((a, b)), at_ends)
+    return brentq_batch(f, a, b, ends[: a.size], ends[a.size :], f_one)
 
 
 def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
@@ -263,30 +298,47 @@ def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
     closed to float precision: the two bands beside it touch there, and
     w_j^2 is recorded in the merged band's ``touch_energies``.  That
     happens exactly at coincident anchors, e.g. ell = pi p/q.  The band
-    the window ends in is cut at k_max (``truncated_hi``).
+    the window ends in is cut at k_max (``truncated_hi``).  The witnesses
+    are tested one by one, and then both edges of every open gap are solved
+    in one ``brentq_batch``.
     """
     if not 0 < k_max < math.inf:
         raise ValueError(f"k_max must be finite and > 0, got {k_max}")
 
-    bands: list[Band] = []
-    lo, touches = (0.0, 0.0), []  # (k, theta) of the open band's lower edge
+    # the witness test, gap by gap: None for a closed gap, else the index
+    # of its lower edge's bracket, with its upper edge's right after it
+    ws = [0.0]
+    gaps, a, b, levels = [], [], [], []
     j = 1
     # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band
-    while spec.is_loose and _witness(spec, j - 1) < k_max:
-        w = _witness(spec, j)
-        level, theta = (-1.0, _THETA_PI) if j % 2 else (1.0, 0.0)
-        if (phi_positive(spec, w) - level) * level <= 0.0:
-            if w < k_max:
-                touches.append(w * w)
+    while spec.is_loose and ws[j - 1] < k_max:
+        ws.append(_witness(spec, j))
+        level = -1.0 if j % 2 else 1.0
+        if (phi_positive(spec, ws[j]) - level) * level <= 0.0:
+            gaps.append(None)
         else:
-            k_gap = _crossing(spec, level, _witness(spec, j - 1), w)
-            if k_gap >= k_max:
-                break
-            bands.append(_positive_band(lo, (k_gap, theta), touches))
-            lo, touches = (_crossing(spec, level, w, _witness(spec, j + 1)), theta), []
-            if lo[0] >= k_max:  # the window ends in this gap
-                return bands
+            gaps.append(len(a))
+            a += [ws[j - 1], ws[j]]
+            b += [ws[j], _witness(spec, j + 1)]
+            levels += [level, level]
         j += 1
+    edges = _crossings(spec, levels, a, b)
+
+    bands: list[Band] = []
+    lo, touches = (0.0, 0.0), []  # (k, theta) of the open band's lower edge
+    for j, gap in enumerate(gaps, start=1):
+        if gap is None:
+            if ws[j] < k_max:
+                touches.append(ws[j] * ws[j])
+            continue
+        theta = _THETA_PI if j % 2 else 0.0
+        k_gap, k_up = edges[gap], edges[gap + 1]
+        if k_gap >= k_max:
+            break
+        bands.append(_positive_band(lo, (k_gap, theta), touches))
+        lo, touches = (k_up, theta), []
+        if k_up >= k_max:  # the window ends in this gap
+            return bands
     cut = (k_max, math.acos(min(max(phi_positive(spec, k_max), -1.0), 1.0)))
     bands.append(_positive_band(lo, cut, touches, truncated_hi=True))
     return bands
@@ -410,7 +462,7 @@ def dispersion(
     exactly.  For the loose chain Phi runs between consecutive gap
     witnesses w_j, w_{j+1} (see ``positive_bands``) from one side of
     [-1, 1] to the other and crosses cos(theta) once, so each root is one
-    bracketed solve on [w_j, w_{j+1}].  A tangent root, where Phi only
+    bracketed solve on [w_j, w_{j+1}], all of them in one ``brentq_batch``.  A tangent root, where Phi only
     touches +-1 at a witness of a closed gap, is not a crossing and is not
     returned.
     """
@@ -430,16 +482,16 @@ def dispersion(
         return [SpectralParameter.from_k(k) for k in sorted(set(ks))]
 
     c = q.cos
-    roots = []
+    a, b = [], []
     j = max(int(lo * (math.pi + spec.link_length) / math.pi) - 1, 0)
-    a = _witness(spec, j)
-    fa = phi_positive(spec, a) - c
-    while a < hi:
-        b = _witness(spec, j + 1)
-        fb = phi_positive(spec, b) - c
+    wa = _witness(spec, j)
+    fa = phi_positive(spec, wa) - c
+    while wa < hi:
+        wb = _witness(spec, j + 1)
+        fb = phi_positive(spec, wb) - c
         if fa * fb < 0.0:
-            r = _crossing(spec, c, a, b)
-            if lo < r <= hi:
-                roots.append(SpectralParameter.from_k(r))
-        j, a, fa = j + 1, b, fb
-    return roots
+            a.append(wa)
+            b.append(wb)
+        j, wa, fa = j + 1, wb, fb
+    roots = _crossings(spec, c, a, b)
+    return [SpectralParameter.from_k(r) for r in roots if lo < r <= hi]

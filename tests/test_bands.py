@@ -22,8 +22,9 @@ from ringchain import (
     small_l_upper_band,
     solve_negative_edge,
 )
-from ringchain._numerics import RTOL, XTOL, sincospi
-from ringchain.bands import _phi_minus, f_prime_scaled, f_shifted
+import ringchain._numerics
+from ringchain._numerics import RTOL, XTOL, brentq_strict, sincospi
+from ringchain.bands import _phi_minus, _witness, f_prime_scaled, f_shifted
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
@@ -109,6 +110,85 @@ def _assert_matches_dense_scan(spec, k_max):
     for b in bands:
         sel = (es > b.e_lo + 1e-4) & (es < b.e_hi - 1e-4)
         assert np.all(inside[sel])
+
+
+def _positive_bands_one_by_one(spec, k_max):
+    """positive_bands as one scalar Brent solve per edge, in window order,
+    stopping where the window ends: the reference for the batched solves."""
+    out, lo, touches, j = [], (0.0, 0.0), [], 1
+
+    def band(lo, hi, touches, cut=False):
+        return dict(e_lo=lo[0] * lo[0], e_hi=hi[0] * hi[0], edge_theta_lo=lo[1],
+                    edge_theta_hi=hi[1], truncated_hi=cut, touch_energies=tuple(touches))
+
+    def edge(c, a, b):
+        return brentq_strict(lambda x: _phi_minus(spec, x, c), a, b)
+
+    while _witness(spec, j - 1) < k_max:
+        w = _witness(spec, j)
+        level, theta = (-1.0, -math.pi) if j % 2 else (1.0, 0.0)
+        if (phi_positive(spec, w) - level) * level <= 0.0:
+            if w < k_max:
+                touches.append(w * w)
+        else:
+            k_gap = edge(level, _witness(spec, j - 1), w)
+            if k_gap >= k_max:
+                break
+            out.append(band(lo, (k_gap, theta), touches))
+            lo, touches = (edge(level, w, _witness(spec, j + 1)), theta), []
+            if lo[0] >= k_max:
+                return out
+        j += 1
+    cut = (k_max, math.acos(min(max(phi_positive(spec, k_max), -1.0), 1.0)))
+    return [*out, band(lo, cut, touches, cut=True)]
+
+
+_BATCH_ELLS = (
+    *map(float, np.geomspace(1e-3, 50.0, 60)),
+    math.pi, math.pi / 2, 2 * math.pi / 3, math.pi / 3, 3 * math.pi / 4, 2 * math.pi,
+    math.pi - 1e-8, math.pi + 1e-8, 1.0,
+)
+
+
+@pytest.mark.parametrize("batch_min", [0, None, 10**9], ids=["arrays", "default", "scalar"])
+def test_positive_bands_batch_equals_one_by_one(monkeypatch, batch_min):
+    """Array rounds only, the default hand-off, and the scalar loop only all
+    give the bands of one scalar solve per edge, float for float, touchings
+    and window ends included (k_max = 100 ends in a band or a gap,
+    depending on ell)."""
+    if batch_min is not None:
+        monkeypatch.setattr(ringchain._numerics, "BATCH_MIN", batch_min)
+    touched = 0
+    for ell in _BATCH_ELLS:
+        spec = ChainSpec(ell)
+        for k_max in (3.0, 31.6, 100.0):
+            bands = positive_bands(spec, k_max)
+            got = [dict(e_lo=b.e_lo, e_hi=b.e_hi, edge_theta_lo=b.edge_theta_lo,
+                        edge_theta_hi=b.edge_theta_hi, truncated_hi=b.truncated_hi,
+                        touch_energies=b.touch_energies) for b in bands]
+            assert got == _positive_bands_one_by_one(spec, k_max), (ell, k_max)
+            touched += sum(bool(b.touch_energies) for b in bands)
+    assert touched >= 50
+
+
+@pytest.mark.parametrize("batch_min", [0, None, 10**9], ids=["arrays", "default", "scalar"])
+def test_dispersion_batch_equals_one_by_one(monkeypatch, batch_min):
+    if batch_min is not None:
+        monkeypatch.setattr(ringchain._numerics, "BATCH_MIN", batch_min)
+    for ell in _BATCH_ELLS[::3]:
+        spec = ChainSpec(ell)
+        for theta in (0.0, 0.7, math.pi):
+            q = Quasimomentum(theta)
+            c = q.cos
+            expected, j = [], 0
+            while _witness(spec, j) < 40.0:
+                a, b = _witness(spec, j), _witness(spec, j + 1)
+                if (phi_positive(spec, a) - c) * (phi_positive(spec, b) - c) < 0.0:
+                    r = brentq_strict(lambda x: _phi_minus(spec, x, c), a, b)
+                    if r <= 40.0:
+                        expected.append(r)
+                j += 1
+            assert [sp.k for sp in dispersion(spec, q, (0.0, 40.0))] == expected, (ell, theta)
 
 
 def test_positive_bands_match_dense_oracle():

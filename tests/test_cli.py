@@ -128,6 +128,21 @@ def test_determinism_byte_identical(capsys):
     assert s1 == s2
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_json_output_is_strict_for_non_finite_values(capsys):
+    # below ell ~ 1e-154 the predicted gap spacing (pi/ell)^2 overflows to inf
+    code, out, _ = run_cli(capsys, "asymptotics", "--ell", "1e-200", "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=_refuse_constant)["rows"]
+    spacing = [r for r in rows if r["quantity"].startswith("gap_spacing")]
+    assert len(spacing) == 3 and all(r["predicted"] is None for r in spacing)
+    code, out, _ = run_cli(capsys, "asymptotics", "--ell", "1e-200")
+    assert code == 0 and out.count(",inf,,") == 3
+
+
 def test_json_csv_numeric_equality(capsys):
     _, out_csv, _ = run_cli(capsys, "negative", "--ell", "1")
     _, out_json, _ = run_cli(capsys, "negative", "--ell", "1",
