@@ -79,6 +79,13 @@ _CAP_LIMIT = 2.0**255
 
 _THETA_PI = -math.pi  # canonical representative of the cos(theta) = -1 edge
 
+#: The most gap witnesses (or flat bands) one call may visit.  A window
+#: [0, k_max^2] holds about k_max (pi + ell)/pi witnesses: 1.3e6 at ell = 1
+#: and E = 1e12.  A call that would visit more raises ValueError before any
+#: loop or allocation, where it would otherwise run for hours or exhaust
+#: memory (e.g. ell = 1e300, or k_max = 1e300).
+MAX_WITNESSES = 2**24
+
 
 def __getattr__(name):
     # Temporary: nothing here calls minimize_scalar, but the benchmark's
@@ -206,10 +213,16 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
         entries = [FlatBand(energy=-1.0, source="kappa_sq_minus_1", embedded=False)]
     else:
         entries = [FlatBand(energy=0.0, source="sin_k_pi", embedded=True)]
-    n = 1
-    while n * n <= e_max:
-        entries.append(FlatBand(energy=float(n) * n, source="sin_k_pi", embedded=True))
-        n += 1
+    n_max = math.isqrt(int(e_max))  # the largest n with n * n <= e_max
+    if n_max > MAX_WITNESSES:
+        raise ValueError(
+            f"e_max = {e_max!r} holds about {math.sqrt(e_max):.3g} flat bands, "
+            f"more than MAX_WITNESSES = {MAX_WITNESSES}"
+        )
+    entries += [
+        FlatBand(energy=float(n) * n, source="sin_k_pi", embedded=True)
+        for n in range(1, n_max + 1)
+    ]
     return entries
 
 
@@ -217,9 +230,33 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
 # positive bands
 
 
-def _witness(spec: ChainSpec, j: int) -> float:
-    """j-th gap witness j*pi/(pi + ell), where Phi = (-1)^j (1 + (r-1) sin^2)."""
-    return j * math.pi / (math.pi + spec.link_length)
+def _witness_range(spec: ChainSpec, k_lo: float, k_hi: float) -> tuple[int, float]:
+    """(j0, top) for the gap witnesses w_j = j pi/(pi + ell) that cover
+    [k_lo, k_hi]: j0 = max(floor(k_lo (pi + ell)/pi) - 1, 0), and the first
+    witness at or past k_hi is about number ceil(top), top = k_hi (pi + ell)/pi.
+
+    Raises ValueError when ceil(top) - j0 exceeds MAX_WITNESSES.
+    """
+    s = math.pi + spec.link_length
+    top = k_hi * s / math.pi
+    j0 = max(int(k_lo * s / math.pi) - 1, 0) if top < math.inf else 0
+    if not top <= j0 + MAX_WITNESSES:
+        raise ValueError(
+            f"[{k_lo!r}, {k_hi!r}] at ell = {spec.link_length!r} holds about "
+            f"{top - j0:.3g} gap witnesses, more than MAX_WITNESSES = {MAX_WITNESSES}"
+        )
+    return j0, top
+
+
+def _witnesses(spec: ChainSpec, k_lo: float, k_hi: float) -> np.ndarray:
+    """The gap witnesses, where Phi = (-1)^j (1 + (r - 1) sin^2), from w_j0
+    (see ``_witness_range``) to one past the first at or beyond k_hi, each
+    the float (j pi)/(pi + ell)."""
+    j0, top = _witness_range(spec, k_lo, k_hi)
+    # (j pi)/(pi + ell) is within 2 ulp of j pi/(pi + ell), so the witness at
+    # or past k_hi is at most number floor(top) + 2, the next floor(top) + 3
+    ws = (float(j0) + np.arange(int(top) + 4 - j0)) * math.pi / (math.pi + spec.link_length)
+    return ws[: int(np.searchsorted(ws, k_hi)) + 2]
 
 
 def _phi_minus(spec: ChainSpec, k, c):
@@ -298,41 +335,39 @@ def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
     closed to float precision: the two bands beside it touch there, and
     w_j^2 is recorded in the merged band's ``touch_energies``.  That
     happens exactly at coincident anchors, e.g. ell = pi p/q.  The band
-    the window ends in is cut at k_max (``truncated_hi``).  The witnesses
-    are tested one by one, and then both edges of every open gap are solved
-    in one ``brentq_batch``.
+    the window ends in is cut at k_max (``truncated_hi``).  Phi is
+    evaluated at all witnesses in one array call, and then both edges of
+    every open gap are solved in one ``brentq_batch``.  A window of more
+    than MAX_WITNESSES witnesses raises ValueError.
     """
     if not 0 < k_max < math.inf:
         raise ValueError(f"k_max must be finite and > 0, got {k_max}")
 
-    # the witness test, gap by gap: None for a closed gap, else the index
-    # of its lower edge's bracket, with its upper edge's right after it
-    ws = [0.0]
-    gaps, a, b, levels = [], [], [], []
-    j = 1
+    ws, is_open, edges = [], [], []
     # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band
-    while spec.is_loose and ws[j - 1] < k_max:
-        ws.append(_witness(spec, j))
-        level = -1.0 if j % 2 else 1.0
-        if (phi_positive(spec, ws[j]) - level) * level <= 0.0:
-            gaps.append(None)
-        else:
-            gaps.append(len(a))
-            a += [ws[j - 1], ws[j]]
-            b += [ws[j], _witness(spec, j + 1)]
-            levels += [level, level]
-        j += 1
-    edges = _crossings(spec, levels, a, b)
+    if spec.is_loose:
+        # the witness test of gaps j = 1 .. J, with w_J the first witness at
+        # or past k_max; the edges of each open gap are brackets 2i and 2i + 1
+        w = _witnesses(spec, 0.0, k_max)
+        j = np.arange(1, w.size - 1)
+        level = np.where(j % 2, -1.0, 1.0)
+        opened = ~((phi_positive(spec, w[1:-1]) - level) * level <= 0.0)
+        jo = j[opened]
+        a = np.stack((w[jo - 1], w[jo]), axis=1).ravel()
+        b = np.stack((w[jo], w[jo + 1]), axis=1).ravel()
+        edges = _crossings(spec, np.repeat(level[opened], 2).tolist(), a, b)
+        ws, is_open = w.tolist(), opened.tolist()
 
     bands: list[Band] = []
     lo, touches = (0.0, 0.0), []  # (k, theta) of the open band's lower edge
-    for j, gap in enumerate(gaps, start=1):
-        if gap is None:
+    edge = iter(edges)
+    for j, gap_open in enumerate(is_open, start=1):
+        if not gap_open:
             if ws[j] < k_max:
                 touches.append(ws[j] * ws[j])
             continue
         theta = _THETA_PI if j % 2 else 0.0
-        k_gap, k_up = edges[gap], edges[gap + 1]
+        k_gap, k_up = next(edge), next(edge)
         if k_gap >= k_max:
             break
         bands.append(_positive_band(lo, (k_gap, theta), touches))
@@ -462,15 +497,19 @@ def dispersion(
     exactly.  For the loose chain Phi runs between consecutive gap
     witnesses w_j, w_{j+1} (see ``positive_bands``) from one side of
     [-1, 1] to the other and crosses cos(theta) once, so each root is one
-    bracketed solve on [w_j, w_{j+1}], all of them in one ``brentq_batch``.  A tangent root, where Phi only
-    touches +-1 at a witness of a closed gap, is not a crossing and is not
-    returned.
+    bracketed solve on [w_j, w_{j+1}].  Phi is evaluated at all witnesses in
+    one array call, and the roots are solved in one ``brentq_batch``.  A
+    tangent root, where Phi only touches +-1 at a witness of a closed gap,
+    is not a crossing and is not returned.  A range of more than
+    MAX_WITNESSES witnesses (for the tight chain, a k_max above it) raises
+    ValueError.
     """
     lo, hi = (float(k_range[0]), float(k_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi)) or not 0 <= lo < hi:
         raise ValueError(f"invalid k range {k_range}")
 
     if spec.is_tight:
+        _witness_range(spec, 0.0, hi)  # the roots number about hi
         base = q.theta / math.pi
         ks: list[float] = []
         n_min = int(math.floor((-hi - base) / 2.0)) - 1
@@ -482,16 +521,9 @@ def dispersion(
         return [SpectralParameter.from_k(k) for k in sorted(set(ks))]
 
     c = q.cos
-    a, b = [], []
-    j = max(int(lo * (math.pi + spec.link_length) / math.pi) - 1, 0)
-    wa = _witness(spec, j)
-    fa = phi_positive(spec, wa) - c
-    while wa < hi:
-        wb = _witness(spec, j + 1)
-        fb = phi_positive(spec, wb) - c
-        if fa * fb < 0.0:
-            a.append(wa)
-            b.append(wb)
-        j, wa, fa = j + 1, wb, fb
+    w = _witnesses(spec, lo, hi)[:-1]
+    f = phi_positive(spec, w) - c
+    crossed = f[:-1] * f[1:] < 0.0
+    a, b = w[:-1][crossed], w[1:][crossed]
     roots = _crossings(spec, c, a, b)
     return [SpectralParameter.from_k(r) for r in roots if lo < r <= hi]

@@ -2,13 +2,15 @@
 
 Each run writes one table, in CSV (default) or JSON, preceded by metadata
 echoing the full configuration and package version so that any output file
-identifies the run that produced it.  Numbers are serialized with 17
-significant digits (round-trip exact for 64-bit floats); identical
-configurations produce byte-identical output.  JSON output is strict: a
-non-finite value is null there, and inf or nan in CSV.
+identifies the run that produced it.  CSV prints numbers with 17
+significant digits, JSON with the shortest repr that reads back to the same
+float; both are round-trip exact, and identical configurations produce
+byte-identical output.  JSON output is strict: a non-finite value is null
+there, and inf or nan in CSV.
 
-Exit codes: 0 success, 1 invalid arguments, 2 solver failure, 3 selfcheck
-failure.
+Exit codes: 0 success, 1 invalid arguments (a window of more than
+MAX_WITNESSES = 2**24 gap witnesses or flat bands among them, refused
+before any work), 2 solver failure, 3 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -60,26 +62,47 @@ def _json_value(x):
     return None if isinstance(x, float) and not math.isfinite(x) else x
 
 
+# json.dumps with indent takes the pure-Python encoder; the C encoder,
+# given the indented item separator, writes a flat dict the same way.  No
+# encoded key or value holds a raw newline (control characters are
+# escaped), so the separator appears only between items.
+_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": "))
+_CONFIG_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n    ", ": "))
+_JSON_TAIL = (
+    f',\n  "schema_version": {_SCHEMA_VERSION},\n  "version": {json.dumps(__version__)}\n}}\n'
+)
+
+
+def _json_report(columns: list[str], rows: list[list], config: dict) -> str:
+    """The report as json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    writes it, plus a newline, for obj = {"config": config, "rows": [one dict
+    per row], "schema_version": ..., "version": ...}: config and each row a
+    non-empty dict of scalars, every non-finite float written as null."""
+    cfg = _CONFIG_ENCODER.encode({k: _json_value(v) for k, v in config.items()})
+    if rows:
+        encode = _ROW_ENCODER.encode
+        body = "\n    },\n    {\n      ".join(
+            encode({c: _json_value(v) for c, v in zip(columns, row)})[1:-1] for row in rows
+        )
+        body = f"[\n    {{\n      {body}\n    }}\n  ]"
+    else:
+        body = "[]"
+    return f'{{\n  "config": {{\n    {cfg[1:-1]}\n  }},\n  "rows": {body}{_JSON_TAIL}'
+
+
 def _write_report(args, columns: list[str], rows: list[list], config: dict) -> None:
     config = dict(config)
     config["command"] = args.command
     config["format"] = args.format
-    text_rows = [[_fmt(v) for v in row] for row in rows]
     if args.format == "csv":
         lines = [f"# ringchain {__version__}"]
         cfg = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(config.items()))
         lines.append(f"# config: {cfg}")
         lines.append(",".join(columns))
-        lines.extend(",".join(r) for r in text_rows)
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         payload = "\n".join(lines) + "\n"
     else:
-        obj = {
-            "schema_version": _SCHEMA_VERSION,
-            "version": __version__,
-            "config": {k: _json_value(v) for k, v in config.items()},
-            "rows": [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows],
-        }
-        payload = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        payload = _json_report(columns, rows, config)
 
     if args.output == "-":
         sys.stdout.write(payload)

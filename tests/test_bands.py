@@ -21,10 +21,17 @@ from ringchain import (
     positive_bands,
     small_l_upper_band,
     solve_negative_edge,
+    spectrum_measure,
 )
 import ringchain._numerics
 from ringchain._numerics import RTOL, XTOL, brentq_strict, sincospi
-from ringchain.bands import _phi_minus, _witness, f_prime_scaled, f_shifted
+from ringchain.bands import (
+    MAX_WITNESSES,
+    _phi_minus,
+    _witness_range,
+    f_prime_scaled,
+    f_shifted,
+)
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
@@ -112,6 +119,33 @@ def _assert_matches_dense_scan(spec, k_max):
         assert np.all(inside[sel])
 
 
+def _witness(spec, j):
+    """The j-th gap witness j pi/(pi + ell), one float at a time: the
+    reference for the witnesses positive_bands and dispersion compute as an
+    array."""
+    return j * math.pi / (math.pi + spec.link_length)
+
+
+def _as_dicts(bands):
+    return [dict(e_lo=b.e_lo, e_hi=b.e_hi, edge_theta_lo=b.edge_theta_lo,
+                 edge_theta_hi=b.edge_theta_hi, truncated_hi=b.truncated_hi,
+                 touch_energies=b.touch_energies) for b in bands]
+
+
+def _dispersion_one_by_one(spec, c, lo, hi):
+    """dispersion's roots by the scalar witness test and one scalar Brent
+    solve per crossing bracket, in window order."""
+    roots, j = [], max(int(lo * (math.pi + spec.link_length) / math.pi) - 1, 0)
+    while _witness(spec, j) < hi:
+        a, b = _witness(spec, j), _witness(spec, j + 1)
+        if (phi_positive(spec, a) - c) * (phi_positive(spec, b) - c) < 0.0:
+            r = brentq_strict(lambda x: _phi_minus(spec, x, c), a, b)
+            if lo < r <= hi:
+                roots.append(r)
+        j += 1
+    return roots
+
+
 def _positive_bands_one_by_one(spec, k_max):
     """positive_bands as one scalar Brent solve per edge, in window order,
     stopping where the window ends: the reference for the batched solves."""
@@ -163,10 +197,7 @@ def test_positive_bands_batch_equals_one_by_one(monkeypatch, batch_min):
         spec = ChainSpec(ell)
         for k_max in (3.0, 31.6, 100.0):
             bands = positive_bands(spec, k_max)
-            got = [dict(e_lo=b.e_lo, e_hi=b.e_hi, edge_theta_lo=b.edge_theta_lo,
-                        edge_theta_hi=b.edge_theta_hi, truncated_hi=b.truncated_hi,
-                        touch_energies=b.touch_energies) for b in bands]
-            assert got == _positive_bands_one_by_one(spec, k_max), (ell, k_max)
+            assert _as_dicts(bands) == _positive_bands_one_by_one(spec, k_max), (ell, k_max)
             touched += sum(bool(b.touch_energies) for b in bands)
     assert touched >= 50
 
@@ -179,16 +210,80 @@ def test_dispersion_batch_equals_one_by_one(monkeypatch, batch_min):
         spec = ChainSpec(ell)
         for theta in (0.0, 0.7, math.pi):
             q = Quasimomentum(theta)
-            c = q.cos
-            expected, j = [], 0
-            while _witness(spec, j) < 40.0:
-                a, b = _witness(spec, j), _witness(spec, j + 1)
-                if (phi_positive(spec, a) - c) * (phi_positive(spec, b) - c) < 0.0:
-                    r = brentq_strict(lambda x: _phi_minus(spec, x, c), a, b)
-                    if r <= 40.0:
-                        expected.append(r)
-                j += 1
+            expected = _dispersion_one_by_one(spec, q.cos, 0.0, 40.0)
             assert [sp.k for sp in dispersion(spec, q, (0.0, 40.0))] == expected, (ell, theta)
+
+
+_WITNESS_ELLS = (
+    *map(float, np.geomspace(1e-3, 50.0, 24)),
+    *(math.pi * p / q for p, q in ((1, 1), (1, 2), (2, 3), (1, 3), (3, 4), (2, 1), (3, 1),
+                                   (5, 7), (7, 5), (1, 10))),
+    math.pi - 1e-8, math.pi + 1e-8, 1.0,
+)
+
+
+def _around(x):
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
+def test_witness_array_equals_the_scalar_witness_test():
+    """positive_bands and dispersion test every gap witness in one array
+    call.  The scalar witness test, one float at a time, gives the same
+    bands, touchings and window ends, and the same roots, float for float,
+    also for windows that end on a witness or one float either side of it."""
+    touched = ends_in_gap = 0
+    for ell in _WITNESS_ELLS:
+        spec = ChainSpec(ell)
+        ends = [3.0, 31.6]
+        for j in (1, 2, 7, 20, 21):
+            ends += _around(_witness(spec, j))
+            ends_in_gap += not positive_bands(spec, ends[-1])[-1].truncated_hi
+        for k_max in ends:
+            bands = positive_bands(spec, k_max)
+            assert _as_dicts(bands) == _positive_bands_one_by_one(spec, k_max), (ell, k_max)
+            touched += sum(bool(b.touch_energies) for b in bands)
+        for theta in (0.0, 0.7, math.pi):
+            q = Quasimomentum(theta)
+            for lo in (0.0, *_around(_witness(spec, 7))):
+                for hi in _around(_witness(spec, 21)):
+                    expected = _dispersion_one_by_one(spec, q.cos, lo, hi)
+                    got = [sp.k for sp in dispersion(spec, q, (lo, hi))]
+                    assert got == expected, (ell, theta, lo, hi)
+    assert touched >= 300 and ends_in_gap >= 100, (touched, ends_in_gap)
+
+
+def test_witness_count_limit_is_exact():
+    """A window of MAX_WITNESSES + 1 witnesses is refused before any witness
+    is computed; one of MAX_WITNESSES passes the count, which is checked by
+    arithmetic only: such a window is never run."""
+    assert MAX_WITNESSES == 2**24
+    spec = ChainSpec(math.pi)  # (pi + ell)/pi = 2 exactly
+    # k_max (pi + ell)/pi = MAX_WITNESSES exactly, then one witness more
+    for k_max, count in ((MAX_WITNESSES / 2, MAX_WITNESSES),
+                         ((MAX_WITNESSES + 0.5) / 2, MAX_WITNESSES + 1)):
+        assert math.ceil(k_max * (2.0 * math.pi) / math.pi) == count
+        if count == MAX_WITNESSES:
+            assert _witness_range(spec, 0.0, k_max) == (0, count)
+        else:
+            with pytest.raises(ValueError, match="MAX_WITNESSES"):
+                _witness_range(spec, 0.0, k_max)
+            for call in (
+                lambda: positive_bands(spec, k_max),
+                lambda: dispersion(spec, Quasimomentum(0.3), (0.0, k_max)),
+                lambda: dispersion(TIGHT, Quasimomentum(0.3), (0.0, 2.0 * k_max)),
+                lambda: spectrum_measure(spec, k_max * k_max),
+            ):
+                with pytest.raises(ValueError, match="MAX_WITNESSES"):
+                    call()
+    # flat bands: n^2 <= e_max for n = 1 .. floor(sqrt(e_max)), in integers
+    assert math.isqrt(int(float((MAX_WITNESSES + 1) ** 2))) == MAX_WITNESSES + 1
+    with pytest.raises(ValueError, match="MAX_WITNESSES"):
+        flat_bands(LOOSE1, float((MAX_WITNESSES + 1) ** 2))
+    # the count starts at the window's low end: a narrow window far up is run
+    q = Quasimomentum(0.3)
+    assert _witness_range(LOOSE1, 1e8, 1e8 + 1.0)[0] == int(1e8 * (math.pi + 1) / math.pi) - 1
+    roots = [sp.k for sp in dispersion(LOOSE1, q, (1e8, 1e8 + 1.0))]
+    assert roots == _dispersion_one_by_one(LOOSE1, q.cos, 1e8, 1e8 + 1.0) and roots
 
 
 def test_positive_bands_match_dense_oracle():

@@ -8,8 +8,12 @@ import signal
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ringchain.cli as cli_mod
 from ringchain import SolverError
 from ringchain.cli import main
 
@@ -184,7 +188,6 @@ def test_exit_code_invalid_args(capsys):
 
 
 def test_exit_code_solver_failure(capsys, monkeypatch):
-    import ringchain.cli as cli_mod
 
     def boom(spec):
         raise SolverError("forced failure")
@@ -215,7 +218,6 @@ def test_selfcheck_oracle_rows_match_roots(capsys, seed):
 def test_selfcheck_fails_a_vacuous_oracle_row(capsys, monkeypatch):
     import dataclasses
 
-    import ringchain.cli as cli_mod
 
     real = cli_mod.match_roots
 
@@ -252,6 +254,20 @@ def test_infinite_window_is_refused_not_hung(capsys, command, ell):
     assert code == 1 and out == "" and "finite" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "bands --ell 1e300 --k-max 3", "dispersion --ell 1e300 --theta 0 --k-max 3",
+    "measure --ell 1e300 --e-max 9", "bands --ell 1 --k-max 1e300",
+    "flat --ell 1 --e-max 1e300", "measure --ell 1 --e-max 1e300",
+    "dispersion --ell 0 --theta 0 --k-max 1e300",
+    "dispersion --ell 1 --theta 0 --k-min 1e299 --k-max 1e300",
+])
+def test_too_many_witnesses_is_refused_not_hung(capsys, argv):
+    # the count is known before any loop, so the refusal is immediate
+    with time_limit(1.0):
+        code, out, err = run_cli(capsys, *argv.split())
+    assert code == 1 and out == "" and "more than MAX_WITNESSES = 16777216" in err
+
+
 _SWEEP = [
     "flat --e-max 100", "flat --e-max inf", "bands --k-max 10", "bands --k-max inf",
     "negative", "dispersion --theta 0.7 --k-max 10", "measure --e-max 100 1000",
@@ -275,3 +291,54 @@ def test_every_command_answers_without_warnings(capsys, argv):
         warnings.simplefilter("error")
         code, _, err = run_cli(capsys, *argv)
     assert code in (0, 1), err
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against the stdlib's indented json.dumps
+
+
+def _indented_dumps(columns, rows, config):
+    obj = {
+        "schema_version": cli_mod._SCHEMA_VERSION,
+        "version": cli_mod.__version__,
+        "config": {k: cli_mod._json_value(v) for k, v in config.items()},
+        "rows": [{c: cli_mod._json_value(v) for c, v in zip(columns, row)} for row in rows],
+    }
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+_AWKWARD = ['"', "\\", "\n", "\x00", "é", "𝔎", ",\n      ", ",\n    ", "}", "[]", "Infinity"]
+_TEXT = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_AWKWARD + ["a", " ", ": "]), max_size=6).map("".join),
+)
+_FLOATS = st.one_of(
+    st.floats(),  # nan and +-inf included: null in JSON
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e16]),
+)
+_VALUES = st.one_of(
+    _TEXT, st.integers(), st.booleans(), st.none(), _FLOATS, _FLOATS.map(np.float64)
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    columns=st.lists(_TEXT, min_size=1, max_size=6),
+    data=st.data(),
+    config=st.dictionaries(_TEXT, _VALUES, min_size=1, max_size=6),
+)
+def test_json_writer_equals_indented_dumps(columns, data, config):
+    rows = data.draw(st.lists(st.lists(_VALUES, min_size=len(columns),
+                                       max_size=len(columns)), max_size=5))
+    assert cli_mod._json_report(columns, rows, config) == _indented_dumps(columns, rows, config)
+
+
+def test_json_writer_refuses_a_non_finite_float_it_is_handed(monkeypatch):
+    # _json_value writes null for these; past it, the encoders raise, as
+    # json.dumps with allow_nan=False does, and never write a bare token
+    monkeypatch.setattr(cli_mod, "_json_value", lambda x: x)
+    for bad in (math.inf, -math.inf, math.nan, np.float64(math.nan)):
+        with pytest.raises(ValueError):
+            cli_mod._json_report(["x"], [[1.0], [bad]], {"c": 1})
+        with pytest.raises(ValueError):
+            cli_mod._json_report(["x"], [], {"c": bad})

@@ -18,7 +18,7 @@ import ringchain.crosscheck
 from ringchain import ChainSpec, Quasimomentum, SolverError, solve_negative_edge
 from ringchain._numerics import BATCH_MIN, MAXITER, RTOL, XTOL, brentq_batch, brentq_strict
 from ringchain.asymptotics import lemma_witnesses
-from ringchain.bands import dispersion, negative_bands, positive_bands
+from ringchain.bands import _witnesses, dispersion, negative_bands, positive_bands
 from ringchain.cli import main
 from ringchain.crosscheck import match_roots
 
@@ -163,13 +163,19 @@ def test_batch_rounds_equal_the_scalar_loop_on_every_solver_bracket(monkeypatch)
 
 def test_numpy_trig_equals_libm_on_edge_solve_arguments():
     """numpy's float64 sin and cos against the math module's on every
-    argument the edge kernels take in the recorded batches."""
+    argument the edge kernels take in the recorded batches, and on every
+    argument of Phi at the gap witnesses, which positive_bands and
+    dispersion test in one array call."""
     checked = []
     for _, a, b, _, _, f_one, _, rounds, ell in _recorded()[1]:
         if f_one is None:
             continue
         ks = np.concatenate([a, b, *(xs for _, xs, _ in rounds)])
         checked += [math.pi * (ks - np.round(ks)), 0.5 * ks * (math.pi + ell), ks * ell]
+    for ell in REPLAY_ELLS:
+        for k_max in (20.0, 100.5, 1000.0):
+            ws = _witnesses(ChainSpec(ell), 0.0, k_max)
+            checked += [math.pi * (ws - np.round(ws)), ws * ell]
     x = np.concatenate(checked)
     for name, vec, lib in (("sin", np.sin, math.sin), ("cos", np.cos, math.cos)):
         ours = vec(x)
@@ -179,8 +185,9 @@ def test_numpy_trig_equals_libm_on_edge_solve_arguments():
             f"numpy's float64 {name} differs from the C library's on {bad.size} of "
             f"{x.size} arguments, first x={x[bad[0]]!r}. positive_bands and dispersion "
             f"evaluate Phi with numpy in batches and with the math module one value "
-            f"at a time, so on this host their band edges and CLI output need not be "
-            f"bit-identical to other hosts or to the scalar solver."
+            f"at a time, so on this host their band edges, their touchings, where "
+            f"the window ends and the CLI output need not be bit-identical to other "
+            f"hosts or to the scalar solver and the scalar witness test."
         )
     assert x.size >= 1_000_000
 
