@@ -25,7 +25,6 @@ from .asymptotics import (
     set_convergence_check,
     small_l_lower_band,
     small_l_upper_band,
-    solve_negative_edge,
 )
 from .bands import (
     dispersion,
@@ -34,6 +33,7 @@ from .bands import (
     phi_positive,
     positive_bands,
     r_coefficient,
+    solve_negative_edge,
 )
 from .errors import LemmaWitnessError, OverflowGuardError, RingChainError, SolverError
 from .measure import (
@@ -81,6 +81,7 @@ __all__ = [
     "phi_positive",
     "positive_bands",
     "r_coefficient",
+    "solve_negative_edge",
     # measure
     "GapCertificate",
     "MeasureReport",
@@ -98,7 +99,6 @@ __all__ = [
     "set_convergence_check",
     "small_l_lower_band",
     "small_l_upper_band",
-    "solve_negative_edge",
     # errors
     "LemmaWitnessError",
     "OverflowGuardError",

@@ -3,11 +3,10 @@
 Contains
 
 * g1, and g2's small-link limit and ell-derivative at pi, from the
-  negative-band monotonicity argument, and ``lemma_witnesses``, which reproduces the extremal values that the
-  analysis quotes for g1, g2 and h' (at ell = pi, f = 1 - h^2 with
+  negative-band monotonicity argument, and ``lemma_witnesses``, which
+  reproduces the extremal values that the analysis quotes for g1, g2 and
+  h' (at ell = pi, f = 1 - h^2 with
   h = (kappa^2 - 3) sinh(kappa pi) / (2 sqrt(kappa^2 - 1)));
-* ``solve_negative_edge``, one negative band edge on the brackets of
-  ``negative_bands``;
 * small-link predictions: the upper negative band clings to energy -1 with
   edge -1 - ell*coth(pi/2) and width 2*ell/sinh(pi), while the lower band
   escapes like kappa = (4/ell)^(1/3);
@@ -18,9 +17,11 @@ Contains
   the tight one as the link shrinks, together with the high-energy windows
   where gaps still dominate (the convergence is not uniform).
 
-Every asymptotic claim is checked as a ratio or order test at two or more
-link lengths; the O(.) constants are not published, so no absolute error
-constants are asserted.
+The solved values that the predictions are checked against come from
+``bands``: ``solve_negative_edge`` and ``negative_bands`` on the negative
+branch, ``positive_bands`` on the positive one.  Every asymptotic claim is
+checked as a ratio or order test at two or more link lengths; the O(.)
+constants are not published, so no absolute error constants are asserted.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import brentq_strict, coth
-from .bands import _negative_brackets, _negative_edge, f_shifted, positive_bands
+from .bands import positive_bands
 from .errors import LemmaWitnessError, SolverError
 from .model import Band, ChainSpec, Quasimomentum
 
@@ -47,7 +48,6 @@ __all__ = [
     "LargeEllSqueeze",
     "large_l_squeeze",
     "large_l_gap_spacing",
-    "solve_negative_edge",
     "set_convergence_check",
 ]
 
@@ -239,24 +239,6 @@ def large_l_gap_spacing(n: int, ell: float) -> float:
         return (2 * n + 1) * (math.pi / ell) ** 2
     except OverflowError:
         return math.inf
-
-
-def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
-    """One negative-branch crossing f(kappa) = cos(theta), by Brent's method.
-
-    ``band='upper'`` solves on (1, sqrt(3)], ``'lower'`` on [sqrt(3), cap),
-    the brackets of ``negative_bands``.  Used as the independent check of
-    the asymptotic predictions.  f(sqrt3) - cos(theta) is positive except
-    for cos(theta) = 1 at ell = pi (to float resolution), where f only
-    touches 1 at sqrt3; sqrt3 is returned then."""
-    if not spec.is_loose:
-        raise ValueError("negative edges exist for the loose chain only")
-    if band not in ("upper", "lower"):
-        raise ValueError(f"band must be 'upper' or 'lower', got {band!r}")
-    upper, lower = _negative_brackets(spec)
-    if f_shifted(spec, _SQRT3, theta_cos) <= 0.0:
-        return _SQRT3
-    return _negative_edge(spec, theta_cos, upper if band == "upper" else lower)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ __all__ = [
     "flat_bands",
     "positive_bands",
     "negative_bands",
+    "solve_negative_edge",
     "dispersion",
 ]
 
@@ -100,11 +101,17 @@ def __getattr__(name):
 
 
 def r_coefficient(k):
-    """Coefficient of the sin(k*ell) sin(k*pi) term in the loose dispersion."""
-    k = np.asarray(k, dtype=float)
+    """Coefficient of the sin(k*ell) sin(k*pi) term in the loose dispersion,
+    vectorized in k.
+
+    A 0-d k is computed as a float, with no numpy and so no warning: from
+    k ~ 1.3e77 on, where k^4 overflows, it is inf, and from k ~ 6.7e153 on,
+    where 4 k^2 does too, NaN.
+    """
+    scalar = isinstance(k, float) or np.ndim(k) == 0
+    k = float(k) if scalar else np.asarray(k, dtype=float)
     k2 = k * k
-    out = (k2 * k2 + 2.0 * k2 + 5.0) / (4.0 * (k2 + 1.0))
-    return out if out.ndim else float(out)
+    return (k2 * k2 + 2.0 * k2 + 5.0) / (4.0 * (k2 + 1.0))
 
 
 def phi_positive(spec: ChainSpec, k):
@@ -122,14 +129,13 @@ def phi_positive(spec: ChainSpec, k):
         return c
     xp = math if scalar else np
     kl = k * spec.link_length
-    k2 = k * k
-    r = (k2 * k2 + 2.0 * k2 + 5.0) / (4.0 * (k2 + 1.0))  # r_coefficient(k)
-    out = xp.cos(kl) * c - r * xp.sin(kl) * s
+    out = xp.cos(kl) * c - r_coefficient(k) * xp.sin(kl) * s
     return out if scalar or out.ndim else float(out)
 
 
 def f_shifted(spec: ChainSpec, kappa, c: float):
-    """(Phi(kappa) - c) * e^{-s} with s = kappa*(pi + ell), vectorized.
+    """(Phi(kappa) - c) * e^{-s} with s = kappa*(pi + ell) for the loose
+    chain, vectorized.
 
     Same sign and zeros as Phi - c.  With u = kappa*pi, v = kappa*ell and
     w = u - v = kappa*(pi - ell), on both sides of the pole
@@ -145,9 +151,6 @@ def f_shifted(spec: ChainSpec, kappa, c: float):
     """
     kappa = np.asarray(kappa, dtype=float)
     u = kappa * math.pi
-    if spec.is_tight:
-        out = 0.5 * (1.0 + np.exp(-2.0 * u)) - c * np.exp(-u)
-        return out if out.ndim else float(out)
     ell = spec.link_length
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         v = kappa * ell
@@ -289,30 +292,20 @@ def _phi_minus(spec: ChainSpec, k, c):
     return head - d * d / (4.0 * (k2 + 1.0)) * g
 
 
-def _crossings(spec: ChainSpec, c, a: list[float], b: list[float]) -> list[float]:
+def _crossings(spec: ChainSpec, c, a: np.ndarray, b: np.ndarray) -> list[float]:
     """For each bracket [a_i, b_i] of two witnesses, the one k in it with
-    Phi(k) = c, or = c[i] for a list c of +-1: all in one ``brentq_batch``."""
-    a, b = np.array(a), np.array(b)
-    if isinstance(c, list):
-        levels = np.array(c)
-        at_ends = np.concatenate((levels, levels))
+    Phi(k) = c, a float, or = c[i] for an array c of +-1: all in one
+    ``brentq_batch``."""
+    scalar = isinstance(c, float)
 
-        def f(i, xs):
-            return _phi_minus(spec, np.asarray(xs), levels[i])
+    def f(i, xs):
+        return _phi_minus(spec, np.asarray(xs), c if scalar else c[i])
 
-        def f_one(i):
-            level = c[i]
-            return lambda x: _phi_minus(spec, x, level)
-    else:
-        at_ends = c
+    def f_one(i):
+        level = c if scalar else float(c[i])
+        return lambda x: _phi_minus(spec, x, level)
 
-        def f(i, xs):
-            return _phi_minus(spec, np.asarray(xs), c)
-
-        def f_one(i):
-            return lambda x: _phi_minus(spec, x, c)
-
-    ends = _phi_minus(spec, np.concatenate((a, b)), at_ends)
+    ends = _phi_minus(spec, np.concatenate((a, b)), c if scalar else np.concatenate((c, c)))
     return brentq_batch(f, a, b, ends[: a.size], ends[a.size :], f_one)
 
 
@@ -355,7 +348,7 @@ def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
         jo = j[opened]
         a = np.stack((w[jo - 1], w[jo]), axis=1).ravel()
         b = np.stack((w[jo], w[jo + 1]), axis=1).ravel()
-        edges = _crossings(spec, np.repeat(level[opened], 2).tolist(), a, b)
+        edges = _crossings(spec, np.repeat(level[opened], 2), a, b)
         ws, is_open = w.tolist(), opened.tolist()
 
     bands: list[Band] = []
@@ -370,23 +363,30 @@ def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
         k_gap, k_up = next(edge), next(edge)
         if k_gap >= k_max:
             break
-        bands.append(_positive_band(lo, (k_gap, theta), touches))
+        bands.append(_band(lo, (k_gap, theta), touches))
         lo, touches = (k_up, theta), []
         if k_up >= k_max:  # the window ends in this gap
             return bands
     cut = (k_max, math.acos(min(max(phi_positive(spec, k_max), -1.0), 1.0)))
-    bands.append(_positive_band(lo, cut, touches, truncated_hi=True))
+    bands.append(_band(lo, cut, touches, truncated_hi=True))
     return bands
 
 
-def _positive_band(lo, hi, touches, truncated_hi=False) -> Band:
+def _band(lo, hi, touches=(), truncated_hi=False, negative=False) -> Band:
+    """The band between two edges, each (k, theta), lower energy first.
+
+    The energy of an edge is k^2, or -kappa^2 for k = kappa on the negative
+    branch; theta is the edge's quasimomentum, 0 where Phi = +1 and -pi where
+    Phi = -1, or the one that solves cos(theta) = Phi at a cut.
+    """
     (k_lo, theta_lo), (k_hi, theta_hi) = lo, hi
+    sign = -1.0 if negative else 1.0
     return Band(
-        e_lo=k_lo * k_lo,
-        e_hi=k_hi * k_hi,
+        e_lo=sign * (k_lo * k_lo),
+        e_hi=sign * (k_hi * k_hi),
         edge_theta_lo=theta_lo,
         edge_theta_hi=theta_hi,
-        kind="positive-ac",
+        kind="negative-ac" if negative else "positive-ac",
         truncated_hi=truncated_hi,
         touch_energies=tuple(touches),
     )
@@ -450,38 +450,35 @@ def negative_bands(spec: ChainSpec) -> list[Band]:
     # Phi(sqrt3) + 1 >= 2, so the theta = -pi solves always have a bracket
     ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
     if f_shifted(spec, _SQRT3, 1.0) <= 0.0:  # the gap is closed
-        return [
-            Band(
-                e_lo=-(kd * kd),
-                e_hi=-(ka * ka),
-                edge_theta_lo=_THETA_PI,
-                edge_theta_hi=_THETA_PI,
-                kind="negative-ac",
-                touch_energies=(-3.0,),
-            )
-        ]
+        return [_band((kd, _THETA_PI), (ka, _THETA_PI), (-3.0,), negative=True)]
     # Phi(sqrt3) > 1 puts the theta = 0 edges on either side of sqrt3, and
     # kc*kc > 3 needs kc above the float sqrt3, which is below the true one
     kb = max(_negative_edge(spec, 1.0, upper), ka)
     kc = min(max(_negative_edge(spec, 1.0, lower), _ABOVE_SQRT3), kd)
     return [
-        # lower band: kappa in [kc, kd], theta = 0 edge at kc
-        Band(
-            e_lo=-(kd * kd),
-            e_hi=-(kc * kc),
-            edge_theta_lo=_THETA_PI,
-            edge_theta_hi=0.0,
-            kind="negative-ac",
-        ),
-        # upper band: kappa in [ka, kb], theta = 0 edge at kb
-        Band(
-            e_lo=-(kb * kb),
-            e_hi=-(ka * ka),
-            edge_theta_lo=0.0,
-            edge_theta_hi=_THETA_PI,
-            kind="negative-ac",
-        ),
+        _band((kd, _THETA_PI), (kc, 0.0), negative=True),  # lower: kappa in [kc, kd]
+        _band((kb, 0.0), (ka, _THETA_PI), negative=True),  # upper: kappa in [ka, kb]
     ]
+
+
+def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
+    """One negative-branch crossing f(kappa) = cos(theta), by Brent's method.
+
+    ``band='upper'`` solves on (1, sqrt(3)], ``'lower'`` on [sqrt(3), cap):
+    the brackets and the edge solve of ``negative_bands``.  The independent
+    check of the asymptotic predictions.  f(sqrt3) - cos(theta) is positive
+    except for cos(theta) = 1 at ell = pi (to float resolution), where f
+    only touches 1 at sqrt3; sqrt3 is returned then.  The tight chain has no
+    negative edge and raises ValueError.
+    """
+    if not spec.is_loose:
+        raise ValueError("negative edges exist for the loose chain only")
+    if band not in ("upper", "lower"):
+        raise ValueError(f"band must be 'upper' or 'lower', got {band!r}")
+    upper, lower = _negative_brackets(spec)
+    if f_shifted(spec, _SQRT3, theta_cos) <= 0.0:
+        return _SQRT3
+    return _negative_edge(spec, theta_cos, upper if band == "upper" else lower)
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,15 @@ from .asymptotics import (
     lemma_witnesses,
     small_l_lower_band,
     small_l_upper_band,
+)
+from .bands import (
+    dispersion,
+    flat_bands,
+    negative_bands,
+    phi_positive,
+    positive_bands,
     solve_negative_edge,
 )
-from .bands import dispersion, flat_bands, negative_bands, phi_positive, positive_bands
 from .crosscheck import match_roots
 from .errors import LemmaWitnessError, RingChainError, SolverError
 from .measure import GapCertificate, gap_certificate, m_ell_membership, spectrum_measure

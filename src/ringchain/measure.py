@@ -93,7 +93,7 @@ def gap_certificate(spec: ChainSpec, k: float) -> GapCertificate:
     k = float(k)
     if not math.isfinite(k) or k <= 0:
         raise ValueError(f"k must be finite and > 0, got {k}")
-    ss = abs(math.sin(k * spec.link_length) * sincospi(k)[0])
+    ss = abs(_sin_k_ell(k, spec.link_length) * sincospi(k)[0])
     if r_coefficient(k) * ss > 2.0 + 1e-12:
         return GapCertificate.STRONG
     return GapCertificate.INCONCLUSIVE
@@ -109,4 +109,12 @@ def m_ell_membership(k: float, ell: float) -> bool:
     ell = float(ell)
     if k <= 0 or ell <= 0:
         raise ValueError("k and ell must be > 0")
-    return abs(math.sin(k * ell)) > 2.0 * math.sqrt(2.0) / k
+    return abs(_sin_k_ell(k, ell)) > 2.0 * math.sqrt(2.0) / k
+
+
+def _sin_k_ell(k: float, ell: float) -> float:
+    """sin(k*ell); a k*ell that overflows raises ValueError, naming k and ell."""
+    kl = k * ell
+    if not math.isfinite(kl):
+        raise ValueError(f"k*ell is not finite for k = {k!r}, ell = {ell!r}")
+    return math.sin(kl)

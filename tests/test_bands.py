@@ -775,7 +775,6 @@ def test_f_shifted_large_kappa_is_inf_or_nan():
         for c in (-1.0, 1.0):
             got = f_shifted(LOOSE1, kappa, c)
             assert math.isnan(got) or got < 0.0, (kappa, got)
-            assert f_shifted(TIGHT, kappa, c) == 0.5
     assert f_shifted(LOOSE1, 1e78, 1.0) == -math.inf
     assert math.isnan(f_shifted(LOOSE1, 1e155, 1.0))
 

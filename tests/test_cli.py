@@ -271,10 +271,11 @@ def test_too_many_witnesses_is_refused_not_hung(capsys, argv):
 _SWEEP = [
     "flat --e-max 100", "flat --e-max inf", "bands --k-max 10", "bands --k-max inf",
     "negative", "dispersion --theta 0.7 --k-max 10", "measure --e-max 100 1000",
-    "measure --e-max inf", "certify --k 0.5 1.5 7.3", "asymptotics",
+    "measure --e-max inf", "certify --k 0.5 1.5 7.3", "certify --k 0.5 1e80 1e200",
+    "asymptotics",
 ]
 _SWEEP_ELLS = [["--ell", "0"], ["--ell", "1e-200"], ["--ell", "1e-14"], ["--ell", "1"],
-               ["--ell-pi"], ["--ell", "300"]]
+               ["--ell-pi"], ["--ell", "300"], ["--ell", "1e300"]]
 
 
 @pytest.mark.parametrize(
@@ -291,6 +292,12 @@ def test_every_command_answers_without_warnings(capsys, argv):
         warnings.simplefilter("error")
         code, _, err = run_cli(capsys, *argv)
     assert code in (0, 1), err
+
+
+def test_certify_refuses_an_overflowing_k_ell(capsys):
+    code, out, err = run_cli(capsys, "certify", "--ell", "1e300", "--k", "1e300")
+    assert code == 1 and out == ""
+    assert err == "error: k*ell is not finite for k = 1e+300, ell = 1e+300\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
-"""ringchain runs on numpy alone: scipy is a test-time oracle only."""
+"""ringchain runs on numpy alone: scipy is a test-time oracle only.  Its
+modules import no private name from one another, and no import it does not
+use but those the benchmark's tracer looks up."""
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+TRACING = SRC.parent / "perfbench" / "tracing.py"
 
 _RUN_CLI = """
 import json, runpy, sys
@@ -60,3 +64,72 @@ def test_no_module_imports_scipy_outside_the_lazy_shim():
             (shim if id(node) in lazy else offenders).append(f"{path.name}:{node.lineno}")
     assert offenders == []
     assert len(shim) <= 1
+
+
+# ---------------------------------------------------------------------------
+# import hygiene
+
+
+def _modules():
+    """(dotted module name, AST) of every module of the package."""
+    for path in sorted((SRC / "ringchain").glob("*.py")):
+        name = "ringchain" if path.stem == "__init__" else f"ringchain.{path.stem}"
+        yield name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _is_private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_imports_a_private_name_of_another():
+    offenders = [
+        f"{module}:{node.lineno} {alias.name}"
+        for module, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "ringchain")
+        for alias in node.names
+        if _is_private(alias.name)
+    ]
+    assert offenders == []
+
+
+def _unused_imports(tree):
+    """Names bound by an import that no expression reads and __all__ omits."""
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(a.asname or a.name.split(".")[0] for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return bound - read - exported
+
+
+def _tracer_lookups():
+    """The (module, name) pairs perfbench/tracing.py wraps, read as
+    tests/test_tracer_names.py reads them."""
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    tables = mod._WRAPPED + mod._BAND_SOLVERS + mod._PHI + mod._BRENTQ
+    return {entry[:2] for entry in tables}
+
+
+def test_unused_imports_finds_what_no_expression_reads():
+    tree = ast.parse(
+        "from __future__ import annotations\nimport math, os.path\n"
+        "from .a import b, c as d, e\n__all__ = ['e']\nx: d = math.pi\n"
+    )
+    assert _unused_imports(tree) == {"os", "b"}
+
+
+def test_every_unused_import_is_one_the_tracer_looks_up():
+    unused = {(module, name) for module, tree in _modules() for name in _unused_imports(tree)}
+    assert unused <= _tracer_lookups()

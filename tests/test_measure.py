@@ -1,6 +1,7 @@
 """Spectral measure in finite windows and gap certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from ringchain import (
     m_ell_membership,
     phi_positive,
     positive_bands,
+    r_coefficient,
     spectrum_measure,
 )
 from ringchain._numerics import sincospi
@@ -159,3 +161,28 @@ def test_gap_certificate_requires_loose():
         gap_certificate(TIGHT, 2.0)
     with pytest.raises(ValueError):
         gap_certificate(LOOSE1, -1.0)
+
+
+def test_r_coefficient_float_path_equals_the_array_path_without_warnings():
+    # the float path, which phi_positive shares, is the array path's
+    # expression; past k ~ 1.3e77 k^4 overflows to inf, and past ~6.7e153
+    # the value is NaN, with no warning on the float path
+    ks = np.geomspace(1e-3, 1e300, 4001)
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = r_coefficient(ks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = np.array([r_coefficient(float(k)) for k in ks])
+        assert r_coefficient(np.float64(1e80)) == math.inf
+        assert math.isnan(r_coefficient(1e200))
+    assert np.array_equal(got, arr, equal_nan=True)
+    assert type(r_coefficient(2.0)) is float and r_coefficient(2) == r_coefficient(2.0)
+
+
+def test_certificates_refuse_an_overflowing_k_ell():
+    # sin(inf) has no value: the refusal names k and ell
+    for call in (lambda: gap_certificate(ChainSpec(1e300), 1e300),
+                 lambda: m_ell_membership(1e300, 1e300)):
+        with pytest.raises(ValueError, match=r"k = 1e\+300, ell = 1e\+300"):
+            call()
+    assert gap_certificate(LOOSE1, 1e200) is GapCertificate.INCONCLUSIVE
