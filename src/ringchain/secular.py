@@ -4,18 +4,18 @@ Two independent formulations of the same spectral condition live here:
 
 * ``assemble`` builds the raw linear system for the trial coefficients on
   the cell edges (8 unknowns for the tight chain, 12 for the loose one)
-  directly from the quasi-periodic boundary conditions and the vertex
-  matching, and ``normalized_determinant`` takes its determinant with
-  every row scaled to unit norm.  It vanishes exactly on shell.  Both work
-  on stacks: many energies are assembled and factored in one call.
+  from the quasi-periodic boundary conditions and the vertex matching, and
+  ``normalized_determinant`` takes its determinant with every row scaled to
+  unit norm.  It vanishes exactly on shell.  Both work on stacks of energies.
 
 * ``closed_form_value`` evaluates the factored scalar conditions obtained by
   eliminating the system by hand, overflow safe and with their prefactors.
   The band solvers use the reduced dispersions of ``ringchain.bands``
   instead; both formulations here exist as a derivation cross-check.
 
-The two must agree on their zero sets; the test suite enforces this on
-random brackets for both energy branches.
+Each has one implementation, on floats (k or kappa): ``assemble_at`` and
+``closed_form_at``.  The two must agree on their zero sets; the test suite
+enforces this on random brackets for both energy branches.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ from .model import ChainSpec, Quasimomentum, SpectralParameter, make_coupling
 
 __all__ = [
     "assemble",
+    "assemble_at",
     "normalized_determinant",
     "closed_form_value",
+    "closed_form_at",
     "vertex_scattering",
 ]
 
@@ -42,28 +44,28 @@ _HYPERBOLIC_GUARD = 700.0
 
 _HALF = math.pi / 2
 
-#: the pieces rows are made of, in the order ``assemble`` stacks them: V and
-#: D are the basis values and derivatives at x (two entries, the + and -
-#: coefficient), t = e^{i theta}, 0 the vertex x = 0 and l the link length
-_PIECES = (
-    "V(pi/2)", "D(pi/2)", "-tV(-pi/2)", "-tD(-pi/2)",
-    "V0+iD0", "-V0+iD0", "V0-iD0", "-V0-iD0",
-    # loose chain only
-    "V0", "D0", "-V0", "-D0",
-    "-V(l/2)-iD(l/2)", "V(l/2)-iD(l/2)", "-V(-l/2)+iD(-l/2)", "V(-l/2)+iD(-l/2)",
-)
+#: the constructor that a float of each branch stands for
+_PARAMETER = {"positive": SpectralParameter.from_k, "negative": SpectralParameter.from_kappa}
 
 
 def _scatter(edges, rows):
-    """Index arrays (row, column, piece) that put each row's two pieces into
-    the columns of their edges; ``edges`` maps an edge to its first column."""
-    rr, cc, src = [], [], []
+    """(n, entry, piece): the matrix size, and the indices into the flattened
+    matrix and into assemble_at's flattened table that put each row's two
+    pieces into the columns of their edges (``edges`` gives an edge's first
+    column).  The table's pieces are named in its order, at x = +-pi/2, 0 and,
+    for n = 12, +-l/2: V and D are the basis values and derivatives at x, t = e^{i theta}."""
+    n = 2 * len(edges)
+    xs = ("(pi/2)", "(-pi/2)", "0", "(l/2)", "(-l/2)")[: n // 2 - 1]
+    names = [f.format(x) for f in ("V{}", "D{}") for x in xs]
+    names += ["-tV(-pi/2)", "-tD(-pi/2)", "-V0", "-D0"]
+    names += [f.format(x) for f in ("V{0}+iD{0}", "-V{0}+iD{0}", "V{0}-iD{0}", "-V{0}-iD{0}")
+              for x in xs]
+    entry, piece = [], []
     for r, pair in enumerate(rows):
-        for piece, edge in pair:
-            rr += [r, r]
-            cc += [edges[edge], edges[edge] + 1]
-            src += [_PIECES.index(piece)] * 2
-    return np.array(rr), np.array(cc), np.array(src)
+        for name, edge in pair:
+            entry += [r * n + edges[edge], r * n + edges[edge] + 1]
+            piece += [2 * names.index(name), 2 * names.index(name) + 1]
+    return n, np.array(entry), np.array(piece)
 
 
 # Rows 0-3: quasi-periodic matching psi_j(pi/2) = t psi_{5-j}(-pi/2),
@@ -110,8 +112,8 @@ def assemble(spec: ChainSpec, sp, q: Quasimomentum) -> np.ndarray:
 
     ``sp`` is one SpectralParameter, which gives the (n, n) matrix, or a
     sequence of them on one branch, which gives the (N, n, n) stack of their
-    matrices.  The entries of a stacked matrix equal those of the matrix
-    assembled alone, bit for bit.
+    matrices, built by ``assemble_at`` from their k or kappa in one gather.
+    A stacked matrix equals the matrix assembled alone, bit for bit.
 
     Unknown layout (two columns per edge, + then - coefficient):
       tight, 8x8:    (c1+, c1-, c2+, c2-, c3+, c3-, c4+, c4-)
@@ -148,52 +150,57 @@ def assemble(spec: ChainSpec, sp, q: Quasimomentum) -> np.ndarray:
         raise ValueError("zero energy is not admissible in the raw system")
     if not math.isfinite(q.theta):
         raise ValueError("non-finite quasimomentum")
+    values = [p.k for p in points] if branch == "positive" else [p.kappa for p in points]
+    m = assemble_at(spec, branch, values, q)
+    return m[0] if single else m
+
+
+def assemble_at(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarray:
+    """``assemble`` of SpectralParameter.from_k (or from_kappa) of each of
+    the N floats ``values``, k (or kappa): the (N, n, n) stack, bit for bit,
+    or the error those calls raise."""
+    if branch not in _PARAMETER:
+        raise ValueError(f"unknown branch {branch!r}")
+    x = np.asarray(values, dtype=float)
+    lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)  # x*x grows with x > 0
+    if not (lo > 0.0 and 0.0 < lo * lo and hi * hi < math.inf
+            and isinstance(spec, ChainSpec) and math.isfinite(q.theta)):
+        # refused: raise what assemble raises for the SpectralParameters of
+        # values, which it refuses before it calls assemble_at
+        assemble(spec, map(_PARAMETER[branch], x.tolist()), q)
     # the basis at x = pi/2, -pi/2, 0 and, on the loose chain, +-ell/2
     ell2 = spec.link_length / 2
     xs = np.array((_HALF, -_HALF, 0.0) + (() if spec.is_tight else (ell2, -ell2)))
     if branch == "positive":
-        k = np.array([p.k for p in points])
-        ik = np.stack((1j * k, -1j * k), axis=-1)[:, None, :]
-        val = np.exp(ik * xs[None, :, None])
+        ik = x[:, None, None] * np.array((1j, -1j))
+        val = np.exp(ik * xs[:, None])
         der = ik * val
     else:
-        kap = np.array([p.kappa for p in points])
-        reach = kap * max(math.pi, spec.link_length)
+        reach = x * max(math.pi, spec.link_length)
         over = np.flatnonzero(reach > _HYPERBOLIC_GUARD)
         if over.size:
             raise OverflowGuardError(
                 f"kappa*max(pi, ell) = {reach[over[0]]:.3g} exceeds {_HYPERBOLIC_GUARD}; "
                 "use the closed-form spectral condition instead"
             )
-        kx = kap[:, None] * xs
-        ch, sh = np.cosh(kx), np.sinh(kx)
-        val = np.stack((ch, sh), axis=-1).astype(complex)
-        der = (kap[:, None, None] * np.stack((sh, ch), axis=-1)).astype(complex)
+        kx = x[:, None] * xs
+        cs = np.stack((np.cosh(kx), np.sinh(kx)), axis=-1)
+        val = cs.astype(complex)
+        der = (x[:, None, None] * cs[..., ::-1]).astype(complex)
 
-    # the pieces of _PIECES, each (N, 2), with the same float operations in
-    # the same order as entry-by-entry assembly
+    # the table of the pieces _scatter names, with the same float operations
+    # in the same order as entry-by-entry assembly
     t = np.exp(1j * q.theta)
     ider = 1j * der
-    # V+iD, -V+iD, V-iD, -V-iD at every x
-    vertex = np.stack((val + ider, -val + ider, val - ider, -val - ider), axis=1)
-    pieces = [
-        val[:, 0, None],
-        der[:, 0, None],
-        -t * np.stack((val[:, 1], der[:, 1]), axis=1),
-        vertex[:, :, 2],
-    ]
-    rows, cols, src = _TIGHT
-    if spec.is_loose:
-        pieces += [
-            np.stack((val[:, 2], der[:, 2], -val[:, 2], -der[:, 2]), axis=1),
-            vertex[:, (3, 2, 1, 0), (3, 3, 4, 4)],
-        ]
-        rows, cols, src = _LOOSE
-    n = 12 if spec.is_loose else 8
-    m = np.zeros((len(points), n, n), dtype=complex)
+    table = np.concatenate((
+        val, der, -t * val[:, 1:2], -t * der[:, 1:2], -val[:, 2:3], -der[:, 2:3],
+        val + ider, -val + ider, val - ider, -val - ider,
+    ), axis=1)
+    n, entry, piece = _LOOSE if spec.is_loose else _TIGHT
+    m = np.zeros((x.size, n * n), dtype=complex)
     # every entry is 0 + piece, as in entry-by-entry assembly
-    m[:, rows, cols] += np.concatenate(pieces, axis=1)[:, src, cols % 2]
-    return m[0] if single else m
+    m[:, entry] += table.reshape(x.size, -1)[:, piece]
+    return m.reshape(-1, n, n)
 
 
 def normalized_determinant(m: np.ndarray):
@@ -233,23 +240,33 @@ def closed_form_value(
     Zero energy is accepted and returns 0.0 for the loose chain (the k^5
     prefactor limit) and 0.0 for the tight chain (k^3 prefactor limit).
     """
-    theta_cos = q.cos
-    ell = spec.link_length
-
     if sp.branch == "zero":
         return 0.0
+    return closed_form_at(spec, sp.branch, sp.k or sp.kappa, q.cos)
 
-    if sp.branch == "positive":
-        k = sp.k
+
+def closed_form_at(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> float:
+    """``closed_form_value`` of SpectralParameter.from_k(x) (or
+    from_kappa(x)) at cos(theta) = ``cos_theta``: the same float, or the
+    error those calls raise.  An x whose square underflows is zero energy."""
+    if branch not in _PARAMETER:
+        raise ValueError(f"unknown branch {branch!r}")
+    if not (x > 0.0 and 0.0 < x * x < math.inf):
+        _PARAMETER[branch](x)  # raises for a refused x
+        return 0.0  # zero energy
+    ell = spec.link_length
+
+    if branch == "positive":
+        k = x
         sk, ck = sincospi(k)
         if spec.is_tight:
-            return k**3 * (k * k + 1.0) * sk * (ck - theta_cos)
+            return k**3 * (k * k + 1.0) * sk * (ck - cos_theta)
         sl, cl = math.sin(k * ell), math.cos(k * ell)
         k2 = k * k
-        bracket = (k2 * k2 + 2 * k2 + 5) * sk * sl - 4 * (k2 + 1) * (ck * cl - theta_cos)
+        bracket = (k2 * k2 + 2 * k2 + 5) * sk * sl - 4 * (k2 + 1) * (ck * cl - cos_theta)
         return k**5 * sk * bracket
 
-    kap = sp.kappa
+    kap = x
     u = kap * math.pi
     if spec.is_tight:
         # kappa^3 (kappa^2 - 1) sinh(u) (cosh(u) - cos theta), rescaled as
@@ -261,7 +278,7 @@ def closed_form_value(
             * (k2 - 1.0)
             * 0.25
             * (1 - em * em)
-            * (1 + em * em - 2 * theta_cos * em)
+            * (1 + em * em - 2 * cos_theta * em)
         )
         return _descale(mant, 2 * u)
 
@@ -272,7 +289,7 @@ def closed_form_value(
     eu, ev = math.exp(-2 * u), math.exp(-2 * v)
     cc = 0.25 * (1 + eu) * (1 + ev)  # cosh u cosh v * e^{-(u+v)}
     ss = 0.25 * (1 - eu) * (1 - ev)  # sinh u sinh v * e^{-(u+v)}
-    ct = theta_cos * math.exp(-(u + v))
+    ct = cos_theta * math.exp(-(u + v))
     bracket = 4 * (1 - k2) * (cc - ct) + (k2 * k2 - 2 * k2 + 5) * ss
     sin_u = 0.5 * (1 - eu)  # sinh u * e^{-u}
     mant = kap**5 * sin_u * bracket

@@ -17,6 +17,7 @@ from ringchain import (
     normalized_determinant,
     vertex_scattering,
 )
+from ringchain.secular import assemble_at, closed_form_at
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
@@ -281,6 +282,114 @@ def test_stack_needs_points_on_one_branch():
         assemble(LOOSE1, [], q)
     with pytest.raises(ValueError):
         assemble(LOOSE1, [SpectralParameter(0.0)], q)
+
+
+# ---------------------------------------------------------------------------
+# float kernels against the object-level calls
+
+_PAR = {"positive": SpectralParameter.from_k, "negative": SpectralParameter.from_kappa}
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the errors themselves are compared
+        return type(exc), str(exc)
+
+
+def _same(got, want):
+    """Equal outcomes: the same bytes for an array or a float (so the same
+    sign of zero), the same type and message for an error."""
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
+    if isinstance(want, float):
+        return type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
+    return got == want
+
+
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("ell", [0.0, 1.0, 40.0])
+def test_assemble_at_equals_assemble_bit_for_bit(ell, branch):
+    spec = ChainSpec(ell)
+    rng = np.random.default_rng(int(ell) + len(branch))
+    # on the negative branch up to the largest kappa below the guard
+    top = 100.0 if branch == "positive" else _largest_admissible_kappa(ell)
+    for n in (1, 2, 17, 64):
+        xs = rng.uniform(0.01, 15.0 if branch == "positive" else top, n)
+        xs[-1] = top
+        if n > 2:
+            xs[:3] = (1.0, top * (1 - 1e-9), 1e-6)
+        points = [_PAR[branch](x) for x in xs]
+        for theta in (0.0, -math.pi, 0.3, 2.9):
+            q = Quasimomentum(theta)
+            got = assemble_at(spec, branch, xs, q)
+            assert got.shape == (n, 8 if ell == 0.0 else 12, 8 if ell == 0.0 else 12)
+            assert got.tobytes() == assemble(spec, points, q).tobytes()
+            assert got.tobytes() == assemble_at(spec, branch, xs.tolist(), q).tobytes()
+            ref = np.array([_assemble_point(spec, sp, q) for sp in points])
+            assert got.tobytes() == ref.tobytes()
+
+
+def _closed_form_points(branch):
+    if branch == "positive":
+        near = [0.5, 1.0, 2.0, 3.0, 7.0, 1000.0]
+        extra = [0.3, 1e-150, 1e100, 1e154]
+    else:
+        # kappa near 1 (the flat band), sqrt 3, and far enough out that
+        # _descale clamps (2 kappa pi > 709 on the tight chain)
+        near = [1.0, math.sqrt(3.0), 113.0]
+        extra = [1 - 1e-9, 1 + 1e-9, 0.4, 120.0, 300.0, 1e3, 1e60, 1e100, 1e-150]
+    return extra + [y for x in near for y in (x, math.nextafter(x, 0.0), math.nextafter(x, 2 * x))]
+
+
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("ell", [0.0, 1.0, math.pi, 40.0])
+def test_closed_form_at_equals_closed_form_value_bit_for_bit(ell, branch):
+    spec = ChainSpec(ell)
+    zero_signs = set()
+    for theta in (0.0, -math.pi, 0.3, 2.9):
+        q = Quasimomentum(theta)
+        for x in _closed_form_points(branch):
+            want = _outcome(lambda: closed_form_value(spec, _PAR[branch](x), q))
+            got = _outcome(closed_form_at, spec, branch, x, q.cos)
+            assert _same(got, want), (x, theta, got, want)
+            if want == 0.0:
+                zero_signs.add(math.copysign(1.0, want))
+    # flat-band zeros are among the cases, -0.0 too where sin(k pi) gives it
+    assert zero_signs == ({1.0, -1.0} if branch == "positive" else {1.0})
+
+
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+@pytest.mark.parametrize("ell", [0.0, 1.0, 40.0])
+def test_float_kernels_refuse_what_the_objects_refuse(ell, branch):
+    spec = ChainSpec(ell)
+    q = Quasimomentum(0.3)
+    nan_theta = Quasimomentum(0.3)
+    object.__setattr__(nan_theta, "theta", math.nan)
+    past = 705.0 / max(math.pi, ell)  # past the kappa guard
+    stacks = [
+        [math.nan], [math.inf], [-math.inf], [0.0], [-0.0], [-1.0], [1e200],  # from_k/kappa
+        [1e-200], [1e-200, 1e-200], [1.0, 1e-200], [1e-200, 1.0],  # squares underflow: E = 0
+        [1.0, math.nan, -1.0, 1e-200], [], [1.0, past, 2 * past], [past, 1.0],
+    ]
+    refused = 0
+    for values in stacks:
+        for qq in (q, nan_theta):
+            want = _outcome(lambda: assemble(spec, [_PAR[branch](v) for v in values], qq))
+            got = _outcome(assemble_at, spec, branch, np.array(values), qq)
+            assert _same(got, want), (values, qq, got, want)
+            refused += isinstance(want, tuple)
+    assert refused == 2 * len(stacks) - (2 if branch == "positive" else 0)
+    for x in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e200, 1e-200, 5e-324):
+        want = _outcome(lambda: closed_form_value(spec, _PAR[branch](x), q))
+        assert _same(_outcome(closed_form_at, spec, branch, x, q.cos), want), x
+    assert _same(_outcome(assemble_at, "spec", branch, [1.0], q),
+                 _outcome(assemble, "spec", [_PAR[branch](1.0)], q))
+    with pytest.raises(ValueError, match="unknown branch 'zero'"):
+        assemble_at(spec, "zero", [1.0], q)
+    with pytest.raises(ValueError, match="unknown branch 'zero'"):
+        closed_form_at(spec, "zero", 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
