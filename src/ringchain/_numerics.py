@@ -8,7 +8,11 @@ plain scalar loop, and ``brentq_batch`` advances many brackets at once on
 numpy arrays, one call of a vectorized f per round.  A round of array
 operations costs as much as a few dozen scalar iterations, so once fewer
 than BATCH_MIN brackets are open, ``brentq_batch`` runs the scalar loop's
-iteration on each of them instead.
+iteration on each of them instead.  That hand-off stays: array rounds run
+to the end cost band and dispersion runs more than they save, since each
+of the last few iterations pays a whole round of array overhead.  The
+``f_one`` finish stays too: solving each f_i on plain floats beats the one
+call of f per scalar round, which turns its lists into numpy arrays.
 """
 
 from __future__ import annotations

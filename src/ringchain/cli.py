@@ -1,12 +1,14 @@
 """Command-line front end: every analysis as a reproducible, scriptable run.
 
-Each run writes one table, in CSV (default) or JSON, preceded by metadata
-echoing the full configuration and package version so that any output file
-identifies the run that produced it.  CSV prints numbers with 17
-significant digits, JSON with the shortest repr that reads back to the same
-float; both are round-trip exact, and identical configurations produce
-byte-identical output.  JSON output is strict: a non-finite value is null
-there, and inf or nan in CSV.
+Each subcommand computes one table; ``main`` writes it once, in CSV
+(default) or JSON, preceded by metadata echoing the full configuration so
+that any output file identifies the run that produced it: ``ell`` (when the
+subcommand takes --ell), ``version``, ``command``, ``format`` and the
+subcommand's own options.  CSV prints numbers with 17 significant digits,
+JSON with the shortest repr that reads back to the same float; both are
+round-trip exact, and identical configurations produce byte-identical
+output.  JSON output is strict: a non-finite value is null there, and inf
+or nan in CSV.
 
 Exit codes: 0 success, 1 invalid arguments (a window of more than
 MAX_WITNESSES = 2**24 gap witnesses or flat bands among them, refused
@@ -97,9 +99,6 @@ def _json_report(columns: list[str], rows: list[list], config: dict) -> str:
 
 
 def _write_report(args, columns: list[str], rows: list[list], config: dict) -> None:
-    config = dict(config)
-    config["command"] = args.command
-    config["format"] = args.format
     if args.format == "csv":
         lines = [f"# ringchain {__version__}"]
         cfg = " ".join(f"{k}={_fmt(v)}" for k, v in sorted(config.items()))
@@ -122,96 +121,70 @@ def _write_report(args, columns: list[str], rows: list[list], config: dict) -> N
 
 
 def _chain_spec(args) -> ChainSpec:
-    if getattr(args, "ell_pi", False):
+    if args.ell_pi:
         if args.ell is not None:
             raise ValueError("--ell and --ell-pi are mutually exclusive")
         return ChainSpec(math.pi)
     return ChainSpec(args.ell if args.ell is not None else 0.0)
 
 
-def _config_common(args, spec: ChainSpec) -> dict:
-    return {"ell": spec.link_length, "version": __version__}
-
-
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes (args, spec) and returns its (columns, rows), its
+# own config entries and its exit code; main echoes and writes the report
 
 
-def _cmd_flat(args) -> int:
-    spec = _chain_spec(args)
+def _cmd_flat(args, spec):
     rows = [
         [fb.energy, fb.embedded, fb.source]
         for fb in flat_bands(spec, args.e_max)
     ]
-    cfg = _config_common(args, spec)
-    cfg["e_max"] = args.e_max
-    _write_report(args, ["energy", "embedded", "source"], rows, cfg)
-    return 0
+    return (["energy", "embedded", "source"], rows), {"e_max": args.e_max}, 0
 
 
-def _write_bands(args, bands, cfg: dict) -> None:
+def _band_table(bands):
     rows = [
         [i, b.e_lo, b.e_hi, b.edge_theta_lo, b.edge_theta_hi]
         for i, b in enumerate(bands)
     ]
-    columns = ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"]
-    _write_report(args, columns, rows, cfg)
+    return ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"], rows
 
 
-def _cmd_bands(args) -> int:
-    spec = _chain_spec(args)
-    cfg = _config_common(args, spec)
-    cfg["k_max"] = args.k_max
-    _write_bands(args, positive_bands(spec, args.k_max), cfg)
-    return 0
+def _cmd_bands(args, spec):
+    return _band_table(positive_bands(spec, args.k_max)), {"k_max": args.k_max}, 0
 
 
-def _cmd_negative(args) -> int:
-    spec = _chain_spec(args)
-    _write_bands(args, negative_bands(spec), _config_common(args, spec))
-    return 0
+def _cmd_negative(args, spec):
+    return _band_table(negative_bands(spec)), {}, 0
 
 
-def _cmd_dispersion(args) -> int:
-    spec = _chain_spec(args)
+def _cmd_dispersion(args, spec):
     q = Quasimomentum(args.theta)
     sols = dispersion(spec, q, (args.k_min, args.k_max))
     rows = [[q.theta, sp.k, sp.energy] for sp in sols]
-    cfg = _config_common(args, spec)
-    cfg.update(theta=q.theta, k_min=args.k_min, k_max=args.k_max)
-    _write_report(args, ["theta", "k", "energy"], rows, cfg)
-    return 0
+    cfg = {"theta": q.theta, "k_min": args.k_min, "k_max": args.k_max}
+    return (["theta", "k", "energy"], rows), cfg, 0
 
 
-def _cmd_measure(args) -> int:
-    spec = _chain_spec(args)
+def _cmd_measure(args, spec):
     rows = []
     for window in args.e_max:
         rep = spectrum_measure(spec, window)
         rows.append([window, rep.measure, rep.fraction, rep.band_count, rep.gap_count])
-    cfg = _config_common(args, spec)
-    cfg["e_max"] = ",".join(_fmt(w) for w in args.e_max)
-    _write_report(
-        args, ["K", "measure", "fraction", "band_count", "gap_count"], rows, cfg
-    )
-    return 0
+    columns = ["K", "measure", "fraction", "band_count", "gap_count"]
+    return (columns, rows), {"e_max": ",".join(_fmt(w) for w in args.e_max)}, 0
 
 
-def _cmd_certify(args) -> int:
-    spec = _chain_spec(args)
+def _cmd_certify(args, spec):
     rows = []
     for k in args.k:
         cert = gap_certificate(spec, k)
         joint = m_ell_membership(k, spec.link_length) and m_ell_membership(k, math.pi)
         rows.append([k, cert.value, joint])
-    cfg = _config_common(args, spec)
-    cfg["k"] = ",".join(_fmt(k) for k in args.k)
-    _write_report(args, ["k", "certificate", "joint_m_membership"], rows, cfg)
-    return 0
+    cfg = {"k": ",".join(_fmt(k) for k in args.k)}
+    return (["k", "certificate", "joint_m_membership"], rows), cfg, 0
 
 
-def _cmd_asymptotics(args) -> int:
-    spec = _chain_spec(args)
+def _cmd_asymptotics(args, spec):
     ell = spec.link_length
     if ell <= 0:
         raise ValueError("asymptotics requires a loose chain (ell > 0)")
@@ -251,12 +224,10 @@ def _cmd_asymptotics(args) -> int:
     for n in (1, 2, 3):
         rows.append([f"gap_spacing_n{n}", large_l_gap_spacing(n, ell), None, None])
 
-    cfg = _config_common(args, spec)
-    _write_report(args, ["quantity", "predicted", "solved", "ratio"], rows, cfg)
-    return 0
+    return (["quantity", "predicted", "solved", "ratio"], rows), {}, 0
 
 
-def _cmd_scattering(args) -> int:
+def _cmd_scattering(args, spec):
     rows = []
     eye = np.eye(args.n)
     for k in args.k:
@@ -269,14 +240,11 @@ def _cmd_scattering(args) -> int:
                 float(np.linalg.norm(s.conj().T @ s - eye, 2)),
             ]
         )
-    cfg = {"n": args.n, "k": ",".join(_fmt(k) for k in args.k), "version": __version__}
-    _write_report(
-        args, ["n", "k", "s_minus_i_norm", "unitarity_residual"], rows, cfg
-    )
-    return 0
+    cfg = {"n": args.n, "k": ",".join(_fmt(k) for k in args.k)}
+    return (["n", "k", "s_minus_i_norm", "unitarity_residual"], rows), cfg, 0
 
 
-def _cmd_selfcheck(args) -> int:
+def _cmd_selfcheck(args, spec):
     rng = np.random.default_rng(args.seed)
     rows = []
     failures = 0
@@ -303,9 +271,8 @@ def _cmd_selfcheck(args) -> int:
     for n in (3, 4):
         ks = rng.uniform(0.01, 100.0, 25)
         worst = max(
-            float(np.linalg.norm(vertex_scattering(n, k).conj().T
-                                 @ vertex_scattering(n, k) - np.eye(n)))
-            for k in ks
+            float(np.linalg.norm(s.conj().T @ s - np.eye(n)))
+            for s in (vertex_scattering(n, k) for k in ks)
         )
         record(f"scattering_unitary_n{n}", worst < 1e-10, f"worst residual {worst:.2e}")
 
@@ -353,9 +320,7 @@ def _cmd_selfcheck(args) -> int:
     record("negative_band_dichotomy", n_pi == 1 and n_one == 2,
            f"ell=pi: {n_pi} bands; ell=1: {n_one} bands")
 
-    cfg = {"seed": args.seed, "version": __version__}
-    _write_report(args, ["check", "status", "detail"], rows, cfg)
-    return 3 if failures else 0
+    return (["check", "status", "detail"], rows), {"seed": args.seed}, 3 if failures else 0
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +409,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        # scattering and selfcheck take no --ell and echo no ell
+        spec = _chain_spec(args) if "ell" in args else None
+        (columns, rows), config, code = args.func(args, spec)
+        config.update(version=__version__, command=args.command, format=args.format)
+        if spec is not None:
+            config["ell"] = spec.link_length
+        _write_report(args, columns, rows, config)
+        return code
     except (ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -248,7 +248,10 @@ def closed_form_value(
 def closed_form_at(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> float:
     """``closed_form_value`` of SpectralParameter.from_k(x) (or
     from_kappa(x)) at cos(theta) = ``cos_theta``: the same float, or the
-    error those calls raise.  An x whose square underflows is zero energy."""
+    error those calls raise.  An x whose square underflows is zero energy.
+    Past x ~ 1.8e61, where x**5 or x**3 overflows, the value is 0 on the
+    positive branch (sin(k*pi) = 0 there) and the clamp, with its sign, on
+    the negative one."""
     if branch not in _PARAMETER:
         raise ValueError(f"unknown branch {branch!r}")
     if not (x > 0.0 and 0.0 < x * x < math.inf):
@@ -256,44 +259,59 @@ def closed_form_at(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> 
         return 0.0  # zero energy
     ell = spec.link_length
 
-    if branch == "positive":
-        k = x
-        sk, ck = sincospi(k)
+    try:
+        if branch == "positive":
+            k = x
+            sk, ck = sincospi(k)
+            if spec.is_tight:
+                value = k**3 * (k * k + 1.0) * sk * (ck - cos_theta)
+                # NaN only as inf * sin(k pi), past k ~ 4e61 where sin(k pi) = 0
+                return value if value == value else 0.0
+            sl, cl = math.sin(k * ell), math.cos(k * ell)
+            k2 = k * k
+            bracket = (k2 * k2 + 2 * k2 + 5) * sk * sl - 4 * (k2 + 1) * (ck * cl - cos_theta)
+            return k**5 * sk * bracket
+
+        kap = x
+        u = kap * math.pi
         if spec.is_tight:
-            return k**3 * (k * k + 1.0) * sk * (ck - cos_theta)
-        sl, cl = math.sin(k * ell), math.cos(k * ell)
-        k2 = k * k
-        bracket = (k2 * k2 + 2 * k2 + 5) * sk * sl - 4 * (k2 + 1) * (ck * cl - cos_theta)
-        return k**5 * sk * bracket
+            # kappa^3 (kappa^2 - 1) sinh(u) (cosh(u) - cos theta), rescaled as
+            # mantissa * e^{2u}
+            k2 = kap * kap
+            em = math.exp(-u)
+            mant = (
+                kap**3
+                * (k2 - 1.0)
+                * 0.25
+                * (1 - em * em)
+                * (1 + em * em - 2 * cos_theta * em)
+            )
+            return _descale(mant, 2 * u)
 
-    kap = x
-    u = kap * math.pi
-    if spec.is_tight:
-        # kappa^3 (kappa^2 - 1) sinh(u) (cosh(u) - cos theta), rescaled as
-        # mantissa * e^{2u}
+        # loose negative: kappa^5 sinh(u) * [4(1-kappa^2)(cosh u cosh v - cos th)
+        #                                    + (kappa^4 - 2 kappa^2 + 5) sinh u sinh v]
+        v = kap * ell
         k2 = kap * kap
-        em = math.exp(-u)
-        mant = (
-            kap**3
-            * (k2 - 1.0)
-            * 0.25
-            * (1 - em * em)
-            * (1 + em * em - 2 * cos_theta * em)
-        )
-        return _descale(mant, 2 * u)
-
-    # loose negative: kappa^5 sinh(u) * [4(1-kappa^2)(cosh u cosh v - cos th)
-    #                                    + (kappa^4 - 2 kappa^2 + 5) sinh u sinh v]
-    v = kap * ell
-    k2 = kap * kap
-    eu, ev = math.exp(-2 * u), math.exp(-2 * v)
-    cc = 0.25 * (1 + eu) * (1 + ev)  # cosh u cosh v * e^{-(u+v)}
-    ss = 0.25 * (1 - eu) * (1 - ev)  # sinh u sinh v * e^{-(u+v)}
-    ct = cos_theta * math.exp(-(u + v))
-    bracket = 4 * (1 - k2) * (cc - ct) + (k2 * k2 - 2 * k2 + 5) * ss
-    sin_u = 0.5 * (1 - eu)  # sinh u * e^{-u}
-    mant = kap**5 * sin_u * bracket
-    return _descale(mant, 2 * u + v)
+        eu, ev = math.exp(-2 * u), math.exp(-2 * v)
+        cc = 0.25 * (1 + eu) * (1 + ev)  # cosh u cosh v * e^{-(u+v)}
+        ss = 0.25 * (1 - eu) * (1 - ev)  # sinh u sinh v * e^{-(u+v)}
+        ct = cos_theta * math.exp(-(u + v))
+        bracket = 4 * (1 - k2) * (cc - ct) + (k2 * k2 - 2 * k2 + 5) * ss
+        sin_u = 0.5 * (1 - eu)  # sinh u * e^{-u}
+        mant = kap**5 * sin_u * bracket
+        return _descale(mant, 2 * u + v)
+    except OverflowError:
+        # x**5 or x**3 past the float range: x > 1.8e61.  Every float past
+        # 2**53 is an integer, so sin(k pi) = 0 exactly on the positive
+        # branch.  On the negative one sinh u, cosh u - cos theta and e^{2u}
+        # are positive and past any float, so the value is the clamp with the
+        # sign of kappa^2 - 1 (tight) or of the loose bracket, which is that
+        # of kappa^2 tanh(kappa ell) - 4 to rounding here (cos theta e^{-u}
+        # and the kappa^-2 terms vanish)
+        if branch == "positive":
+            return 0.0
+        sign = x * x - 1.0 if spec.is_tight else x * x * math.tanh(x * ell) - 4.0
+        return _descale(sign, math.inf)
 
 
 def _descale(mantissa: float, log_scale: float) -> float:
@@ -303,7 +321,10 @@ def _descale(mantissa: float, log_scale: float) -> float:
     log_mag = math.log(abs(mantissa)) + log_scale
     if log_mag > 709.0:
         return math.copysign(1.7976931348623157e308, mantissa)
-    return mantissa * math.exp(log_scale)
+    try:
+        return mantissa * math.exp(log_scale)
+    except OverflowError:  # e^{log_scale} alone is past the float range
+        return math.copysign(math.exp(log_mag), mantissa)
 
 
 def vertex_scattering(n: int, k: float) -> np.ndarray:

@@ -231,13 +231,20 @@ def test_selfcheck_fails_a_vacuous_oracle_row(capsys, monkeypatch):
     assert [r[1] for r in rows if r[0].startswith("oracle_equivalence")] == ["fail"] * 4
 
 
-def test_output_file_and_dir_env(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("argv", [
+    "flat --ell 1 --e-max 5", "bands --ell 1 --k-max 3", "negative --ell-pi",
+    "dispersion --ell 1 --theta 0.3 --k-max 3", "measure --ell 1 --e-max 10 100",
+    "certify --ell 1 --k 4.7 5.7", "asymptotics --ell 20", "scattering --n 3",
+    "selfcheck",
+], ids=lambda argv: argv.split()[0])
+def test_output_file_and_dir_env(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.setenv("RINGCHAIN_OUTPUT_DIR", str(tmp_path))
-    code, out, _ = run_cli(capsys, "flat", "--ell", "1", "--e-max", "5",
-                           "--output", "flat.csv")
+    code, out, _ = run_cli(capsys, *argv.split(), "--output", "report.csv")
     assert code == 0 and out == ""
-    text = (tmp_path / "flat.csv").read_text()
-    assert text.startswith("# ringchain")
+    report = (tmp_path / "report.csv").read_bytes()
+    assert report.startswith(b"# ringchain")
+    code, out, _ = run_cli(capsys, *argv.split())
+    assert code == 0 and out.encode() == report
 
 
 def test_ell_pi_flag_exact(capsys):

@@ -151,6 +151,13 @@ def test_refusals_equal_the_per_point_implementation(ell, branch, lo, hi, error,
     assert type(info.value) is error and str(info.value) == message
 
 
+def test_window_past_the_closed_forms_powers_meets_the_guard():
+    # kappa**5 overflows at the bracket ends; the closed form clamps there,
+    # and the determinant's guard refuses the window
+    with pytest.raises(OverflowGuardError, match="exceeds 700"):
+        match_roots(ChainSpec(1.0), "negative", 1e62, 2e62)
+
+
 def test_warm_up_op_builds_no_spectral_parameter(monkeypatch):
     """The benchmark's warm-up op (ell = 1, theta = 0.3) works on floats: it
     builds no SpectralParameter and makes as many determinant calls as the

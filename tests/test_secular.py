@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -390,6 +391,53 @@ def test_float_kernels_refuse_what_the_objects_refuse(ell, branch):
         assemble_at(spec, "zero", [1.0], q)
     with pytest.raises(ValueError, match="unknown branch 'zero'"):
         closed_form_at(spec, "zero", 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# closed form where its powers of x overflow
+
+_FLOAT_MAX = 1.7976931348623157e308
+
+
+def _closed_form_mp(ell, branch, x, c):
+    """The factored condition that closed_form_at evaluates, in 60 digits
+    and with no exponent range."""
+    with mp.workdps(60):
+        x, ell, c = mp.mpf(x), mp.mpf(ell), mp.mpf(c)
+        if branch == "positive":
+            s, co = mp.sinpi(x), mp.cospi(x)
+            if ell == 0:
+                return x**3 * (x**2 + 1) * s * (co - c)
+            return x**5 * s * ((x**4 + 2 * x**2 + 5) * s * mp.sin(x * ell)
+                               - 4 * (x**2 + 1) * (co * mp.cos(x * ell) - c))
+        u = x * mp.pi
+        if ell == 0:
+            return x**3 * (x**2 - 1) * mp.sinh(u) * (mp.cosh(u) - c)
+        v = x * ell
+        return x**5 * mp.sinh(u) * (4 * (1 - x**2) * (mp.cosh(u) * mp.cosh(v) - c)
+                                    + (x**4 - 2 * x**2 + 5) * mp.sinh(u) * mp.sinh(v))
+
+
+@pytest.mark.parametrize("ell, branch, x", [
+    (1.0, "positive", 1e62), (1.0, "negative", 1e62),  # x**5 overflows
+    (0.0, "positive", 1e103), (0.0, "negative", 1e103),  # x**3 overflows
+    (0.0, "positive", 1e102),  # k^3 (k^2 + 1) overflows, times sin(k pi) = 0
+    (1.0, "positive", 1e154), (1.0, "negative", 1e154),  # largest accepted x
+    # kappa^2 tanh(kappa ell) crosses 4 between these: the bracket's sign
+    (1e-200, "negative", 7.368e66), (1e-200, "negative", 7.369e66),
+    (7.2e5, "negative", 1e-3),  # e^{2u+v} overflows alone, the value is finite
+])
+@pytest.mark.parametrize("theta", [0.0, 0.3, math.pi])
+def test_closed_form_past_the_range_of_its_powers(ell, branch, x, theta):
+    c = math.cos(theta)
+    want = _closed_form_mp(ell, branch, x, c)
+    got = closed_form_at(ChainSpec(ell), branch, x, c)
+    if want == 0:  # sin(k pi) = 0 exactly: every float past 2**53 is an integer
+        assert got == 0.0
+    elif abs(want) > _FLOAT_MAX:
+        assert got == math.copysign(_FLOAT_MAX, want)
+    else:
+        assert got == pytest.approx(float(want), rel=1e-13)
 
 
 # ---------------------------------------------------------------------------
