@@ -1,8 +1,11 @@
 """Low-level numeric helpers shared across the package.
 
-``sincospi`` and ``coth`` are vectorized over numpy arrays and safe for
-scalars.  Brent's root finder comes in two transcriptions of scipy's
-``brentq.c``, each with the same float operations in the same order, so
+``positive_finite`` and ``k_times_ell`` own the package's two refusal
+rules: every k, kappa, link length and window cap that an entry point
+takes must be finite and > 0, and a k*ell that overflows is refused by
+name rather than passed to sin.  ``sincospi`` and ``coth`` are vectorized
+over numpy arrays and safe for scalars.  Brent's root finder comes in two
+transcriptions of scipy's ``brentq.c``, each with the same float operations in the same order, so
 both find the float that scipy's brentq finds: ``brentq_strict`` is a
 plain scalar loop, and ``brentq_batch`` advances many brackets at once on
 numpy arrays, one call of a vectorized f per round.  A round of array
@@ -23,7 +26,23 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["sincospi", "coth", "brentq_strict", "brentq_batch"]
+__all__ = ["positive_finite", "k_times_ell", "sincospi", "coth", "brentq_strict", "brentq_batch"]
+
+
+def positive_finite(name: str, x) -> float:
+    """float(x), or ValueError naming ``name`` unless x is finite and > 0."""
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {x}")
+    return x
+
+
+def k_times_ell(k: float, ell: float) -> float:
+    """k*ell, or ValueError naming k and ell where the product overflows."""
+    kl = k * ell
+    if not math.isfinite(kl):
+        raise ValueError(f"k*ell is not finite for k = {k!r}, ell = {ell!r}")
+    return kl
 
 
 def sincospi(x):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import brentq_strict, coth
+from ._numerics import brentq_strict, coth, positive_finite
 from .bands import positive_bands
 from .errors import LemmaWitnessError, SolverError
 from .model import Band, ChainSpec, Quasimomentum
@@ -157,9 +157,7 @@ def small_l_upper_band(ell: float, q: Quasimomentum) -> SmallEllUpperBand:
 
     Also returns the theta = 0 lower-edge energy -1 - ell*coth(pi/2) and the
     band width 2*ell/sinh(pi), both with O(ell^2) error."""
-    ell = float(ell)
-    if ell <= 0:
-        raise ValueError("ell must be > 0")
+    ell = positive_finite("ell", ell)
     warning = None if ell <= 0.1 else f"ell={ell} outside the small-link regime"
     kappa = 1.0 + 0.5 * ell * math.sinh(math.pi) / (math.cosh(math.pi) - q.cos)
     return SmallEllUpperBand(
@@ -185,9 +183,7 @@ class SmallEllLowerBand:
 
 def small_l_lower_band(ell: float) -> SmallEllLowerBand:
     """kappa = (4/ell)^(1/3) + O(ell^(1/3)), independent of theta."""
-    ell = float(ell)
-    if ell <= 0:
-        raise ValueError("ell must be > 0")
+    ell = positive_finite("ell", ell)
     warning = None if ell <= 0.01 else f"ell={ell} outside the small-link regime"
     kappa = (4.0 / ell) ** (1.0 / 3.0)
     return SmallEllLowerBand(
@@ -212,9 +208,7 @@ class LargeEllSqueeze:
 def large_l_squeeze(ell: float) -> LargeEllSqueeze:
     """For long links the bands concentrate at kappa^2 = 3 +- epsilon with
     epsilon = 4*e^(-pi*sqrt(3)) ~ 0.0173."""
-    ell = float(ell)
-    if ell <= 0:
-        raise ValueError("ell must be > 0")
+    ell = positive_finite("ell", ell)
     warning = None if ell >= 10.0 else f"ell={ell} below the long-link regime"
     eps = 4.0 * math.exp(-math.pi * _SQRT3)
     return LargeEllSqueeze(
@@ -232,9 +226,7 @@ def large_l_gap_spacing(n: int, ell: float) -> float:
     float (ell below ~1e-154)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    ell = float(ell)
-    if ell <= 0:
-        raise ValueError("ell must be > 0")
+    ell = positive_finite("ell", ell)
     try:
         return (2 * n + 1) * (math.pi / ell) ** 2
     except OverflowError:

@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from ._numerics import brentq_batch, brentq_strict, sincospi
+from ._numerics import brentq_batch, brentq_strict, positive_finite, sincospi
 from .errors import SolverError
 from .model import Band, ChainSpec, FlatBand, Quasimomentum, SpectralParameter
 
@@ -210,8 +210,7 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
     every E >= 0: the tight chain's ac spectrum is [0, inf), and on the
     loose chain Phi(n) = +-cos(n ell) and Phi(0) = 1.
     """
-    if not 0 < e_max < math.inf:
-        raise ValueError(f"e_max must be finite and > 0, got {e_max}")
+    e_max = positive_finite("e_max", e_max)
     if spec.is_tight:
         entries = [FlatBand(energy=-1.0, source="kappa_sq_minus_1", embedded=False)]
     else:
@@ -333,8 +332,7 @@ def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
     every open gap are solved in one ``brentq_batch``.  A window of more
     than MAX_WITNESSES witnesses raises ValueError.
     """
-    if not 0 < k_max < math.inf:
-        raise ValueError(f"k_max must be finite and > 0, got {k_max}")
+    k_max = positive_finite("k_max", k_max)
 
     ws, is_open, edges = [], [], []
     # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band

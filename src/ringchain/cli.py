@@ -247,13 +247,9 @@ def _cmd_scattering(args, spec):
 def _cmd_selfcheck(args, spec):
     rng = np.random.default_rng(args.seed)
     rows = []
-    failures = 0
 
     def record(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
         rows.append([name, "pass" if ok else "fail", detail])
-        if not ok:
-            failures += 1
 
     try:
         lemma_witnesses()
@@ -320,7 +316,8 @@ def _cmd_selfcheck(args, spec):
     record("negative_band_dichotomy", n_pi == 1 and n_one == 2,
            f"ell=pi: {n_pi} bands; ell=1: {n_one} bands")
 
-    return (["check", "status", "detail"], rows), {"seed": args.seed}, 3 if failures else 0
+    code = 3 if any(status == "fail" for _, status, _ in rows) else 0
+    return (["check", "status", "detail"], rows), {"seed": args.seed}, code
 
 
 # ---------------------------------------------------------------------------

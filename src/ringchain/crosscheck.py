@@ -29,6 +29,9 @@ from .secular import assemble, closed_form_value  # noqa: F401
 
 __all__ = ["RootMatchReport", "match_roots"]
 
+#: the largest distance at which a closed-form root and a determinant root match
+TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class RootMatchReport:
@@ -53,7 +56,6 @@ def match_roots(
     hi: float,
     n_brackets: int = 200,
     seed: int = 0,
-    tol: float = 1e-7,
     extra_roots: tuple[float, ...] = (),
     theta: float | None = None,
 ) -> RootMatchReport:
@@ -62,7 +64,7 @@ def match_roots(
     Draws ``n_brackets`` random sub-intervals of [lo, hi] at a random
     quasimomentum (or the given ``theta``); wherever exactly one of the two
     functions brackets a root, or the refined roots differ by more than
-    ``tol``, a mismatch is recorded.  ``extra_roots`` adds deterministic
+    TOL, a mismatch is recorded.  ``extra_roots`` adds deterministic
     brackets around known on-shell points so that sparse zero sets are
     still exercised.  A bracket is 0.01 to 0.05 wide, or the whole window
     if that is narrower.
@@ -135,7 +137,7 @@ def match_roots(
     mismatches = tuple(
         out if isinstance(out, str) else
         f"roots differ by {dists[out]:.3e} near {closed_roots[out]:.9g} theta={q.theta:.9g}"
-        for out in outcomes if isinstance(out, str) or dists[out] > tol
+        for out in outcomes if isinstance(out, str) or dists[out] > TOL
     )
     return RootMatchReport(
         spec=spec,

@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from ._numerics import sincospi
+from ._numerics import k_times_ell, positive_finite, sincospi
 
 # phi_positive is unused here: kept importable as ringchain.measure.phi_positive,
 # a name the benchmark's tracer (perfbench/tracing.py) looks up and wraps
@@ -54,8 +54,7 @@ def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
     a gap lies between each pair of consecutive bands, and one more past
     the last band unless the window ends inside it (``truncated_hi``).
     """
-    if not 0 < window_hi < math.inf:
-        raise ValueError(f"window_hi must be finite and > 0, got {window_hi}")
+    window_hi = positive_finite("window_hi", window_hi)
     k_max = math.sqrt(window_hi)
     bands = positive_bands(spec, k_max)
     measure = sum(b.clipped_length(0.0, window_hi) for b in bands)
@@ -90,10 +89,8 @@ def gap_certificate(spec: ChainSpec, k: float) -> GapCertificate:
     """
     if not spec.is_loose:
         raise ValueError("gap certificates are defined for the loose chain")
-    k = float(k)
-    if not math.isfinite(k) or k <= 0:
-        raise ValueError(f"k must be finite and > 0, got {k}")
-    ss = abs(_sin_k_ell(k, spec.link_length) * sincospi(k)[0])
+    k = positive_finite("k", k)
+    ss = abs(math.sin(k_times_ell(k, spec.link_length)) * sincospi(k)[0])
     if r_coefficient(k) * ss > 2.0 + 1e-12:
         return GapCertificate.STRONG
     return GapCertificate.INCONCLUSIVE
@@ -105,16 +102,6 @@ def m_ell_membership(k: float, ell: float) -> bool:
     Joint membership for the link length and for pi implies
     |sin(k ell) sin(k pi)| > 8/k^2 and hence a spectral gap at k^2.
     """
-    k = float(k)
-    ell = float(ell)
-    if k <= 0 or ell <= 0:
-        raise ValueError("k and ell must be > 0")
-    return abs(_sin_k_ell(k, ell)) > 2.0 * math.sqrt(2.0) / k
-
-
-def _sin_k_ell(k: float, ell: float) -> float:
-    """sin(k*ell); a k*ell that overflows raises ValueError, naming k and ell."""
-    kl = k * ell
-    if not math.isfinite(kl):
-        raise ValueError(f"k*ell is not finite for k = {k!r}, ell = {ell!r}")
-    return math.sin(kl)
+    k = positive_finite("k", k)
+    ell = positive_finite("ell", ell)
+    return abs(math.sin(k_times_ell(k, ell))) > 2.0 * math.sqrt(2.0) / k

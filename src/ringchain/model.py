@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._numerics import positive_finite
+
 __all__ = [
     "ChainSpec",
     "SpectralParameter",
@@ -127,15 +129,11 @@ class SpectralParameter:
             raise ValueError(f"energy must be finite, got {e}")
         object.__setattr__(self, "energy", e)
         if e > 0.0:
-            k = math.sqrt(e) if self.k is None else float(self.k)
-            if k <= 0.0:
-                raise ValueError("positive branch requires k > 0")
+            k = math.sqrt(e) if self.k is None else positive_finite("k", self.k)
             object.__setattr__(self, "k", k)
             object.__setattr__(self, "kappa", None)
         elif e < 0.0:
-            kap = math.sqrt(-e) if self.kappa is None else float(self.kappa)
-            if kap <= 0.0:
-                raise ValueError("negative branch requires kappa > 0")
+            kap = math.sqrt(-e) if self.kappa is None else positive_finite("kappa", self.kappa)
             object.__setattr__(self, "kappa", kap)
             object.__setattr__(self, "k", None)
         else:
@@ -152,16 +150,12 @@ class SpectralParameter:
 
     @classmethod
     def from_k(cls, k: float) -> "SpectralParameter":
-        k = float(k)
-        if not math.isfinite(k) or k <= 0.0:
-            raise ValueError(f"k must be finite and > 0, got {k}")
+        k = positive_finite("k", k)
         return cls(energy=k * k, k=k)
 
     @classmethod
     def from_kappa(cls, kappa: float) -> "SpectralParameter":
-        kappa = float(kappa)
-        if not math.isfinite(kappa) or kappa <= 0.0:
-            raise ValueError(f"kappa must be finite and > 0, got {kappa}")
+        kappa = positive_finite("kappa", kappa)
         return cls(energy=-(kappa * kappa), kappa=kappa)
 
 

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._numerics import sincospi
+from ._numerics import k_times_ell, positive_finite, sincospi
 from .errors import OverflowGuardError, SolverError
 from .model import ChainSpec, Quasimomentum, SpectralParameter, make_coupling
 
@@ -251,7 +251,8 @@ def closed_form_at(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> 
     error those calls raise.  An x whose square underflows is zero energy.
     Past x ~ 1.8e61, where x**5 or x**3 overflows, the value is 0 on the
     positive branch (sin(k*pi) = 0 there) and the clamp, with its sign, on
-    the negative one."""
+    the negative one.  On the loose positive branch a k whose product with
+    ell overflows is refused by name (ValueError)."""
     if branch not in _PARAMETER:
         raise ValueError(f"unknown branch {branch!r}")
     if not (x > 0.0 and 0.0 < x * x < math.inf):
@@ -267,7 +268,8 @@ def closed_form_at(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> 
                 value = k**3 * (k * k + 1.0) * sk * (ck - cos_theta)
                 # NaN only as inf * sin(k pi), past k ~ 4e61 where sin(k pi) = 0
                 return value if value == value else 0.0
-            sl, cl = math.sin(k * ell), math.cos(k * ell)
+            kl = k_times_ell(k, ell)
+            sl, cl = math.sin(kl), math.cos(kl)
             k2 = k * k
             bracket = (k2 * k2 + 2 * k2 + 5) * sk * sl - 4 * (k2 + 1) * (ck * cl - cos_theta)
             return k**5 * sk * bracket
@@ -330,21 +332,22 @@ def _descale(mantissa: float, log_scale: float) -> float:
 def vertex_scattering(n: int, k: float) -> np.ndarray:
     """On-shell vertex scattering matrix S(k) for the degree-n coupling.
 
-    S(k) = (k - 1 + (k + 1) U) (k + 1 + (k - 1) U)^{-1}; the two factors
-    commute, so left and right division agree.  S(1) = U, and S(k) is
-    unitary for every k > 0.  The high-energy limit distinguishes the vertex
-    parity: for odd n, S(k) -> I, while for even n the eigenvalue -1 of U is
-    a fixed point of s(k, .) and keeps S(k) at distance 2 from the identity.
+    S(k) = (k - 1 + (k + 1) U) (k + 1 + (k - 1) U)^{-1}.  U is the cyclic
+    shift, so S(k) is the circulant, built by one inverse FFT, with
+    eigenvalue s = (k (1 + lam) - (1 - lam)) / (k (1 + lam) + (1 - lam)) at
+    each n-th root of unity lam, taken from ``sincospi`` so that +-1 are
+    exact.  With k : 1 scaled into (0, 1], S(k) is finite and unitary for
+    every positive float k.  S(1) = U.  The high-energy limit distinguishes
+    the vertex parity: for odd n, S(k) -> I, while for even n the eigenvalue
+    -1 of U is a fixed point of s and keeps S(k) at distance 2 from I.
     """
-    k = float(k)
-    if not math.isfinite(k) or k <= 0.0:
-        raise ValueError(f"k must be finite and > 0, got {k}")
-    u = make_coupling(n)
-    eye = np.eye(n, dtype=complex)
-    num = (k - 1.0) * eye + (k + 1.0) * u
-    den = (k + 1.0) * eye + (k - 1.0) * u
-    try:
-        s = np.linalg.solve(den, num)
-    except np.linalg.LinAlgError as exc:  # not expected for k > 0
-        raise SolverError(f"singular scattering denominator at k={k}") from exc
-    return s
+    k = positive_finite("k", k)
+    make_coupling(n)  # refuses a degree that is not an integer >= 2
+    m = np.arange(n)
+    sin, cos = sincospi(2.0 * m[1:] / n)
+    lam = cos + 1j * sin
+    a, b = (1.0, 1.0 / k) if k >= 1.0 else (k, 1.0)  # k : 1 in (0, 1]
+    plus, minus = a * (1.0 + lam), b * (1.0 - lam)
+    # s(1) = 1 is set, not divided: 2a / 2a overflows for a subnormal k
+    s = np.concatenate(([1.0], (plus - minus) / (plus + minus)))
+    return np.fft.ifft(s)[(m[:, None] - m) % n]

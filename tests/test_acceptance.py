@@ -142,8 +142,7 @@ def test_c07_oracle_equivalence():
         spec = ChainSpec(ell)
         for half, seed in ((1, 20), (2, 21)):
             rep = match_roots(spec, "positive", 0.1, 20.0, n_brackets=100,
-                              seed=seed, tol=1e-7,
-                              extra_roots=(1.0, 2.0, 3.0, 5.0))
+                              seed=seed, extra_roots=(1.0, 2.0, 3.0, 5.0))
             ok &= rep.ok
             matched += rep.matched_roots
         for theta, seed in ((0.4, 30), (2.2, 31)):
@@ -156,7 +155,7 @@ def test_c07_oracle_equivalence():
             else:
                 extra = (1.0,)
             rep = match_roots(spec_neg, "negative", 0.1, 6.0, n_brackets=100,
-                              seed=seed, tol=1e-7, extra_roots=extra,
+                              seed=seed, extra_roots=extra,
                               theta=theta)
             ok &= rep.ok
             matched += rep.matched_roots

@@ -301,6 +301,17 @@ def test_every_command_answers_without_warnings(capsys, argv):
     assert code in (0, 1), err
 
 
+@pytest.mark.parametrize("argv", [
+    "--n 4 --k 1e15", "--n 4 --k 1e16", "--n 6 --k 1e17", "--n 4 --k 5e-324", "--n 3 --k 1e308",
+])
+def test_scattering_answers_at_the_ends_of_the_float_range(capsys, argv):
+    code, out, err = run_cli(capsys, "scattering", *argv.split(), "--format", "json")
+    assert code == 0, err
+    (row,) = json.loads(out)["rows"]
+    assert row["unitarity_residual"] < 1e-12
+    assert row["s_minus_i_norm"] == pytest.approx(0.0 if row["n"] % 2 else 2.0, abs=1e-15)
+
+
 def test_certify_refuses_an_overflowing_k_ell(capsys):
     code, out, err = run_cli(capsys, "certify", "--ell", "1e300", "--k", "1e300")
     assert code == 1 and out == ""

@@ -81,8 +81,11 @@ def test_reports_equal_the_per_point_implementation(source, monkeypatch):
         monkeypatch.setattr(ringchain.crosscheck, "closed_form_at",
                             _flipped(ringchain.crosscheck.closed_form_at))
     entries = [e for e in FROZEN if e["source"] == source]
+    default_tol = ringchain.crosscheck.TOL
     for e in entries:
         call = dict(e["call"])
+        # a frozen call records its match distance as tol; match_roots reads TOL
+        monkeypatch.setattr(ringchain.crosscheck, "TOL", call.pop("tol", default_tol))
         spec = ChainSpec(call.pop("ell"))
         if "extra_roots" in call:
             call["extra_roots"] = tuple(call["extra_roots"])
@@ -118,6 +121,11 @@ def test_window_narrower_than_a_bracket():
 def test_match_roots_rejects_bad_window(lo, hi):
     with pytest.raises(ValueError, match="need finite 0 < lo < hi"):
         match_roots(ChainSpec(1.0), "positive", lo, hi)
+
+
+def test_match_roots_refuses_an_overflowing_k_ell_by_name():
+    with pytest.raises(ValueError, match=r"^k\*ell is not finite for k = 2\d\.\d+, ell = 1e\+307$"):
+        match_roots(ChainSpec(1e307), "positive", 20.0, 21.0, n_brackets=2)
 
 
 def test_nan_in_a_lockstep_round_names_its_bracket(monkeypatch):

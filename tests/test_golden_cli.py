@@ -15,6 +15,13 @@ changed bytes are accounted for:
 
     PYTHONPATH=src python tests/test_golden_cli.py grid > tests/data/cli_json_sha256.json
     PYTHONPATH=src python tests/test_golden_cli.py commands > tests/data/cli_all_sha256.json
+
+To see which runs a change moves, before regenerating anything,
+
+    PYTHONPATH=src python tests/test_golden_cli.py changed
+
+prints each argv of both files whose digest now differs from the recorded
+one, and nothing when all match.
 """
 
 import contextlib
@@ -78,7 +85,7 @@ def _all_argvs():
 
 def _digest(argv) -> str:
     buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code == 0, argv
     return hashlib.sha256(buf.getvalue().encode()).hexdigest()
@@ -111,5 +118,12 @@ def test_every_command_output_is_byte_identical(argv):
 
 
 if __name__ == "__main__":
-    argvs = {"grid": _argvs, "commands": _all_argvs}[sys.argv[1]]()
-    print(json.dumps({" ".join(a): _digest(a) for a in argvs}, indent=1, sort_keys=True))
+    if sys.argv[1] == "changed":
+        for path, argvs in ((DATA, _argvs), (DATA_ALL, _all_argvs)):
+            recorded = json.loads(path.read_text())
+            for a in argvs():
+                if _digest(a) != recorded[" ".join(a)]:
+                    print(" ".join(a))
+    else:
+        argvs = {"grid": _argvs, "commands": _all_argvs}[sys.argv[1]]()
+        print(json.dumps({" ".join(a): _digest(a) for a in argvs}, indent=1, sort_keys=True))

@@ -1,11 +1,13 @@
 """The two Brent transcriptions, bit for bit equal to scipy's brentq and to
-each other, and their failures.
+each other, and their failures; the refusal of a non-positive or
+non-finite argument at every entry point that takes one.
 
 scipy is the oracle here only; ringchain itself does not import it.
 """
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +17,22 @@ import ringchain._numerics
 import ringchain.asymptotics
 import ringchain.bands
 import ringchain.crosscheck
-from ringchain import ChainSpec, Quasimomentum, SolverError, solve_negative_edge
+from ringchain import (
+    ChainSpec,
+    Quasimomentum,
+    SolverError,
+    SpectralParameter,
+    flat_bands,
+    gap_certificate,
+    large_l_gap_spacing,
+    large_l_squeeze,
+    m_ell_membership,
+    small_l_lower_band,
+    small_l_upper_band,
+    solve_negative_edge,
+    spectrum_measure,
+    vertex_scattering,
+)
 from ringchain._numerics import BATCH_MIN, MAXITER, RTOL, XTOL, brentq_batch, brentq_strict
 from ringchain.asymptotics import lemma_witnesses
 from ringchain.bands import _witnesses, dispersion, negative_bands, positive_bands
@@ -29,6 +46,35 @@ def scipy_brentq(f, a, b):
 
 def test_solver_constants():
     assert (XTOL, RTOL, MAXITER) == (1e-13, 8.9e-16, 200)
+
+
+# every argument of an entry point that must be finite and > 0: its name
+# and a call with x in its place
+_POSITIVE_ARGUMENTS = {
+    "flat_bands.e_max": ("e_max", lambda x: flat_bands(ChainSpec(1.0), x)),
+    "positive_bands.k_max": ("k_max", lambda x: positive_bands(ChainSpec(1.0), x)),
+    "spectrum_measure.window_hi": ("window_hi", lambda x: spectrum_measure(ChainSpec(1.0), x)),
+    "gap_certificate.k": ("k", lambda x: gap_certificate(ChainSpec(1.0), x)),
+    "m_ell_membership.k": ("k", lambda x: m_ell_membership(x, 1.0)),
+    "m_ell_membership.ell": ("ell", lambda x: m_ell_membership(1.0, x)),
+    "SpectralParameter.from_k": ("k", SpectralParameter.from_k),
+    "SpectralParameter.from_kappa": ("kappa", SpectralParameter.from_kappa),
+    "SpectralParameter.k": ("k", lambda x: SpectralParameter(1.0, k=x)),
+    "SpectralParameter.kappa": ("kappa", lambda x: SpectralParameter(-1.0, kappa=x)),
+    "vertex_scattering.k": ("k", lambda x: vertex_scattering(3, x)),
+    "small_l_upper_band.ell": ("ell", lambda x: small_l_upper_band(x, Quasimomentum(0.0))),
+    "small_l_lower_band.ell": ("ell", small_l_lower_band),
+    "large_l_squeeze.ell": ("ell", large_l_squeeze),
+    "large_l_gap_spacing.ell": ("ell", lambda x: large_l_gap_spacing(1, x)),
+}
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("argument", _POSITIVE_ARGUMENTS)
+def test_a_non_positive_or_non_finite_argument_is_refused_by_name(argument, x):
+    name, call = _POSITIVE_ARGUMENTS[argument]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and > 0, got {x}")):
+        call(x)
 
 
 # link lengths of the replay: seeded log-uniform, and touching ones where

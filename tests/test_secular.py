@@ -1,6 +1,8 @@
 """Secular system assembly, determinants, closed forms, scattering matrix."""
 
 import math
+import sys
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -440,6 +442,11 @@ def test_closed_form_past_the_range_of_its_powers(ell, branch, x, theta):
         assert got == pytest.approx(float(want), rel=1e-13)
 
 
+def test_closed_form_refuses_an_overflowing_k_ell_by_name():
+    with pytest.raises(ValueError, match=r"^k\*ell is not finite for k = 20\.5, ell = 1e\+307$"):
+        closed_form_at(ChainSpec(1e307), "positive", 20.5, 0.3)
+
+
 # ---------------------------------------------------------------------------
 # scattering matrix
 
@@ -480,6 +487,40 @@ def test_scattering_parity_dichotomy():
     assert all(a > b for a, b in zip(norms3, norms3[1:]))
     for k in (10.0, 1e2, 1e3, 1e4):
         assert np.linalg.norm(vertex_scattering(4, k) - np.eye(4), 2) >= 1.0
+
+
+def _exact_scattering(n, k):
+    """S(k) of the circulant formula, entry by entry in 50-digit arithmetic."""
+    with mp.workdps(50):
+        k = mp.mpf(k)
+        lam = [mp.expjpi(mp.mpf(2 * m) / n) for m in range(n)]
+        s = [(k * (1 + z) - (1 - z)) / (k * (1 + z) + (1 - z)) for z in lam]
+        return np.array([[complex(mp.fsum(s[m] * lam[m] ** (j - i) for m in range(n)) / n)
+                          for i in range(n)] for j in range(n)])
+
+
+# from the least subnormal to the largest float, with k +- 1 rounding to k
+# past 1e16, where a solve of (k + 1 + (k - 1) U) S = k - 1 + (k + 1) U
+# loses the lambda = -1 part of its denominator
+_SCATTERING_KS = (
+    5e-324, 1e-310, 1e-200, 1e-3, 0.1, 1.0, 7.0, 1e3, 1e15, 1e16, 1e17, 1e200,
+    1e308, sys.float_info.max, *map(float, np.geomspace(1e-300, 1e300, 61)),
+)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scattering_is_finite_and_unitary_at_every_positive_float(n):
+    eye = np.eye(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in _SCATTERING_KS:
+            s = vertex_scattering(n, k)
+            assert np.isfinite(s).all(), k
+            assert np.linalg.norm(s.conj().T @ s - eye, 2) < 1e-12, k
+            if n % 2 == 0 and k >= 1e3:  # the eigenvalue -1 of U stays -1
+                assert np.linalg.norm(s - eye, 2) == pytest.approx(2.0, abs=1e-15), k
+    for k in (5e-324, 1e-3, 1.0, 7.0, 1e15, 1e16, sys.float_info.max):
+        assert np.abs(vertex_scattering(n, k) - _exact_scattering(n, k)).max() < 1e-15
 
 
 def test_scattering_rejects_bad_k():
