@@ -34,5 +34,7 @@ for ell in (0.5, 1.0, math.pi):
     print(f"  fitted decay exponent: fraction ~ K^{slope:.3f}")
     print()
 
-print("The fraction falls roughly like K^(-1/2): band widths shrink like")
-print("1/k in the wavenumber while the window grows like k^2.")
+print("At link lengths 0.5 and 1 the fit is near K^(-0.7), steeper than")
+print("K^(-1/2).  Only at link length pi, where the anchors k = n and")
+print("k = m pi/ell coincide and neighbouring bands touch, does the fraction")
+print("fall like K^(-1/2).")

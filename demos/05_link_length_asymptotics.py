@@ -52,7 +52,7 @@ print(f"  neighboring positive bands sit ~ (2n+1)(pi/ell)^2 apart: "
 
 print()
 print("set convergence with nonuniformity (window [0, 25]):")
-rep = set_convergence_check([0.1, 0.01], e_max=25.0)
+rep = set_convergence_check([0.1, 0.01])
 for row in rep["rows"]:
     print(f"  ell = {row['ell']:5.2f}   one-sided Hausdorff distance = "
           f"{row['hausdorff_to_tight']:.4f}   first half-gapped window "

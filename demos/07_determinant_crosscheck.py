@@ -1,6 +1,6 @@
 """Two derivations, one zero set: determinant vs closed forms.
 
-The band solvers use factored scalar spectral conditions.  As an
+The closed forms are factored scalar spectral conditions.  As an
 independent check, the full fiber linear system (8 unknowns for the tight
 cell, 12 for the loose one) is assembled directly from the quasi-periodic
 boundary conditions and the vertex matching, and its determinant is
@@ -30,6 +30,7 @@ for ell in (0.0, 1.0, math.pi):
               f"mismatches: {len(rep.mismatches)}")
 
 print()
-print("The determinant is only a derivation oracle: band extraction always")
-print("runs on the closed forms, which stay finite at any energy thanks to")
-print("their exponential rescaling.")
+print("The determinant and the closed forms are derivation oracles for each")
+print("other.  Band edges are solved on neither: they are solved on the reduced")
+print("dispersions of ringchain.bands (Phi -+ 1 on the positive branch, and its")
+print("rescaled form f_shifted on the negative one).")

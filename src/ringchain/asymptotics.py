@@ -266,23 +266,22 @@ def _gap_fraction(bands: list[Band], lo: float, hi: float) -> float:
 _WINDOW_WIDTH = 10.0
 _GAP_THRESHOLD = 0.5
 _SEARCH_CAP = 12000.0
+_E_MAX = 25.0  # the Hausdorff distance covers the tight spectrum on [0, _E_MAX]
 
 
-def set_convergence_check(ell_list: list[float], e_max: float = 25.0) -> dict:
+def set_convergence_check(ell_list: list[float]) -> dict:
     """Quantify spectral set convergence as the link shrinks.
 
     For each ell (the list must be decreasing) computes (a) the one-sided
-    Hausdorff distance from the tight positive spectrum [0, e_max] to the
+    Hausdorff distance from the tight positive spectrum [0, 25] to the
     loose one, which must shrink with ell, and (b) a non-uniformity witness:
     the first energy window [K, K + 10] whose gap fraction exceeds 1/2.
     Gaps always dominate again at high enough energy, so the witness exists
     for every ell > 0; the threshold K grows as the link shrinks.  One band
-    list serves both: [0, e_max] is a prefix of the witness search range."""
+    list serves both: [0, 25] is a prefix of the witness search range."""
     ells = [float(x) for x in ell_list]
     if any(b >= a for a, b in zip(ells, ells[1:])):
         raise ValueError("ell_list must be strictly decreasing")
-    if not 0 < e_max <= 100.0:
-        raise ValueError("e_max must be in (0, 100]")
 
     rows = []
     for ell in ells:
@@ -302,11 +301,11 @@ def set_convergence_check(ell_list: list[float], e_max: float = 25.0) -> dict:
         rows.append(
             {
                 "ell": ell,
-                "hausdorff_to_tight": _one_sided_hausdorff(e_max, bands),
+                "hausdorff_to_tight": _one_sided_hausdorff(_E_MAX, bands),
                 "witness_window_lo": witness_k,
                 "witness_gap_fraction": _gap_fraction(
                     bands, witness_k, witness_k + _WINDOW_WIDTH
                 ),
             }
         )
-    return {"e_max": e_max, "window_width": _WINDOW_WIDTH, "rows": rows}
+    return {"e_max": _E_MAX, "window_width": _WINDOW_WIDTH, "rows": rows}

@@ -265,7 +265,7 @@ def _phi_minus(spec: ChainSpec, k, c):
     """Phi(k) - c for a loose chain: k a float, or an array; c a float, or
     an array of +-1 the shape of k.
 
-    For c = +-1 it is -2 sin^2(h) - (r - 1) g resp. 2 cos^2(h) - (r - 1) g,
+    For c = +-1 it is -2 c t^2 - (r - 1) g, t = sin(h) resp. cos(h), with
     h = k (pi + ell)/2: near an edge both terms are small and each keeps its
     relative precision, so the sign is right where they agree to rounding,
     also across gaps far narrower than the rounding of Phi itself.  Squares
@@ -276,15 +276,11 @@ def _phi_minus(spec: ChainSpec, k, c):
         return phi_positive(spec, k) - c
     xp = math if isinstance(k, float) else np
     h = 0.5 * k * (math.pi + spec.link_length)
-    if not isinstance(c, float):
-        s, co = np.sin(h), np.cos(h)
-        head = np.where(c > 0.0, -2.0 * (s * s), 2.0 * (co * co))
-    elif c > 0.0:
-        s = xp.sin(h)
-        head = -2.0 * (s * s)
+    if isinstance(c, float):
+        t = xp.sin(h) if c > 0.0 else xp.cos(h)
     else:
-        co = xp.cos(h)
-        head = 2.0 * (co * co)
+        t = np.where(c > 0.0, np.sin(h), np.cos(h))
+    head = -2.0 * c * (t * t)
     k2 = k * k
     d = k2 - 1.0
     g = sincospi(k)[0] * xp.sin(k * spec.link_length)
@@ -384,7 +380,6 @@ def _band(lo, hi, touches=(), truncated_hi=False, negative=False) -> Band:
         e_hi=sign * (k_hi * k_hi),
         edge_theta_lo=theta_lo,
         edge_theta_hi=theta_hi,
-        kind="negative-ac" if negative else "positive-ac",
         truncated_hi=truncated_hi,
         touch_energies=tuple(touches),
     )

@@ -46,7 +46,7 @@ from .crosscheck import match_roots
 from .errors import LemmaWitnessError, RingChainError, SolverError
 from .measure import GapCertificate, gap_certificate, m_ell_membership, spectrum_measure
 from .model import ChainSpec, Quasimomentum, make_coupling
-from .secular import vertex_scattering
+from .secular import s_minus_i_norm, vertex_scattering
 
 __all__ = ["main"]
 
@@ -232,14 +232,8 @@ def _cmd_scattering(args, spec):
     eye = np.eye(args.n)
     for k in args.k:
         s = vertex_scattering(args.n, k)
-        rows.append(
-            [
-                args.n,
-                k,
-                float(np.linalg.norm(s - eye, 2)),
-                float(np.linalg.norm(s.conj().T @ s - eye, 2)),
-            ]
-        )
+        residual = float(np.linalg.norm(s.conj().T @ s - eye, 2))
+        rows.append([args.n, k, s_minus_i_norm(args.n, k), residual])
     cfg = {"n": args.n, "k": ",".join(_fmt(k) for k in args.k)}
     return (["n", "k", "s_minus_i_norm", "unitarity_residual"], rows), cfg, 0
 
@@ -272,8 +266,7 @@ def _cmd_selfcheck(args, spec):
         )
         record(f"scattering_unitary_n{n}", worst < 1e-10, f"worst residual {worst:.2e}")
 
-    parity_small = float(np.linalg.norm(vertex_scattering(3, 1e4) - np.eye(3), 2))
-    parity_big = float(np.linalg.norm(vertex_scattering(4, 1e4) - np.eye(4), 2))
+    parity_small, parity_big = s_minus_i_norm(3, 1e4), s_minus_i_norm(4, 1e4)
     record("scattering_parity", parity_small < 1e-3 and parity_big >= 1.0,
            f"odd {parity_small:.2e}; even {parity_big:.2e}")
 

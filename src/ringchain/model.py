@@ -21,7 +21,7 @@ All types are immutable value objects and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,13 +115,13 @@ class SpectralParameter:
     """Energy E together with its branch parametrization.
 
     Positive branch: E = k^2 with k > 0.  Negative branch: E = -kappa^2 with
-    kappa > 0.  The constructing parameter is stored, so round trips through
-    ``from_k``/``from_kappa`` are exact.
+    kappa > 0, each derived from E; ``from_k``/``from_kappa`` keep theirs, so
+    round trips through them are exact, unless its square underflows to 0.
     """
 
     energy: float
-    k: float | None = None
-    kappa: float | None = None
+    k: float | None = field(default=None, init=False)
+    kappa: float | None = field(default=None, init=False)
 
     def __post_init__(self):
         e = float(self.energy)
@@ -129,16 +129,9 @@ class SpectralParameter:
             raise ValueError(f"energy must be finite, got {e}")
         object.__setattr__(self, "energy", e)
         if e > 0.0:
-            k = math.sqrt(e) if self.k is None else positive_finite("k", self.k)
-            object.__setattr__(self, "k", k)
-            object.__setattr__(self, "kappa", None)
+            object.__setattr__(self, "k", math.sqrt(e))
         elif e < 0.0:
-            kap = math.sqrt(-e) if self.kappa is None else positive_finite("kappa", self.kappa)
-            object.__setattr__(self, "kappa", kap)
-            object.__setattr__(self, "k", None)
-        else:
-            object.__setattr__(self, "k", None)
-            object.__setattr__(self, "kappa", None)
+            object.__setattr__(self, "kappa", math.sqrt(-e))
 
     @property
     def branch(self) -> str:
@@ -151,17 +144,24 @@ class SpectralParameter:
     @classmethod
     def from_k(cls, k: float) -> "SpectralParameter":
         k = positive_finite("k", k)
-        return cls(energy=k * k, k=k)
+        sp = cls(energy=k * k)
+        if sp.k is not None:  # keep k itself, not sqrt(k^2)
+            object.__setattr__(sp, "k", k)
+        return sp
 
     @classmethod
     def from_kappa(cls, kappa: float) -> "SpectralParameter":
         kappa = positive_finite("kappa", kappa)
-        return cls(energy=-(kappa * kappa), kappa=kappa)
+        sp = cls(energy=-(kappa * kappa))
+        if sp.kappa is not None:
+            object.__setattr__(sp, "kappa", kappa)
+        return sp
 
 
 @dataclass(frozen=True)
 class Band:
-    """One absolutely continuous spectral band, as an energy interval.
+    """One absolutely continuous spectral band, as an energy interval; its
+    branch is the sign of its energies (E = k^2 >= 0, or E = -kappa^2 < 0).
 
     ``edge_theta_lo``/``edge_theta_hi`` give the quasimomentum at which the
     band edge is attained: 0 where the dispersion equals +1 and -pi where it
@@ -178,7 +178,6 @@ class Band:
     e_hi: float
     edge_theta_lo: float
     edge_theta_hi: float
-    kind: str  # 'positive-ac' or 'negative-ac'
     truncated_lo: bool = False
     truncated_hi: bool = False
     touch_energies: tuple[float, ...] = ()
@@ -186,8 +185,6 @@ class Band:
     def __post_init__(self):
         if self.e_lo > self.e_hi:
             raise ValueError(f"band has e_lo={self.e_lo} > e_hi={self.e_hi}")
-        if self.kind not in ("positive-ac", "negative-ac"):
-            raise ValueError(f"unknown band kind {self.kind!r}")
 
     @property
     def width(self) -> float:

@@ -35,6 +35,7 @@ __all__ = [
     "closed_form_value",
     "closed_form_at",
     "vertex_scattering",
+    "s_minus_i_norm",
 ]
 
 #: beyond this value of kappa*max(pi, ell) the raw system entries overflow;
@@ -329,6 +330,17 @@ def _descale(mantissa: float, log_scale: float) -> float:
         return math.copysign(math.exp(log_mag), mantissa)
 
 
+def _eigen_halves(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) = (a (1 + lam), b (1 - lam)) at each n-th root of unity
+    lam != 1, k : 1 scaled to a : b in (0, 1]; s = (plus - minus)/(plus + minus)."""
+    k = positive_finite("k", k)
+    make_coupling(n)  # refuses a degree that is not an integer >= 2
+    sin, cos = sincospi(2.0 * np.arange(1, n) / n)
+    lam = cos + 1j * sin
+    a, b = (1.0, 1.0 / k) if k >= 1.0 else (k, 1.0)
+    return a * (1.0 + lam), b * (1.0 - lam)
+
+
 def vertex_scattering(n: int, k: float) -> np.ndarray:
     """On-shell vertex scattering matrix S(k) for the degree-n coupling.
 
@@ -341,13 +353,16 @@ def vertex_scattering(n: int, k: float) -> np.ndarray:
     the vertex parity: for odd n, S(k) -> I, while for even n the eigenvalue
     -1 of U is a fixed point of s and keeps S(k) at distance 2 from I.
     """
-    k = positive_finite("k", k)
-    make_coupling(n)  # refuses a degree that is not an integer >= 2
-    m = np.arange(n)
-    sin, cos = sincospi(2.0 * m[1:] / n)
-    lam = cos + 1j * sin
-    a, b = (1.0, 1.0 / k) if k >= 1.0 else (k, 1.0)  # k : 1 in (0, 1]
-    plus, minus = a * (1.0 + lam), b * (1.0 - lam)
+    plus, minus = _eigen_halves(n, k)
     # s(1) = 1 is set, not divided: 2a / 2a overflows for a subnormal k
     s = np.concatenate(([1.0], (plus - minus) / (plus + minus)))
+    m = np.arange(n)
     return np.fft.ifft(s)[(m[:, None] - m) % n]
+
+
+def s_minus_i_norm(n: int, k: float) -> float:
+    """||S(k) - I||_2 = max |s - 1| over S's eigenvalues, S being circulant:
+    s - 1 = -2 b (1 - lam)/(a (1 + lam) + b (1 - lam)) keeps its relative
+    precision, where S - I formed from S keeps only S's absolute one."""
+    plus, minus = _eigen_halves(n, k)
+    return float(np.abs(2.0 * minus / (plus + minus)).max())

@@ -187,7 +187,7 @@ def test_c09_scattering_parity():
 
 
 def test_c10_set_convergence_nonuniform():
-    rep = set_convergence_check([0.1, 0.01], e_max=25.0)
+    rep = set_convergence_check([0.1, 0.01])
     rows = rep["rows"]
     ok = rows[0]["hausdorff_to_tight"] > rows[1]["hausdorff_to_tight"]
     ok &= all(r["witness_gap_fraction"] > 0.5 for r in rows)

@@ -372,7 +372,7 @@ def test_gap_spacing_anchors_and_distance_ell50():
 
 
 def test_set_convergence_decreasing_hausdorff_with_witnesses():
-    rep = set_convergence_check([0.1, 0.01], e_max=25.0)
+    rep = set_convergence_check([0.1, 0.01])
     rows = rep["rows"]
     assert rows[0]["hausdorff_to_tight"] > rows[1]["hausdorff_to_tight"]
     assert all(r["witness_gap_fraction"] > 0.5 for r in rows)
@@ -418,5 +418,3 @@ def test_hausdorff_at_e_max_inside_first_gap_ell2():
 def test_set_convergence_validates_input():
     with pytest.raises(ValueError):
         set_convergence_check([0.01, 0.1])
-    with pytest.raises(ValueError):
-        set_convergence_check([0.1], e_max=500.0)

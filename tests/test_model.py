@@ -94,6 +94,15 @@ def test_spectral_parameter_roundtrip_exact():
     assert SpectralParameter(0.0).branch == "zero"
 
 
+def test_spectral_parameter_keeps_its_constructing_argument():
+    # k^2 = 1e-320 is subnormal and sqrt of it is not 1e-160; 1e-200
+    # squares to E = 0, which has neither k nor kappa
+    assert SpectralParameter.from_k(1e-160).k == 1e-160 != math.sqrt(1e-320)
+    assert SpectralParameter.from_kappa(1e-160).kappa == 1e-160
+    for sp in (SpectralParameter.from_k(1e-200), SpectralParameter.from_kappa(1e-200)):
+        assert sp.branch == "zero" and sp.k is None and sp.kappa is None
+
+
 def test_spectral_parameter_random_roundtrip():
     rng = np.random.default_rng(7)
     es = rng.uniform(-100.0, 100.0, 1000)
@@ -134,8 +143,15 @@ def test_value_types_immutable():
 
 def test_band_validates_interval():
     with pytest.raises(ValueError):
-        Band(e_lo=2.0, e_hi=1.0, edge_theta_lo=0.0, edge_theta_hi=0.0,
-             kind="positive-ac")
-    with pytest.raises(ValueError):
-        Band(e_lo=0.0, e_hi=1.0, edge_theta_lo=0.0, edge_theta_hi=0.0,
-             kind="mystery")
+        Band(e_lo=2.0, e_hi=1.0, edge_theta_lo=0.0, edge_theta_hi=0.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpectralParameter(4.41, k=2.5),
+    lambda: SpectralParameter(-4.0, kappa=3.0),
+    lambda: Band(-4.0, -2.0, 0.0, 0.0, kind="positive-ac"),
+], ids=["k", "kappa", "kind"])
+def test_a_contradictory_value_cannot_be_built(build):
+    # k, kappa and the branch follow from the energy; none is an argument
+    with pytest.raises(TypeError):
+        build()

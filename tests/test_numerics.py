@@ -38,6 +38,7 @@ from ringchain.asymptotics import lemma_witnesses
 from ringchain.bands import _witnesses, dispersion, negative_bands, positive_bands
 from ringchain.cli import main
 from ringchain.crosscheck import match_roots
+from ringchain.secular import s_minus_i_norm
 
 
 def scipy_brentq(f, a, b):
@@ -59,9 +60,8 @@ _POSITIVE_ARGUMENTS = {
     "m_ell_membership.ell": ("ell", lambda x: m_ell_membership(1.0, x)),
     "SpectralParameter.from_k": ("k", SpectralParameter.from_k),
     "SpectralParameter.from_kappa": ("kappa", SpectralParameter.from_kappa),
-    "SpectralParameter.k": ("k", lambda x: SpectralParameter(1.0, k=x)),
-    "SpectralParameter.kappa": ("kappa", lambda x: SpectralParameter(-1.0, kappa=x)),
     "vertex_scattering.k": ("k", lambda x: vertex_scattering(3, x)),
+    "s_minus_i_norm.k": ("k", lambda x: s_minus_i_norm(3, x)),
     "small_l_upper_band.ell": ("ell", lambda x: small_l_upper_band(x, Quasimomentum(0.0))),
     "small_l_lower_band.ell": ("ell", small_l_lower_band),
     "large_l_squeeze.ell": ("ell", large_l_squeeze),
