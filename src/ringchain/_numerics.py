@@ -1,9 +1,10 @@
 """Low-level numeric helpers shared across the package.
 
-``positive_finite`` and ``k_times_ell`` own the package's two refusal
-rules: every k, kappa, link length and window cap that an entry point
-takes must be finite and > 0, and a k*ell that overflows is refused by
-name rather than passed to sin.  ``sincospi`` and ``coth`` are vectorized
+``positive_finite``, ``k_times_ell`` and ``vertex_degree`` own the
+package's refusal rules: every k, kappa, link length and window cap that an
+entry point takes must be finite and > 0, a k*ell that overflows is refused
+by name rather than passed to sin, and a vertex degree is an integer from 2
+to 4096.  ``sincospi`` and ``coth`` are vectorized
 over numpy arrays and safe for scalars.  Brent's root finder comes in two
 transcriptions of scipy's ``brentq.c``, each with the same float operations in the same order, so
 both find the float that scipy's brentq finds: ``brentq_strict`` is a
@@ -26,7 +27,15 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["positive_finite", "k_times_ell", "sincospi", "coth", "brentq_strict", "brentq_batch"]
+__all__ = ["positive_finite", "k_times_ell", "vertex_degree", "sincospi", "coth",
+           "brentq_strict", "brentq_batch"]
+
+#: The most gap witnesses, flat bands or n x n matrix entries one call may
+#: visit.  A window [0, k_max^2] holds about k_max (pi + ell)/pi witnesses:
+#: 1.3e6 at ell = 1 and E = 1e12.  A call that would visit more raises
+#: ValueError before any loop or allocation, where it would otherwise run for
+#: hours or exhaust memory (e.g. ell = 1e300, k_max = 1e300, or n = 1e6).
+MAX_WITNESSES = 2**24
 
 
 def positive_finite(name: str, x) -> float:
@@ -43,6 +52,17 @@ def k_times_ell(k: float, ell: float) -> float:
     if not math.isfinite(kl):
         raise ValueError(f"k*ell is not finite for k = {k!r}, ell = {ell!r}")
     return kl
+
+
+def vertex_degree(n) -> int:
+    """n as an int, refused unless an integer with 2 <= n <= isqrt(MAX_WITNESSES) = 4096."""
+    if not isinstance(n, (int, np.integer)):
+        raise TypeError(f"degree must be an integer, got {type(n).__name__}")
+    if n < 2:
+        raise ValueError(f"vertex degree must be >= 2, got {n}")
+    if n > math.isqrt(MAX_WITNESSES):
+        raise ValueError(f"vertex degree must be <= {math.isqrt(MAX_WITNESSES)}, got {n}")
+    return int(n)
 
 
 def sincospi(x):

@@ -146,7 +146,6 @@ class SmallEllUpperBand:
     ell: float
     theta: float
     kappa_pred: float
-    energy_pred: float
     lower_edge_energy_pred: float  # at theta = 0
     width_pred: float
     regime_warning: str | None
@@ -164,7 +163,6 @@ def small_l_upper_band(ell: float, q: Quasimomentum) -> SmallEllUpperBand:
         ell=ell,
         theta=q.theta,
         kappa_pred=kappa,
-        energy_pred=-(kappa * kappa),
         lower_edge_energy_pred=-1.0 - ell * coth(math.pi / 2.0),
         width_pred=2.0 * ell / math.sinh(math.pi),
         regime_warning=warning,
@@ -177,7 +175,6 @@ class SmallEllLowerBand:
 
     ell: float
     kappa_pred: float
-    energy_pred: float
     regime_warning: str | None
 
 
@@ -189,18 +186,17 @@ def small_l_lower_band(ell: float) -> SmallEllLowerBand:
     return SmallEllLowerBand(
         ell=ell,
         kappa_pred=kappa,
-        energy_pred=-(kappa * kappa),
         regime_warning=warning,
     )
 
 
 @dataclass(frozen=True)
 class LargeEllSqueeze:
-    """Predicted squeezing of the negative band pair around energy -3."""
+    """Predicted squeezing of the negative band pair around energy -3, at
+    kappa^2 = 3 +- epsilon."""
 
     ell: float
     epsilon: float
-    kappa_sq_pair: tuple[float, float]  # (3 - eps, 3 + eps)
     energy_pair: tuple[float, float]  # (-3 - eps, -3 + eps)
     regime_warning: str | None
 
@@ -214,7 +210,6 @@ def large_l_squeeze(ell: float) -> LargeEllSqueeze:
     return LargeEllSqueeze(
         ell=ell,
         epsilon=eps,
-        kappa_sq_pair=(3.0 - eps, 3.0 + eps),
         energy_pair=(-3.0 - eps, -3.0 + eps),
         regime_warning=warning,
     )

@@ -51,7 +51,7 @@ import math
 
 import numpy as np
 
-from ._numerics import brentq_batch, brentq_strict, positive_finite, sincospi
+from ._numerics import MAX_WITNESSES, brentq_batch, brentq_strict, positive_finite, sincospi
 from .errors import SolverError
 from .model import Band, ChainSpec, FlatBand, Quasimomentum, SpectralParameter
 
@@ -79,13 +79,6 @@ _ABOVE_SQRT3 = math.nextafter(_SQRT3, 2.0)
 _CAP_LIMIT = 2.0**255
 
 _THETA_PI = -math.pi  # canonical representative of the cos(theta) = -1 edge
-
-#: The most gap witnesses (or flat bands) one call may visit.  A window
-#: [0, k_max^2] holds about k_max (pi + ell)/pi witnesses: 1.3e6 at ell = 1
-#: and E = 1e12.  A call that would visit more raises ValueError before any
-#: loop or allocation, where it would otherwise run for hours or exhaust
-#: memory (e.g. ell = 1e300, or k_max = 1e300).
-MAX_WITNESSES = 2**24
 
 
 def __getattr__(name):
@@ -237,7 +230,8 @@ def _witness_range(spec: ChainSpec, k_lo: float, k_hi: float) -> tuple[int, floa
     [k_lo, k_hi]: j0 = max(floor(k_lo (pi + ell)/pi) - 1, 0), and the first
     witness at or past k_hi is about number ceil(top), top = k_hi (pi + ell)/pi.
 
-    Raises ValueError when ceil(top) - j0 exceeds MAX_WITNESSES.
+    Raises ValueError when ceil(top) - j0 exceeds MAX_WITNESSES, and then
+    when ulp(k_hi) >= pi/(pi + ell) (at ell = 1, k_hi >= 2^52).
     """
     s = math.pi + spec.link_length
     top = k_hi * s / math.pi
@@ -246,6 +240,11 @@ def _witness_range(spec: ChainSpec, k_lo: float, k_hi: float) -> tuple[int, floa
         raise ValueError(
             f"[{k_lo!r}, {k_hi!r}] at ell = {spec.link_length!r} holds about "
             f"{top - j0:.3g} gap witnesses, more than MAX_WITNESSES = {MAX_WITNESSES}"
+        )
+    if math.ulp(k_hi) >= math.pi / s:  # the witnesses there are not distinct floats
+        raise ValueError(
+            f"k_max = {k_hi!r} at ell = {spec.link_length!r}: floats there are "
+            f"{math.ulp(k_hi):.3g} apart, not below the witness spacing {math.pi / s:.3g}"
         )
     return j0, top
 
@@ -491,7 +490,8 @@ def dispersion(
     one array call, and the roots are solved in one ``brentq_batch``.  A
     tangent root, where Phi only touches +-1 at a witness of a closed gap,
     is not a crossing and is not returned.  A range of more than
-    MAX_WITNESSES witnesses (for the tight chain, a k_max above it) raises
+    MAX_WITNESSES witnesses (for the tight chain, a k_max above it), or one
+    whose witnesses are not distinct floats (see ``_witness_range``), raises
     ValueError.
     """
     lo, hi = (float(k_range[0]), float(k_range[1]))

@@ -10,9 +10,10 @@ round-trip exact, and identical configurations produce byte-identical
 output.  JSON output is strict: a non-finite value is null there, and inf
 or nan in CSV.
 
-Exit codes: 0 success, 1 invalid arguments (a window of more than
-MAX_WITNESSES = 2**24 gap witnesses or flat bands among them, refused
-before any work), 2 solver failure, 3 selfcheck failure.
+Exit codes: 0 success, 1 invalid arguments (refused before any work: a
+window of more than MAX_WITNESSES = 2**24 gap witnesses or flat bands, or
+of witnesses that are not distinct floats, or a degree n > 4096), 2 solver
+failure, 3 selfcheck failure.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
+from ._numerics import vertex_degree
 from .asymptotics import (
     large_l_gap_spacing,
     large_l_squeeze,
@@ -51,7 +52,6 @@ from .secular import s_minus_i_norm, vertex_scattering
 __all__ = ["main"]
 
 _SCHEMA_VERSION = 1
-_OUTPUT_DIR_ENV = "RINGCHAIN_OUTPUT_DIR"
 
 
 def _fmt(x) -> str:
@@ -112,20 +112,8 @@ def _write_report(args, columns: list[str], rows: list[list], config: dict) -> N
     if args.output == "-":
         sys.stdout.write(payload)
         return
-    path = args.output
-    out_dir = os.environ.get(_OUTPUT_DIR_ENV)
-    if out_dir and not os.path.isabs(path):
-        path = os.path.join(out_dir, path)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(payload)
-
-
-def _chain_spec(args) -> ChainSpec:
-    if args.ell_pi:
-        if args.ell is not None:
-            raise ValueError("--ell and --ell-pi are mutually exclusive")
-        return ChainSpec(math.pi)
-    return ChainSpec(args.ell if args.ell is not None else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +174,6 @@ def _cmd_certify(args, spec):
 
 def _cmd_asymptotics(args, spec):
     ell = spec.link_length
-    if ell <= 0:
-        raise ValueError("asymptotics requires a loose chain (ell > 0)")
     q0 = Quasimomentum(0.0)
     rows = []
 
@@ -229,7 +215,7 @@ def _cmd_asymptotics(args, spec):
 
 def _cmd_scattering(args, spec):
     rows = []
-    eye = np.eye(args.n)
+    eye = np.eye(vertex_degree(args.n))
     for k in args.k:
         s = vertex_scattering(args.n, k)
         residual = float(np.linalg.norm(s.conj().T @ s - eye, 2))
@@ -317,6 +303,10 @@ def _cmd_selfcheck(args, spec):
 # parser
 
 
+def ell(text: str) -> float:  # the name argparse puts in "invalid ell value"
+    return math.pi if text == "pi" else float(text)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         raise ValueError(message)
@@ -327,16 +317,13 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ringchain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ell=True):
-        if ell:
-            p.add_argument("--ell", type=float, default=None,
-                           help="connecting link length (default 0: tight chain)")
-            p.add_argument("--ell-pi", action="store_true",
-                           help="set the link length to pi exactly")
+    def common(p, with_ell=True):
+        if with_ell:
+            p.add_argument("--ell", type=ell, default=0.0,
+                           help="connecting link length, or pi for the float nearest pi "
+                                "(default 0: tight chain)")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--output", default="-",
-                       help="output path, or - for standard output; relative "
-                            f"paths resolve against ${_OUTPUT_DIR_ENV} when set")
+        p.add_argument("--output", default="-", help="output path, or - for standard output")
 
     p = sub.add_parser("flat", help="flat bands up to an energy cap")
     common(p)
@@ -375,14 +362,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_asymptotics)
 
     p = sub.add_parser("scattering", help="vertex scattering matrix diagnostics")
-    common(p, ell=False)
+    common(p, with_ell=False)
     p.add_argument("--n", type=int, required=True, help="vertex degree")
     p.add_argument("--k", type=float, nargs="+",
                    default=[1.0, 10.0, 100.0, 1000.0, 10000.0])
     p.set_defaults(func=_cmd_scattering)
 
     p = sub.add_parser("selfcheck", help="run the built-in validation suite")
-    common(p, ell=False)
+    common(p, with_ell=False)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_selfcheck)
 
@@ -400,7 +387,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         # scattering and selfcheck take no --ell and echo no ell
-        spec = _chain_spec(args) if "ell" in args else None
+        spec = ChainSpec(args.ell) if "ell" in args else None
         (columns, rows), config, code = args.func(args, spec)
         config.update(version=__version__, command=args.command, format=args.format)
         if spec is not None:

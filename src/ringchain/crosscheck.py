@@ -35,9 +35,9 @@ TOL = 1e-7
 
 @dataclass(frozen=True)
 class RootMatchReport:
-    """Outcome of one zero-set comparison sweep."""
+    """Outcome of one zero-set comparison sweep of ``match_roots``; the
+    chain is the caller's argument."""
 
-    spec: ChainSpec
     branch: str
     brackets: int
     matched_roots: int
@@ -140,7 +140,6 @@ def match_roots(
         for out in outcomes if isinstance(out, str) or dists[out] > TOL
     )
     return RootMatchReport(
-        spec=spec,
         branch=branch,
         brackets=len(pairs),
         matched_roots=len(solves),

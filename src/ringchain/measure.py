@@ -30,10 +30,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MeasureReport:
-    """Band/gap bookkeeping for the energy window [0, K]."""
+    """Band/gap bookkeeping for the energy window [0, K] of
+    ``spectrum_measure``; the chain and K are the caller's arguments."""
 
-    spec: ChainSpec
-    window_hi: float
     measure: float
     fraction: float
     band_count: int
@@ -61,8 +60,6 @@ def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
     measure = min(measure, window_hi)
 
     return MeasureReport(
-        spec=spec,
-        window_hi=window_hi,
         measure=measure,
         fraction=measure / window_hi,
         band_count=len(bands),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._numerics import positive_finite
+from ._numerics import positive_finite, vertex_degree
 
 __all__ = [
     "ChainSpec",
@@ -40,7 +40,7 @@ _TWO_PI = 2.0 * math.pi
 
 
 def make_coupling(n: int) -> np.ndarray:
-    """Cyclic-shift coupling unitary of size ``n`` (n >= 2), read-only.
+    """Cyclic-shift coupling unitary of size ``n`` (2 <= n <= 4096), read-only.
 
     Row j has a single 1 in column (j+1) mod n.  The matrix is unitary,
     satisfies U^n = I, and its eigenvalues are exactly the n-th roots of
@@ -49,10 +49,7 @@ def make_coupling(n: int) -> np.ndarray:
     derivatives, which is manifestly not invariant under complex
     conjugation, i.e. it breaks time reversal.
     """
-    if not isinstance(n, (int, np.integer)):
-        raise TypeError(f"degree must be an integer, got {type(n).__name__}")
-    if n < 2:
-        raise ValueError(f"vertex degree must be >= 2, got {n}")
+    n = vertex_degree(n)
     u = np.zeros((n, n), dtype=complex)
     for j in range(n):
         u[j, (j + 1) % n] = 1.0

@@ -24,9 +24,9 @@ import math
 
 import numpy as np
 
-from ._numerics import k_times_ell, positive_finite, sincospi
+from ._numerics import k_times_ell, positive_finite, sincospi, vertex_degree
 from .errors import OverflowGuardError, SolverError
-from .model import ChainSpec, Quasimomentum, SpectralParameter, make_coupling
+from .model import ChainSpec, Quasimomentum, SpectralParameter
 
 __all__ = [
     "assemble",
@@ -334,7 +334,7 @@ def _eigen_halves(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:
     """(plus, minus) = (a (1 + lam), b (1 - lam)) at each n-th root of unity
     lam != 1, k : 1 scaled to a : b in (0, 1]; s = (plus - minus)/(plus + minus)."""
     k = positive_finite("k", k)
-    make_coupling(n)  # refuses a degree that is not an integer >= 2
+    n = vertex_degree(n)
     sin, cos = sincospi(2.0 * np.arange(1, n) / n)
     lam = cos + 1j * sin
     a, b = (1.0, 1.0 / k) if k >= 1.0 else (k, 1.0)

@@ -78,7 +78,7 @@ def test_measure_wide_window_exit_zero(capsys):
 
 
 def test_negative_band_count_dichotomy(capsys):
-    code, out, _ = run_cli(capsys, "negative", "--ell-pi")
+    code, out, _ = run_cli(capsys, "negative", "--ell", "pi")
     assert code == 0
     _, rows = csv_rows(out)
     assert len(rows) == 1
@@ -184,8 +184,6 @@ def test_exit_code_invalid_args(capsys):
     assert code == 1 and "error" in err
     code, _, _ = run_cli(capsys, "bands")  # missing required --k-max
     assert code == 1
-    code, _, _ = run_cli(capsys, "negative", "--ell", "1", "--ell-pi")
-    assert code == 1
 
 
 def test_exit_code_solver_failure(capsys, monkeypatch):
@@ -233,24 +231,27 @@ def test_selfcheck_fails_a_vacuous_oracle_row(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    "flat --ell 1 --e-max 5", "bands --ell 1 --k-max 3", "negative --ell-pi",
+    "flat --ell 1 --e-max 5", "bands --ell 1 --k-max 3", "negative --ell pi",
     "dispersion --ell 1 --theta 0.3 --k-max 3", "measure --ell 1 --e-max 10 100",
     "certify --ell 1 --k 4.7 5.7", "asymptotics --ell 20", "scattering --n 3",
     "selfcheck",
 ], ids=lambda argv: argv.split()[0])
-def test_output_file_and_dir_env(tmp_path, monkeypatch, capsys, argv):
-    monkeypatch.setenv("RINGCHAIN_OUTPUT_DIR", str(tmp_path))
-    code, out, _ = run_cli(capsys, *argv.split(), "--output", "report.csv")
+def test_output_file(tmp_path, capsys, argv):
+    path = tmp_path / "report.csv"
+    code, out, _ = run_cli(capsys, *argv.split(), "--output", str(path))
     assert code == 0 and out == ""
-    report = (tmp_path / "report.csv").read_bytes()
+    report = path.read_bytes()
     assert report.startswith(b"# ringchain")
     code, out, _ = run_cli(capsys, *argv.split())
     assert code == 0 and out.encode() == report
 
 
 def test_ell_pi_flag_exact(capsys):
-    _, out, _ = run_cli(capsys, "negative", "--ell-pi")
-    assert f"ell={format(math.pi, '.17g')}" in out
+    code, out, _ = run_cli(capsys, "negative", "--ell", "pi")
+    assert code == 0 and "ell=3.1415926535897931" in out
+    assert run_cli(capsys, "negative", "--ell", repr(math.pi))[1] == out
+    code, out, err = run_cli(capsys, "negative", "--ell-pi")
+    assert code == 1 and out == "" and "--ell-pi" in err
 
 
 @pytest.mark.parametrize("command", ["flat --e-max", "bands --k-max", "measure --e-max"])
@@ -283,7 +284,7 @@ _SWEEP = [
     "asymptotics",
 ]
 _SWEEP_ELLS = [["--ell", "0"], ["--ell", "1e-200"], ["--ell", "1e-14"], ["--ell", "1"],
-               ["--ell-pi"], ["--ell", "300"], ["--ell", "1e300"], ["--ell", "5e-324"]]
+               ["--ell", "pi"], ["--ell", "300"], ["--ell", "1e300"], ["--ell", "5e-324"]]
 # at the least subnormal link the lower negative band lies past where the
 # kernel overflows, so these refuse with a solver error (exit 2)
 _CANNOT_CAP = {("negative", "5e-324"), ("asymptotics", "5e-324")}
@@ -331,6 +332,21 @@ def test_s_minus_i_norm_keeps_its_relative_precision(capsys, n):
             k = mp.mpf(row["k"])
             want = max(abs(2 * (1 - z) / (k * (1 + z) + (1 - z))) for z in lam)
             assert abs(row["s_minus_i_norm"] - want) <= 1e-15 * want, row
+
+
+@pytest.mark.parametrize("k_min, k_max", [("1e20", "1.000000000000001e20"),
+                                          ("1e17", "1.00000000000001e17")])
+def test_dispersion_refuses_witnesses_that_are_not_distinct_floats(capsys, k_min, k_max):
+    # ulp(k_max) is 16384 and 16 there, above the witness spacing pi/(pi + 1)
+    code, out, err = run_cli(capsys, "dispersion", "--ell", "1", "--theta", "0.3",
+                             "--k-min", k_min, "--k-max", k_max)
+    assert code == 1 and out == "" and f"k_max = {float(k_max)!r} at ell = 1.0" in err
+
+
+def test_scattering_refuses_a_degree_it_cannot_build_by_name(capsys):
+    code, out, err = run_cli(capsys, "scattering", "--n", str(2**32))
+    assert code == 1 and out == ""
+    assert err == "error: vertex degree must be <= 4096, got 4294967296\n"
 
 
 def test_certify_refuses_an_overflowing_k_ell(capsys):

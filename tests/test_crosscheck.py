@@ -92,7 +92,7 @@ def test_reports_equal_the_per_point_implementation(source, monkeypatch):
         rep = match_roots(spec, call.pop("branch"), call.pop("lo"), call.pop("hi"), **call)
         want = e["report"]
         assert rep == RootMatchReport(
-            spec=spec, branch=e["call"]["branch"], brackets=want["brackets"],
+            branch=e["call"]["branch"], brackets=want["brackets"],
             matched_roots=want["matched_roots"], worst_distance=want["worst_distance"],
             mismatches=tuple(want["mismatches"]),
         ), e["call"]

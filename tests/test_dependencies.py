@@ -133,3 +133,42 @@ def test_unused_imports_finds_what_no_expression_reads():
 def test_every_unused_import_is_one_the_tracer_looks_up():
     unused = {(module, name) for module, tree in _modules() for name in _unused_imports(tree)}
     assert unused <= _tracer_lookups()
+
+
+# ---------------------------------------------------------------------------
+# stored values have readers
+
+
+def _dataclass_fields():
+    """(module, class, field) for every field declared on a dataclass of the
+    package."""
+    for module, tree in _modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or not any(
+                "dataclass" in ast.unparse(d) for d in cls.decorator_list
+            ):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield module, cls.name, node.target.id
+
+
+def _attribute_reads():
+    """Every attribute name read (``x.name`` in a load) anywhere in src/,
+    tests/, demos/ or perfbench/."""
+    read = set()
+    for top in ("src", "tests", "demos", "perfbench"):
+        for path in (SRC.parent / top).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    read.add(node.attr)
+    return read
+
+
+def test_every_dataclass_field_is_read_somewhere():
+    # a lower bound: a field is taken as read when any attribute of its name
+    # is, and some names (theta, ell) are also fields of other types or
+    # attributes of other objects
+    read = _attribute_reads()
+    unread = [f"{m}.{c}.{f}" for m, c, f in _dataclass_fields() if f not in read]
+    assert unread == []

@@ -56,16 +56,16 @@ def _argvs():
         yield ["measure", *common, "--e-max", "100", "10000"]
 
 
-_PI_ELLS = ("--ell-pi", "--ell " + repr(math.pi - 1e-8), "--ell " + repr(math.pi + 1e-8))
+_PI_ELLS = ("--ell pi", "--ell " + repr(math.pi - 1e-8), "--ell " + repr(math.pi + 1e-8))
 _COMMANDS = (
     *(f"flat --ell {ell} --e-max {e}" for ell in ("0", "1", "0.37") for e in ("0.5", "1000")),
-    "flat --ell-pi --e-max 10",
+    "flat --ell pi --e-max 10",
     *(f"negative {ell}" for ell in (*_PI_ELLS, "--ell 1e-14", "--ell 0", "--ell 1",
                                     "--ell 1e-200", "--ell 300")),
     *(f"certify {ell} --k 0.1 0.5 1.5 7.3 100 12345.678"
-      for ell in ("--ell 1", "--ell 0.37", "--ell-pi", "--ell 1e-200")),
+      for ell in ("--ell 1", "--ell 0.37", "--ell pi", "--ell 1e-200")),
     *(f"asymptotics {ell}" for ell in ("--ell 1e-200", "--ell 1e-14", "--ell 0.01",
-                                       "--ell 1", "--ell-pi", "--ell 300")),
+                                       "--ell 1", "--ell pi", "--ell 300")),
     "scattering --n 3", "scattering --n 4", "scattering --n 2 --k 0.1 1e-3 7",
     "selfcheck", "selfcheck --seed 5",
     "dispersion --ell 1 --theta 0.7 --k-min 0.5 --k-max 0.6",

@@ -1,6 +1,7 @@
 """Domain-type invariants: coupling unitary, theta normalization, branches."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,13 @@ from ringchain import (
     ChainSpec,
     Quasimomentum,
     SpectralParameter,
+    large_l_squeeze,
     make_coupling,
+    small_l_lower_band,
+    small_l_upper_band,
+    spectrum_measure,
 )
+from ringchain.crosscheck import match_roots
 
 
 def test_coupling_n2_is_swap():
@@ -150,8 +156,18 @@ def test_band_validates_interval():
     lambda: SpectralParameter(4.41, k=2.5),
     lambda: SpectralParameter(-4.0, kappa=3.0),
     lambda: Band(-4.0, -2.0, 0.0, 0.0, kind="positive-ac"),
-], ids=["k", "kappa", "kind"])
+    lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), energy_pred=-1.0),
+    lambda: replace(small_l_lower_band(0.01), energy_pred=-1.0),
+    lambda: replace(large_l_squeeze(20.0), kappa_sq_pair=(3.0, 3.0)),
+    lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), spec=ChainSpec(1.0)),
+    lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), window_hi=10.0),
+    lambda: replace(match_roots(ChainSpec(1.0), "positive", 0.5, 1.5, n_brackets=2),
+                    spec=ChainSpec(1.0)),
+], ids=["k", "kappa", "kind", "upper_energy_pred", "lower_energy_pred", "kappa_sq_pair",
+        "measure_spec", "window_hi", "match_spec"])
 def test_a_contradictory_value_cannot_be_built(build):
-    # k, kappa and the branch follow from the energy; none is an argument
+    # k, kappa and the branch follow from the energy, the predicted energies
+    # and kappa^2 from kappa and epsilon, and a report's chain and window are
+    # the caller's arguments; none is an argument
     with pytest.raises(TypeError):
         build()

@@ -20,7 +20,7 @@ from ringchain import (
     normalized_determinant,
     vertex_scattering,
 )
-from ringchain.secular import assemble_at, closed_form_at
+from ringchain.secular import assemble_at, closed_form_at, s_minus_i_norm
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
@@ -528,3 +528,12 @@ def test_scattering_rejects_bad_k():
         vertex_scattering(3, 0.0)
     with pytest.raises(ValueError):
         vertex_scattering(3, -2.0)
+
+
+@pytest.mark.parametrize("build", [
+    make_coupling, lambda n: vertex_scattering(n, 2.0), lambda n: s_minus_i_norm(n, 2.0),
+], ids=["make_coupling", "vertex_scattering", "s_minus_i_norm"])
+def test_a_degree_past_max_witnesses_is_refused_by_name(build):
+    # n*n = 4097^2 > MAX_WITNESSES: refused before any n x n array is made
+    with pytest.raises(ValueError, match="vertex degree must be <= 4096, got 4097"):
+        build(4097)
