@@ -141,10 +141,9 @@ def lemma_witnesses() -> dict:
 
 @dataclass(frozen=True)
 class SmallEllUpperBand:
-    """Leading-order prediction for the negative band that stays near -1."""
+    """Leading-order prediction for the negative band that stays near -1;
+    ell and theta are the caller's arguments."""
 
-    ell: float
-    theta: float
     kappa_pred: float
     lower_edge_energy_pred: float  # at theta = 0
     width_pred: float
@@ -160,8 +159,6 @@ def small_l_upper_band(ell: float, q: Quasimomentum) -> SmallEllUpperBand:
     warning = None if ell <= 0.1 else f"ell={ell} outside the small-link regime"
     kappa = 1.0 + 0.5 * ell * math.sinh(math.pi) / (math.cosh(math.pi) - q.cos)
     return SmallEllUpperBand(
-        ell=ell,
-        theta=q.theta,
         kappa_pred=kappa,
         lower_edge_energy_pred=-1.0 - ell * coth(math.pi / 2.0),
         width_pred=2.0 * ell / math.sinh(math.pi),
@@ -171,9 +168,9 @@ def small_l_upper_band(ell: float, q: Quasimomentum) -> SmallEllUpperBand:
 
 @dataclass(frozen=True)
 class SmallEllLowerBand:
-    """Leading-order prediction for the negative band escaping to -inf."""
+    """Leading-order prediction for the negative band escaping to -inf;
+    ell is the caller's argument."""
 
-    ell: float
     kappa_pred: float
     regime_warning: str | None
 
@@ -183,22 +180,20 @@ def small_l_lower_band(ell: float) -> SmallEllLowerBand:
     ell = positive_finite("ell", ell)
     warning = None if ell <= 0.01 else f"ell={ell} outside the small-link regime"
     kappa = (4.0 / ell) ** (1.0 / 3.0)
-    return SmallEllLowerBand(
-        ell=ell,
-        kappa_pred=kappa,
-        regime_warning=warning,
-    )
+    return SmallEllLowerBand(kappa_pred=kappa, regime_warning=warning)
 
 
 @dataclass(frozen=True)
 class LargeEllSqueeze:
     """Predicted squeezing of the negative band pair around energy -3, at
-    kappa^2 = 3 +- epsilon."""
+    kappa^2 = 3 +- epsilon; ell is the caller's argument."""
 
-    ell: float
     epsilon: float
-    energy_pair: tuple[float, float]  # (-3 - eps, -3 + eps)
     regime_warning: str | None
+
+    @property
+    def energy_pair(self) -> tuple[float, float]:
+        return (-3.0 - self.epsilon, -3.0 + self.epsilon)
 
 
 def large_l_squeeze(ell: float) -> LargeEllSqueeze:
@@ -207,12 +202,7 @@ def large_l_squeeze(ell: float) -> LargeEllSqueeze:
     ell = positive_finite("ell", ell)
     warning = None if ell >= 10.0 else f"ell={ell} below the long-link regime"
     eps = 4.0 * math.exp(-math.pi * _SQRT3)
-    return LargeEllSqueeze(
-        ell=ell,
-        epsilon=eps,
-        energy_pair=(-3.0 - eps, -3.0 + eps),
-        regime_warning=warning,
-    )
+    return LargeEllSqueeze(epsilon=eps, regime_warning=warning)
 
 
 def large_l_gap_spacing(n: int, ell: float) -> float:

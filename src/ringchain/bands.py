@@ -198,26 +198,23 @@ def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
     non-negative integer (and no negative eigenvalue).  Each is a zero of
     the closed-form condition at every theta through a prefactor:
     sin(k pi) = 0 at integer k (exactly, from ``sincospi``), kappa^2 - 1 = 0
-    at -1, and the k -> 0 limit at 0.  The embedded flag records whether the
-    energy also lies in the closure of the ac spectrum, which holds for
-    every E >= 0: the tight chain's ac spectrum is [0, inf), and on the
-    loose chain Phi(n) = +-cos(n ell) and Phi(0) = 1.
+    at -1, and the k -> 0 limit at 0.  Every E >= 0 also lies in the closure
+    of the ac spectrum, as ``FlatBand.embedded`` says: the tight chain's ac
+    spectrum is [0, inf), and on the loose chain Phi(n) = +-cos(n ell) and
+    Phi(0) = 1.
     """
     e_max = positive_finite("e_max", e_max)
     if spec.is_tight:
-        entries = [FlatBand(energy=-1.0, source="kappa_sq_minus_1", embedded=False)]
+        entries = [FlatBand(-1.0)]
     else:
-        entries = [FlatBand(energy=0.0, source="sin_k_pi", embedded=True)]
+        entries = [FlatBand(0.0)]
     n_max = math.isqrt(int(e_max))  # the largest n with n * n <= e_max
     if n_max > MAX_WITNESSES:
         raise ValueError(
             f"e_max = {e_max!r} holds about {math.sqrt(e_max):.3g} flat bands, "
             f"more than MAX_WITNESSES = {MAX_WITNESSES}"
         )
-    entries += [
-        FlatBand(energy=float(n) * n, source="sin_k_pi", embedded=True)
-        for n in range(1, n_max + 1)
-    ]
+    entries += [FlatBand(float(n) * n) for n in range(1, n_max + 1)]
     return entries
 
 
@@ -501,14 +498,9 @@ def dispersion(
     if spec.is_tight:
         _witness_range(spec, 0.0, hi)  # the roots number about hi
         base = q.theta / math.pi
-        ks: list[float] = []
-        n_min = int(math.floor((-hi - base) / 2.0)) - 1
-        n_max = int(math.ceil((hi - base) / 2.0)) + 1
-        for n in range(n_min, n_max + 1):
-            k = abs(base + 2.0 * n)
-            if k > 0.0 and lo < k <= hi:
-                ks.append(k)
-        return [SpectralParameter.from_k(k) for k in sorted(set(ks))]
+        n = np.arange(math.floor((-hi - base) / 2.0) - 1, math.ceil((hi - base) / 2.0) + 2)
+        ks = np.abs(base + 2.0 * n)
+        return [SpectralParameter.from_k(k) for k in np.unique(ks[(lo < ks) & (ks <= hi)])]
 
     c = q.cos
     w = _witnesses(spec, lo, hi)[:-1]

@@ -31,13 +31,23 @@ __all__ = [
 @dataclass(frozen=True)
 class MeasureReport:
     """Band/gap bookkeeping for the energy window [0, K] of
-    ``spectrum_measure``; the chain and K are the caller's arguments."""
+    ``spectrum_measure``; the chain and K are the caller's arguments, and
+    both counts follow from the bands."""
 
     measure: float
     fraction: float
-    band_count: int
-    gap_count: int
     bands: tuple[Band, ...]
+
+    @property
+    def band_count(self) -> int:
+        return len(self.bands)
+
+    @property
+    def gap_count(self) -> int:
+        """The gaps that meet the window, however narrow: one between each
+        pair of consecutive bands, and one more past the last band unless
+        the window ends inside it (``truncated_hi``)."""
+        return len(self.bands) - 1 + (not self.bands[-1].truncated_hi)
 
 
 def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
@@ -48,10 +58,6 @@ def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
     from ``positive_bands``, two bracketed solves per gap and no scan, so
     every window is accepted and the cost grows with the number of gaps,
     about sqrt(window_hi) (pi + ell)/pi.
-
-    ``gap_count`` counts the gaps that meet the window, however narrow:
-    a gap lies between each pair of consecutive bands, and one more past
-    the last band unless the window ends inside it (``truncated_hi``).
     """
     window_hi = positive_finite("window_hi", window_hi)
     k_max = math.sqrt(window_hi)
@@ -59,13 +65,7 @@ def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
     measure = sum(b.clipped_length(0.0, window_hi) for b in bands)
     measure = min(measure, window_hi)
 
-    return MeasureReport(
-        measure=measure,
-        fraction=measure / window_hi,
-        band_count=len(bands),
-        gap_count=len(bands) - 1 + (not bands[-1].truncated_hi),
-        bands=tuple(bands),
-    )
+    return MeasureReport(measure=measure, fraction=measure / window_hi, bands=tuple(bands))
 
 
 class GapCertificate(enum.Enum):

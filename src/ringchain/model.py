@@ -51,8 +51,8 @@ def make_coupling(n: int) -> np.ndarray:
     """
     n = vertex_degree(n)
     u = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        u[j, (j + 1) % n] = 1.0
+    j = np.arange(n)
+    u[j, (j + 1) % n] = 1.0
     u.setflags(write=False)
     return u
 
@@ -162,9 +162,10 @@ class Band:
 
     ``edge_theta_lo``/``edge_theta_hi`` give the quasimomentum at which the
     band edge is attained: 0 where the dispersion equals +1 and -pi where it
-    equals -1.  Edges cut off by the requested window instead of a true
-    crossing carry ``truncated_* = True`` and the theta value solving
-    cos(theta) = Phi at the cut.
+    equals -1.  An upper edge cut off by the requested window instead of a
+    true crossing carries ``truncated_hi = True`` and the theta value solving
+    cos(theta) = Phi at the cut.  Every window starts at the bottom of its
+    branch, so a lower edge is never cut: ``truncated_lo`` is always False.
 
     ``touch_energies`` lists interior energies where the dispersion touches
     +-1 tangentially (a double root of the edge condition); there the band
@@ -175,9 +176,9 @@ class Band:
     e_hi: float
     edge_theta_lo: float
     edge_theta_hi: float
-    truncated_lo: bool = False
     truncated_hi: bool = False
     touch_energies: tuple[float, ...] = ()
+    truncated_lo = False  # a class constant, not a field
 
     def __post_init__(self):
         if self.e_lo > self.e_hi:
@@ -194,8 +195,20 @@ class Band:
 
 @dataclass(frozen=True)
 class FlatBand:
-    """An infinitely degenerate eigenvalue (theta-independent fiber root)."""
+    """An infinitely degenerate eigenvalue (theta-independent fiber root).
+
+    Its energy fixes the rest.  E = k^2 >= 0 is a zero of sin(k pi) and lies
+    in the closure of the ac spectrum (embedded); E = -1 is the zero of
+    kappa^2 - 1 and is isolated.
+    """
 
     energy: float
-    source: str  # vanishing prefactor: 'sin_k_pi' or 'kappa_sq_minus_1'
-    embedded: bool
+
+    @property
+    def source(self) -> str:
+        """The vanishing prefactor: 'sin_k_pi' or 'kappa_sq_minus_1'."""
+        return "kappa_sq_minus_1" if self.energy < 0.0 else "sin_k_pi"
+
+    @property
+    def embedded(self) -> bool:
+        return self.energy >= 0.0

@@ -812,6 +812,31 @@ def test_dispersion_tight_theta_half_pi():
     assert ks == [0.5, 1.5, 2.5]
 
 
+def _tight_roots_by_enumeration(theta, lo, hi):
+    # every |theta/pi + 2n| over an n range wider than any window needs
+    base = Quasimomentum(theta).theta / math.pi
+    top = math.ceil(hi) + 3
+    ks = {abs(base + 2.0 * n) for n in range(-top, top + 1)}
+    return [SpectralParameter.from_k(k) for k in sorted(k for k in ks if lo < k <= hi)]
+
+
+_TIGHT_THETAS = [0.0, -math.pi, math.pi / 2, -math.pi / 2, 1e-300, 0.7,
+                 *np.random.default_rng(19).uniform(-math.pi, math.pi, 6)]
+
+
+@pytest.mark.parametrize("theta", _TIGHT_THETAS)
+def test_dispersion_tight_equals_enumeration(theta):
+    k_min = abs(Quasimomentum(theta).theta / math.pi)  # the smallest root
+    rng = np.random.default_rng(20)
+    windows = [(0.0, 0.5), (0.0, 3.0), (0.0, 37.5), (k_min, 5.0), (1.0, 2.0),
+               (math.nextafter(k_min, 0.0), 4.0), (0.0, k_min + 2.0),
+               *((lo, lo + w) for lo, w in zip(rng.uniform(0, 20, 4), rng.uniform(0.1, 9, 4)))]
+    for lo, hi in windows:
+        if lo < hi:
+            got = dispersion(TIGHT, Quasimomentum(theta), (lo, hi))
+            assert got == _tight_roots_by_enumeration(theta, lo, hi), (lo, hi)
+
+
 def test_dispersion_theta_symmetry():
     a = [sp.k for sp in dispersion(LOOSE1, Quasimomentum(1.1), (0.0, 6.0))]
     b = [sp.k for sp in dispersion(LOOSE1, Quasimomentum(-1.1), (0.0, 6.0))]

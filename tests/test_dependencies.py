@@ -1,6 +1,14 @@
 """ringchain runs on numpy alone: scipy is a test-time oracle only.  Its
 modules import no private name from one another, and no import it does not
-use but those the benchmark's tracer looks up."""
+use but those the benchmark's tracer looks up.  Its results store no echo of
+the arguments that built them.
+
+Run as a script, it lists the package's settable values:
+
+    python tests/test_dependencies.py settable
+
+prints their count, then one per line.
+"""
 
 import ast
 import importlib.util
@@ -103,13 +111,18 @@ def _unused_imports(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             bound.update(a.asname or a.name.split(".")[0] for a in node.names)
     read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return bound - read - _exported(tree)
+
+
+def _exported(tree):
+    """The names a module lists in ``__all__``."""
     exported = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
             exported.update(ast.literal_eval(node.value))
-    return bound - read - exported
+    return exported
 
 
 def _tracer_lookups():
@@ -139,15 +152,24 @@ def test_every_unused_import_is_one_the_tracer_looks_up():
 # stored values have readers
 
 
+def _dataclasses(tree):
+    return [
+        cls for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+    ]
+
+
+def _params(fn):
+    a = fn.args
+    return [x.arg for x in (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg) if x]
+
+
 def _dataclass_fields():
     """(module, class, field) for every field declared on a dataclass of the
     package."""
     for module, tree in _modules():
-        for cls in ast.walk(tree):
-            if not isinstance(cls, ast.ClassDef) or not any(
-                "dataclass" in ast.unparse(d) for d in cls.decorator_list
-            ):
-                continue
+        for cls in _dataclasses(tree):
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                     yield module, cls.name, node.target.id
@@ -172,3 +194,101 @@ def test_every_dataclass_field_is_read_somewhere():
     read = _attribute_reads()
     unread = [f"{m}.{c}.{f}" for m, c, f in _dataclass_fields() if f not in read]
     assert unread == []
+
+
+# ---------------------------------------------------------------------------
+# results store what was solved, not the arguments
+
+
+def _echo_fields(modules):
+    """``Class.field`` for each dataclass constructor keyword, in a public
+    function, whose value is a parameter of that function or an attribute of
+    one: the result then stores what its caller already holds.  Private
+    helpers (``_band``'s ``truncated_hi``) pass on what their caller solved."""
+    modules = list(modules)
+    classes = {cls.name for _, tree in modules for cls in _dataclasses(tree)}
+    echoes = set()
+    for _, tree in modules:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef) or _is_private(fn.name):
+                continue
+            params = set(_params(fn))
+            for call in ast.walk(fn):
+                if not (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id in classes):
+                    continue
+                for kw in call.keywords:
+                    value = kw.value.value if isinstance(kw.value, ast.Attribute) else kw.value
+                    if isinstance(value, ast.Name) and value.id in params:
+                        echoes.add(f"{call.func.id}.{kw.arg}")
+    return echoes
+
+
+def test_echo_fields_finds_arguments_stored_in_a_result():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\nclass R:\n    a: int\n    b: int\n    c: int\n"
+        "def f(x, q):\n    y = x + 1\n    return R(a=x, b=q.theta, c=y)\n"
+        "def _g(x):\n    return R(a=x, b=0, c=0)\n"
+        "def h(q):\n    return R(1, 2, q)\n"
+    )
+    assert _echo_fields([("m", tree)]) == {"R.a", "R.b"}
+
+
+# the chain's branch names the cross-check in the benchmark's failure messages
+# (perfbench/workloads.py reads it)
+_KEPT_ECHOES = {"RootMatchReport.branch"}
+
+
+def test_no_result_stores_an_argument_it_was_built_from():
+    assert _echo_fields(_modules()) == _KEPT_ECHOES
+
+
+# ---------------------------------------------------------------------------
+# settable values
+
+
+def _settable(modules):
+    """``module.function(parameter)`` and ``module.Class.field`` for each
+    parameter of a function a public module lists in ``__all__`` and each
+    init field of its dataclasses.  ``_numerics`` is private, and the CLI's
+    settings are its options, so neither counts."""
+    values = []
+    for module, tree in modules:
+        short = module.rpartition(".")[2]
+        if _is_private(short) or short in ("__main__", "cli"):
+            continue
+        exported = _exported(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                values += [f"{short}.{node.name}({p})" for p in _params(node)]
+        for cls in _dataclasses(tree):
+            values += [
+                f"{short}.{cls.name}.{node.target.id}"
+                for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and "init=False" not in ast.unparse(node)
+            ]
+    return values
+
+
+def test_settable_counts_exported_parameters_and_init_fields():
+    tree = ast.parse(
+        "__all__ = ['f', 'R']\n"
+        "def f(a, /, b=1, *c, d, **e): pass\ndef g(h): pass\n"
+        "@dataclass(frozen=True)\nclass R:\n    x: int\n"
+        "    y: float = field(default=None, init=False)\n"
+        "    w = False\n    @property\n    def v(self): return 1\n"
+        "    def u(self, t): return t\n"
+    )
+    modules = [(name, tree) for name in ("ringchain.m", "ringchain._n", "ringchain.cli")]
+    assert _settable(modules) == [
+        "m.f(a)", "m.f(b)", "m.f(c)", "m.f(d)", "m.f(e)", "m.R.x"
+    ]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["settable"]:
+        sys.exit("usage: python tests/test_dependencies.py settable")
+    settable = _settable(_modules())
+    print(len(settable))
+    print("\n".join(settable))

@@ -13,6 +13,7 @@ from ringchain import (
     ChainSpec,
     Quasimomentum,
     SpectralParameter,
+    flat_bands,
     large_l_squeeze,
     make_coupling,
     small_l_lower_band,
@@ -49,6 +50,7 @@ def test_coupling_invariants(n):
     assert np.all(np.sum(u != 0, axis=0) == 1)
     assert np.all(np.sum(u != 0, axis=1) == 1)
     assert np.all(u[u != 0] == 1.0)
+    assert all(u[j, (j + 1) % n] == 1.0 for j in range(n))  # the cyclic shift
     # eigenvalues are the n-th roots of unity (matched as sets)
     eig = np.linalg.eigvals(u)
     roots = np.exp(2j * np.pi * np.arange(n) / n)
@@ -163,11 +165,25 @@ def test_band_validates_interval():
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), window_hi=10.0),
     lambda: replace(match_roots(ChainSpec(1.0), "positive", 0.5, 1.5, n_brackets=2),
                     spec=ChainSpec(1.0)),
+    lambda: replace(flat_bands(ChainSpec(0.0), 4.0)[-1], source="kappa_sq_minus_1"),
+    lambda: replace(flat_bands(ChainSpec(0.0), 4.0)[0], embedded=True),
+    lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), band_count=7),
+    lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), gap_count=0),
+    lambda: replace(large_l_squeeze(20.0), energy_pair=(-3.0, -3.0)),
+    lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), ell=0.02),
+    lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), theta=1.0),
+    lambda: replace(small_l_lower_band(0.01), ell=0.02),
+    lambda: replace(large_l_squeeze(20.0), ell=30.0),
+    lambda: replace(Band(1.0, 2.0, 0.0, -math.pi), truncated_lo=True),
 ], ids=["k", "kappa", "kind", "upper_energy_pred", "lower_energy_pred", "kappa_sq_pair",
-        "measure_spec", "window_hi", "match_spec"])
+        "measure_spec", "window_hi", "match_spec", "flat_source", "flat_embedded",
+        "band_count", "gap_count", "energy_pair", "upper_ell", "upper_theta", "lower_ell",
+        "squeeze_ell", "truncated_lo"])
 def test_a_contradictory_value_cannot_be_built(build):
-    # k, kappa and the branch follow from the energy, the predicted energies
-    # and kappa^2 from kappa and epsilon, and a report's chain and window are
-    # the caller's arguments; none is an argument
+    # k, kappa and the branch follow from the energy, a flat band's source
+    # and embedding from its energy's sign, the predicted energies and
+    # kappa^2 from kappa and epsilon, and a report's counts from its bands;
+    # a report's chain, window, ell and theta are the caller's arguments, and
+    # no lower band edge is cut; none is an argument
     with pytest.raises(TypeError):
         build()
