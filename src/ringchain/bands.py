@@ -141,11 +141,18 @@ def f_shifted(spec: ChainSpec, kappa, c: float):
     is non-negative, so nothing cancels.  Finite for kappa in [0, 2**256)
     but NaN at the pole kappa = 1; from 2**256 on q overflows, and the value
     is -inf or NaN, with no warning.
+
+    A float kappa and c (every Brent callback and sqrt(3) test) run the
+    same expression on a numpy float64 scalar instead of a 0-d array, and
+    return a float.  On a 0-d array the first products already return
+    float64 scalars, so both take the same roundings and give the same
+    float; the float path only skips the array wrapping and ``np.where``.
     """
-    kappa = np.asarray(kappa, dtype=float)
-    u = kappa * math.pi
+    scalar = isinstance(kappa, float) and isinstance(c, float)
+    kappa = np.float64(kappa) if scalar else np.asarray(kappa, dtype=float)
     ell = spec.link_length
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = kappa * math.pi
         v = kappa * ell
         w = kappa * (math.pi - ell)
         k2 = kappa * kappa
@@ -155,6 +162,8 @@ def f_shifted(spec: ChainSpec, kappa, c: float):
         t = 0.5 * np.exp(-np.minimum(u, v)) * np.expm1(-np.abs(w))
         q = (k2 - 3.0) ** 2 / (4.0 * (k2 - 1.0))
         out = 2.0 * t * t + (1.0 - c) * es - q * ss
+    if scalar:
+        return math.nan if kappa == 1.0 else float(out)
     out = np.where(kappa == 1.0, np.nan, out)
     return out if out.ndim else float(out)
 

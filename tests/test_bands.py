@@ -1,6 +1,7 @@
 """Band extraction: flat bands, positive/negative ac bands, dispersion roots."""
 
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -24,6 +25,7 @@ from ringchain import (
     spectrum_measure,
 )
 import ringchain._numerics
+import ringchain.bands
 from ringchain._numerics import RTOL, XTOL, brentq_strict, sincospi
 from ringchain.bands import (
     MAX_WITNESSES,
@@ -715,12 +717,13 @@ def test_negative_bands_refuse_links_past_the_kernel_overflow():
 
 
 def test_f_shifted_overflow_is_silent():
+    big = sys.float_info.max
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for spec in (LOOSE1, ChainSpec(math.pi), ChainSpec(1e-200)):
-            for kappa in (1.0, 2.0**255, 2.0**256, 1e155, 1e300, math.inf):
+            for kappa in (1.0, 2.0**255, 2.0**256, 1e155, 1e300, 1e308, big, math.inf):
                 f_shifted(spec, kappa, -1.0)
-            f_shifted(spec, np.array([0.5, 1.0, 2.0**256, math.inf]), 1.0)
+            f_shifted(spec, np.array([0.5, 1.0, 2.0**256, 1e308, big, math.inf]), 1.0)
     assert math.isfinite(f_shifted(LOOSE1, 2.0**255, -1.0))
     assert f_shifted(LOOSE1, 2.0**256, -1.0) == -math.inf
 
@@ -767,7 +770,6 @@ def test_f_shifted_matches_mpmath(ell):
                 assert abs(got - ref) <= bound, (kappa, c, got, ref)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_f_shifted_large_kappa_is_inf_or_nan():
     # never an OverflowError: q(kappa) overflows to inf first (-inf), then
     # its kappa^2 too (NaN)
@@ -777,6 +779,60 @@ def test_f_shifted_large_kappa_is_inf_or_nan():
             assert math.isnan(got) or got < 0.0, (kappa, got)
     assert f_shifted(LOOSE1, 1e78, 1.0) == -math.inf
     assert math.isnan(f_shifted(LOOSE1, 1e155, 1.0))
+
+
+def _same_float(a, b):
+    """Equal bit for bit, with any NaN equal to any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_f_shifted_float_equals_0d_array_bit_for_bit():
+    """A float kappa runs the kernel on float64 scalars: the float of the
+    0-d array path, NaN at the pole and past the overflow included, returned
+    as a Python float."""
+    rng = np.random.default_rng(20)
+    kappas = [
+        *(2.0 ** rng.uniform(0.0, 255.0, 2000)).tolist(),
+        *(1.0 + np.geomspace(1e-12, 1e-3, 200)).tolist(),
+        *rng.uniform(0.0, 1.0, 100).tolist(),
+        0.0, 1.0 - 1e-12, 1.0, SQRT3, 2.0**255,
+        2.0**256, 1e100, 1e155, 1e300, sys.float_info.max, math.inf,
+    ]
+    for ell in (1e-200, 0.01, 1.0, math.pi, math.pi - 1e-8, math.pi + 1e-8, 30.0):
+        spec = ChainSpec(ell)
+        for c in (-1.0, 1.0, 0.3):
+            for kappa in kappas:
+                got = f_shifted(spec, kappa, c)
+                ref = f_shifted(spec, np.asarray(kappa), c)
+                assert type(got) is float and _same_float(got, ref), (ell, c, kappa, got, ref)
+
+
+def test_negative_solves_equal_their_0d_kernel_path(monkeypatch):
+    """negative_bands and solve_negative_edge give the same floats when every
+    kernel call takes the 0-d array path instead of the float one."""
+    ells = np.exp(np.random.default_rng(21).uniform(math.log(1e-12), math.log(300.0), 500))
+
+    def solve_all():
+        out = []
+        for ell in ells.tolist():
+            spec = ChainSpec(ell)
+            out.append(_as_dicts(negative_bands(spec)))
+            out.append([solve_negative_edge(spec, c, band)
+                        for c in (-1.0, 1.0, 0.3) for band in ("upper", "lower")])
+        return out
+
+    fast = solve_all()
+    calls = []
+
+    def on_0d_arrays(spec, kappa, c):
+        calls.append(kappa)
+        return f_shifted(spec, np.asarray(kappa), c)
+
+    monkeypatch.setattr(ringchain.bands, "f_shifted", on_0d_arrays)
+    assert solve_all() == fast
+    assert len(calls) > 500 * 7 * 20
 
 
 def test_f_shifted_at_sqrt3_clears_minus_one():
