@@ -19,20 +19,22 @@ Contains
 
 The solved values that the predictions are checked against come from
 ``bands``: ``solve_negative_edge`` and ``negative_bands`` on the negative
-branch, ``positive_bands`` on the positive one.  Every asymptotic claim is
-checked as a ratio or order test at two or more link lengths; the O(.)
-constants are not published, so no absolute error constants are asserted.
+branch, ``positive_band_table`` on the positive one.  Every asymptotic
+claim is checked as a ratio or order test at two or more link lengths; the
+O(.) constants are not published, so no absolute error constants are
+asserted.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._numerics import brentq_strict, coth, positive_finite
-from .bands import positive_bands
+from .bands import BandTable, positive_band_table
 from .errors import LemmaWitnessError, SolverError
 from .model import Band, ChainSpec, Quasimomentum
 
@@ -222,7 +224,7 @@ def large_l_gap_spacing(n: int, ell: float) -> float:
 # set convergence of the loose spectrum to the tight one
 
 
-def _one_sided_hausdorff(ref_hi: float, bands: list[Band]) -> float:
+def _one_sided_hausdorff(ref_hi: float, bands: Iterable[Band]) -> float:
     """sup over x in [0, ref_hi] of the distance from x to the union of bands.
 
     In a gap the distance peaks at its midpoint, or at ref_hi if ref_hi cuts
@@ -240,8 +242,8 @@ def _one_sided_hausdorff(ref_hi: float, bands: list[Band]) -> float:
     return max(best, ref_hi - cursor)
 
 
-def _gap_fraction(bands: list[Band], lo: float, hi: float) -> float:
-    covered = sum(b.clipped_length(lo, hi) for b in bands)
+def _gap_fraction(bands: BandTable, lo: float, hi: float) -> float:
+    covered = sum(bands.clipped_lengths(lo, hi).tolist())
     return 1.0 - covered / (hi - lo)
 
 
@@ -270,7 +272,7 @@ def set_convergence_check(ell_list: list[float]) -> dict:
 
     rows = []
     for ell in ells:
-        bands = positive_bands(ChainSpec(ell), math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH))
+        bands = positive_band_table(ChainSpec(ell), math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH))
         witness_k = None
         k0 = 0.0
         while k0 <= _SEARCH_CAP:

@@ -47,7 +47,9 @@ bracketed solve: f = -1 and f = +1 once each on (1, sqrt3] and on
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -309,6 +311,108 @@ def _crossings(spec: ChainSpec, c, a: np.ndarray, b: np.ndarray) -> list[float]:
     return brentq_batch(f, a, b, ends[: a.size], ends[a.size :], f_one)
 
 
+class BandTable(Sequence):
+    """The positive bands of one window as columns, read as a sequence of
+    ``Band``.
+
+    Band i spans the energies e_lo[i] .. e_hi[i], with edge quasimomenta
+    theta_lo[i] and theta_hi[i] and touch energies
+    touches[offsets[i]:offsets[i + 1]]; the last band is cut at the window's
+    end when ``truncated_hi``.  Its length and its columns are read without
+    building a ``Band``.  Indexing, iteration and equality build every
+    ``Band`` once, and behave as the tuple of them does.
+    """
+
+    def __init__(self, e_lo, e_hi, theta_lo, theta_hi, offsets, touches, truncated_hi):
+        self.e_lo, self.e_hi = e_lo, e_hi
+        self.theta_lo, self.theta_hi = theta_lo, theta_hi
+        self.offsets, self.touches = offsets, touches
+        self.truncated_hi = truncated_hi
+        for column in (e_lo, e_hi, theta_lo, theta_hi, offsets, touches):
+            column.setflags(write=False)
+
+    def clipped_lengths(self, lo: float, hi: float) -> np.ndarray:
+        """``Band.clipped_length(lo, hi)`` of the bands that meet [lo, hi],
+        equal to it bit for bit.  The edges ascend, so the bands left out
+        lie wholly below lo or above hi, and each would add +0.0 to a sum."""
+        i = np.searchsorted(self.e_hi, lo, side="right")
+        j = np.searchsorted(self.e_lo, hi)
+        return np.maximum(0.0, np.minimum(self.e_hi[i:j], hi) - np.maximum(self.e_lo[i:j], lo))
+
+    @functools.cached_property
+    def _bands(self) -> tuple[Band, ...]:
+        touches, offsets = self.touches.tolist(), self.offsets.tolist()
+        cut = [False] * (len(self) - 1) + [self.truncated_hi]
+        columns = (self.e_lo, self.e_hi, self.theta_lo, self.theta_hi)
+        rows = zip(zip(*(c.tolist() for c in columns), cut), offsets, offsets[1:])
+        return tuple(Band(*row, tuple(touches[a:b])) for row, a, b in rows)
+
+    def __len__(self) -> int:
+        return self.e_lo.size
+
+    def __getitem__(self, i):
+        return self._bands[i]
+
+    def __iter__(self):
+        return iter(self._bands)
+
+    def __eq__(self, other):
+        if isinstance(other, BandTable):
+            other = other._bands
+        return self._bands == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._bands)
+
+    def __repr__(self) -> str:
+        return repr(self._bands)
+
+
+def positive_band_table(spec: ChainSpec, k_max: float) -> BandTable:
+    """The bands of ``positive_bands`` as one ``BandTable``, built from the
+    open-gap mask and the edges of one ``brentq_batch`` with numpy."""
+    k_max = positive_finite("k_max", k_max)
+
+    # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band
+    w, jo, jc, edges = np.empty(0), np.empty(0, int), np.empty(0, int), np.empty((0, 2))
+    if spec.is_loose:
+        # the witness test of gaps j = 1 .. J, with w_J the first witness at
+        # or past k_max; the edges of open gap i are brackets 2i and 2i + 1
+        w = _witnesses(spec, 0.0, k_max)
+        j = np.arange(1, w.size - 1)
+        level = np.where(j % 2, -1.0, 1.0)
+        opened = ~((phi_positive(spec, w[1:-1]) - level) * level <= 0.0)
+        jo, jc = j[opened], j[~opened]
+        a = np.stack((w[jo - 1], w[jo]), axis=1).ravel()
+        b = np.stack((w[jo], w[jo + 1]), axis=1).ravel()
+        edges = np.reshape(_crossings(spec, np.repeat(level[opened], 2), a, b), (-1, 2))
+    k_gap, k_up = edges[:, 0], edges[:, 1]
+    theta = np.where(jo % 2, _THETA_PI, 0.0)
+
+    # each edge lies in its bracket, so k_gap <= w_j <= k_up and both
+    # ascend.  The window ends at open gap s, the first whose upper edge is
+    # at or past k_max: inside the band below it, which is cut at k_max, or
+    # inside the gap; with no such gap, inside the band past the last one
+    s = int(np.searchsorted(k_up, k_max))
+    cut = s == jo.size or bool(k_gap[s] >= k_max)
+    k_hi, theta_hi = k_gap[: s + 1 - cut], theta[: s + 1 - cut]
+    if cut:
+        k_hi = np.append(k_hi, k_max)
+        theta_hi = np.append(
+            theta_hi, math.acos(min(max(phi_positive(spec, k_max), -1.0), 1.0))
+        )
+    k_lo = np.concatenate(([0.0], k_up[:s]))
+    theta_lo = np.concatenate(([0.0], theta[:s]))
+
+    # a closed gap below k_max (so below gap s) records w_j^2 in the band
+    # it lies in, the one past as many open gaps as precede it
+    jc = jc[w[jc] < k_max]
+    offsets = np.searchsorted(np.searchsorted(jo, jc), np.arange(s + 2))
+    return BandTable(
+        k_lo * k_lo, k_hi * k_hi, theta_lo, theta_hi, offsets, w[jc] * w[jc], cut
+    )
+
+
 def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
     """Maximal energy intervals of the positive ac spectrum up to k_max^2.
 
@@ -329,65 +433,20 @@ def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
     w_j^2 is recorded in the merged band's ``touch_energies``.  That
     happens exactly at coincident anchors, e.g. ell = pi p/q.  The band
     the window ends in is cut at k_max (``truncated_hi``).  Phi is
-    evaluated at all witnesses in one array call, and then both edges of
-    every open gap are solved in one ``brentq_batch``.  A window of more
-    than MAX_WITNESSES witnesses raises ValueError.
+    evaluated at all witnesses in one array call, both edges of every open
+    gap are solved in one ``brentq_batch``, and the bands are built from
+    the columns of ``positive_band_table``.  A window of more than
+    MAX_WITNESSES witnesses raises ValueError.
     """
-    k_max = positive_finite("k_max", k_max)
-
-    ws, is_open, edges = [], [], []
-    # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band
-    if spec.is_loose:
-        # the witness test of gaps j = 1 .. J, with w_J the first witness at
-        # or past k_max; the edges of each open gap are brackets 2i and 2i + 1
-        w = _witnesses(spec, 0.0, k_max)
-        j = np.arange(1, w.size - 1)
-        level = np.where(j % 2, -1.0, 1.0)
-        opened = ~((phi_positive(spec, w[1:-1]) - level) * level <= 0.0)
-        jo = j[opened]
-        a = np.stack((w[jo - 1], w[jo]), axis=1).ravel()
-        b = np.stack((w[jo], w[jo + 1]), axis=1).ravel()
-        edges = _crossings(spec, np.repeat(level[opened], 2), a, b)
-        ws, is_open = w.tolist(), opened.tolist()
-
-    bands: list[Band] = []
-    lo, touches = (0.0, 0.0), []  # (k, theta) of the open band's lower edge
-    edge = iter(edges)
-    for j, gap_open in enumerate(is_open, start=1):
-        if not gap_open:
-            if ws[j] < k_max:
-                touches.append(ws[j] * ws[j])
-            continue
-        theta = _THETA_PI if j % 2 else 0.0
-        k_gap, k_up = next(edge), next(edge)
-        if k_gap >= k_max:
-            break
-        bands.append(_band(lo, (k_gap, theta), touches))
-        lo, touches = (k_up, theta), []
-        if k_up >= k_max:  # the window ends in this gap
-            return bands
-    cut = (k_max, math.acos(min(max(phi_positive(spec, k_max), -1.0), 1.0)))
-    bands.append(_band(lo, cut, touches, truncated_hi=True))
-    return bands
+    return list(positive_band_table(spec, k_max))
 
 
-def _band(lo, hi, touches=(), truncated_hi=False, negative=False) -> Band:
-    """The band between two edges, each (k, theta), lower energy first.
-
-    The energy of an edge is k^2, or -kappa^2 for k = kappa on the negative
-    branch; theta is the edge's quasimomentum, 0 where Phi = +1 and -pi where
-    Phi = -1, or the one that solves cos(theta) = Phi at a cut.
-    """
+def _negative_band(lo, hi, touches=()) -> Band:
+    """The negative band between two edges, each (kappa, theta), lower
+    energy (larger kappa) first; theta is 0 where Phi = +1 and -pi where
+    Phi = -1."""
     (k_lo, theta_lo), (k_hi, theta_hi) = lo, hi
-    sign = -1.0 if negative else 1.0
-    return Band(
-        e_lo=sign * (k_lo * k_lo),
-        e_hi=sign * (k_hi * k_hi),
-        edge_theta_lo=theta_lo,
-        edge_theta_hi=theta_hi,
-        truncated_hi=truncated_hi,
-        touch_energies=tuple(touches),
-    )
+    return Band(-(k_lo * k_lo), -(k_hi * k_hi), theta_lo, theta_hi, touch_energies=touches)
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +507,14 @@ def negative_bands(spec: ChainSpec) -> list[Band]:
     # Phi(sqrt3) + 1 >= 2, so the theta = -pi solves always have a bracket
     ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
     if f_shifted(spec, _SQRT3, 1.0) <= 0.0:  # the gap is closed
-        return [_band((kd, _THETA_PI), (ka, _THETA_PI), (-3.0,), negative=True)]
+        return [_negative_band((kd, _THETA_PI), (ka, _THETA_PI), (-3.0,))]
     # Phi(sqrt3) > 1 puts the theta = 0 edges on either side of sqrt3, and
     # kc*kc > 3 needs kc above the float sqrt3, which is below the true one
     kb = max(_negative_edge(spec, 1.0, upper), ka)
     kc = min(max(_negative_edge(spec, 1.0, lower), _ABOVE_SQRT3), kd)
     return [
-        _band((kd, _THETA_PI), (kc, 0.0), negative=True),  # lower: kappa in [kc, kd]
-        _band((kb, 0.0), (ka, _THETA_PI), negative=True),  # upper: kappa in [ka, kb]
+        _negative_band((kd, _THETA_PI), (kc, 0.0)),  # lower: kappa in [kc, kd]
+        _negative_band((kb, 0.0), (ka, _THETA_PI)),  # upper: kappa in [ka, kb]
     ]
 
 

@@ -35,11 +35,14 @@ from .asymptotics import (
     small_l_lower_band,
     small_l_upper_band,
 )
-from .bands import (
+# positive_bands is unused here: kept importable as ringchain.cli.positive_bands,
+# a name the benchmark's tracer (perfbench/tracing.py) looks up and wraps
+from .bands import (  # noqa: F401
     dispersion,
     flat_bands,
     negative_bands,
     phi_positive,
+    positive_band_table,
     positive_bands,
     solve_negative_edge,
 )
@@ -73,7 +76,8 @@ def _json_value(x):
 # json.dumps with indent takes the pure-Python encoder; the C encoder,
 # given the indented item separator, writes a flat dict the same way.  No
 # encoded key or value holds a raw newline (control characters are
-# escaped), so the separator appears only between items.
+# escaped), so the separator appears only between items, and a row's
+# closing brace before it only between rows.
 _ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": "))
 _CONFIG_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n    ", ": "))
 _JSON_TAIL = (
@@ -88,10 +92,10 @@ def _json_report(columns: list[str], rows: list[list], config: dict) -> str:
     non-empty dict of scalars, every non-finite float written as null."""
     cfg = _CONFIG_ENCODER.encode({k: _json_value(v) for k, v in config.items()})
     if rows:
-        encode = _ROW_ENCODER.encode
-        body = "\n    },\n    {\n      ".join(
-            encode({c: _json_value(v) for c, v in zip(columns, row)})[1:-1] for row in rows
+        body = _ROW_ENCODER.encode(
+            [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows]
         )
+        body = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
         body = f"[\n    {{\n      {body}\n    }}\n  ]"
     else:
         body = "[]"
@@ -129,20 +133,22 @@ def _cmd_flat(args, spec):
     return (["energy", "embedded", "source"], rows), {"e_max": args.e_max}, 0
 
 
-def _band_table(bands):
-    rows = [
-        [i, b.e_lo, b.e_hi, b.edge_theta_lo, b.edge_theta_hi]
-        for i, b in enumerate(bands)
-    ]
-    return ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"], rows
+_BAND_COLUMNS = ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"]
 
 
 def _cmd_bands(args, spec):
-    return _band_table(positive_bands(spec, args.k_max)), {"k_max": args.k_max}, 0
+    t = positive_band_table(spec, args.k_max)
+    columns = (t.e_lo, t.e_hi, t.theta_lo, t.theta_hi)
+    rows = [[i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))]
+    return (_BAND_COLUMNS, rows), {"k_max": args.k_max}, 0
 
 
 def _cmd_negative(args, spec):
-    return _band_table(negative_bands(spec)), {}, 0
+    rows = [
+        [i, b.e_lo, b.e_hi, b.edge_theta_lo, b.edge_theta_hi]
+        for i, b in enumerate(negative_bands(spec))
+    ]
+    return (_BAND_COLUMNS, rows), {}, 0
 
 
 def _cmd_dispersion(args, spec):

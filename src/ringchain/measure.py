@@ -14,10 +14,17 @@ from dataclasses import dataclass
 
 from ._numerics import k_times_ell, positive_finite, sincospi
 
-# phi_positive is unused here: kept importable as ringchain.measure.phi_positive,
-# a name the benchmark's tracer (perfbench/tracing.py) looks up and wraps
-from .bands import phi_positive, positive_bands, r_coefficient  # noqa: F401
-from .model import Band, ChainSpec
+# phi_positive and positive_bands are unused here: kept importable as
+# ringchain.measure.<name>, names the benchmark's tracer
+# (perfbench/tracing.py) looks up and wraps
+from .bands import (  # noqa: F401
+    BandTable,
+    phi_positive,
+    positive_band_table,
+    positive_bands,
+    r_coefficient,
+)
+from .model import ChainSpec
 
 __all__ = [
     "MeasureReport",
@@ -32,11 +39,13 @@ __all__ = [
 class MeasureReport:
     """Band/gap bookkeeping for the energy window [0, K] of
     ``spectrum_measure``; the chain and K are the caller's arguments, and
-    both counts follow from the bands."""
+    both counts follow from the bands.  ``bands`` is a sequence of ``Band``
+    that builds them on its first read; the measure and the counts read
+    its columns."""
 
     measure: float
     fraction: float
-    bands: tuple[Band, ...]
+    bands: BandTable
 
     @property
     def band_count(self) -> int:
@@ -47,25 +56,25 @@ class MeasureReport:
         """The gaps that meet the window, however narrow: one between each
         pair of consecutive bands, and one more past the last band unless
         the window ends inside it (``truncated_hi``)."""
-        return len(self.bands) - 1 + (not self.bands[-1].truncated_hi)
+        return len(self.bands) - 1 + (not self.bands.truncated_hi)
 
 
 def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
     """Measure of the positive spectrum in [0, window_hi].
 
     The measure is summed over band lengths in the energy variable
-    (band length = k_hi^2 - k_lo^2), clipped to the window.  The bands come
-    from ``positive_bands``, two bracketed solves per gap and no scan, so
-    every window is accepted and the cost grows with the number of gaps,
-    about sqrt(window_hi) (pi + ell)/pi.
+    (band length = k_hi^2 - k_lo^2), clipped to the window, left to right
+    from 0 as ``sum`` adds them.  The bands are the columns of
+    ``positive_band_table``, the ones ``positive_bands`` builds its list
+    from: two bracketed solves per gap and no scan, so every window is
+    accepted and the cost grows with the number of gaps, about
+    sqrt(window_hi) (pi + ell)/pi.  No ``Band`` is built until the
+    report's ``bands`` is read.
     """
     window_hi = positive_finite("window_hi", window_hi)
-    k_max = math.sqrt(window_hi)
-    bands = positive_bands(spec, k_max)
-    measure = sum(b.clipped_length(0.0, window_hi) for b in bands)
-    measure = min(measure, window_hi)
-
-    return MeasureReport(measure=measure, fraction=measure / window_hi, bands=tuple(bands))
+    table = positive_band_table(spec, math.sqrt(window_hi))
+    measure = min(sum(table.clipped_lengths(0.0, window_hi).tolist()), window_hi)
+    return MeasureReport(measure=measure, fraction=measure / window_hi, bands=table)
 
 
 class GapCertificate(enum.Enum):

@@ -21,8 +21,14 @@ from ringchain import (
     solve_negative_edge,
 )
 from ringchain._numerics import coth
-from ringchain.asymptotics import _one_sided_hausdorff, g2_ell_derivative_at_pi
-from ringchain.bands import f_shifted
+from ringchain.asymptotics import (
+    _SEARCH_CAP,
+    _WINDOW_WIDTH,
+    _gap_fraction,
+    _one_sided_hausdorff,
+    g2_ell_derivative_at_pi,
+)
+from ringchain.bands import f_shifted, positive_band_table
 
 SQRT3 = math.sqrt(3.0)
 
@@ -377,6 +383,24 @@ def test_set_convergence_decreasing_hausdorff_with_witnesses():
     assert rows[0]["hausdorff_to_tight"] > rows[1]["hausdorff_to_tight"]
     assert all(r["witness_gap_fraction"] > 0.5 for r in rows)
     assert rows[1]["witness_window_lo"] > rows[0]["witness_window_lo"]
+
+
+def test_gap_fraction_sums_only_the_bands_that_meet_the_window():
+    """On the demo's link lengths, the gap fraction of every window
+    set_convergence_check tries, and of windows that end on a band edge,
+    equals the sum over every band, bit for bit: a band that misses the
+    window adds +0.0."""
+    for ell in (0.1, 0.01):
+        k_max = math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH)
+        table = positive_band_table(ChainSpec(ell), k_max)
+        bands = positive_bands(ChainSpec(ell), k_max)
+        windows = [(k0, k0 + _WINDOW_WIDTH)
+                   for k0 in np.arange(0.0, _SEARCH_CAP + 1.0, _WINDOW_WIDTH / 2.0).tolist()]
+        for b in bands:
+            windows += [(b.e_lo, b.e_hi), (b.e_hi, b.e_hi + 1.0), (b.e_lo - 1.0, b.e_lo)]
+        for lo, hi in windows:
+            full = 1.0 - sum(b.clipped_length(lo, hi) for b in bands) / (hi - lo)
+            assert _gap_fraction(table, lo, hi) == full, (ell, lo, hi)
 
 
 def test_hausdorff_tight_to_itself_zero():

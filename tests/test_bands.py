@@ -10,6 +10,7 @@ import pytest
 from scipy.optimize import brentq
 
 from ringchain import (
+    Band,
     ChainSpec,
     Quasimomentum,
     SolverError,
@@ -29,8 +30,10 @@ import ringchain.bands
 from ringchain._numerics import RTOL, XTOL, brentq_strict, sincospi
 from ringchain.bands import (
     MAX_WITNESSES,
+    _crossings,
     _phi_minus,
     _witness_range,
+    _witnesses,
     f_prime_scaled,
     f_shifted,
 )
@@ -202,6 +205,103 @@ def test_positive_bands_batch_equals_one_by_one(monkeypatch, batch_min):
             assert _as_dicts(bands) == _positive_bands_one_by_one(spec, k_max), (ell, k_max)
             touched += sum(bool(b.touch_energies) for b in bands)
     assert touched >= 50
+
+
+def _positive_edges(spec, k_max):
+    """The open-gap mask of the witness test and the batched edges, two per
+    open gap, as ``positive_bands`` solves them."""
+    w = _witnesses(spec, 0.0, k_max)
+    j = np.arange(1, w.size - 1)
+    level = np.where(j % 2, -1.0, 1.0)
+    opened = ~((phi_positive(spec, w[1:-1]) - level) * level <= 0.0)
+    jo = j[opened]
+    a = np.stack((w[jo - 1], w[jo]), axis=1).ravel()
+    b = np.stack((w[jo], w[jo + 1]), axis=1).ravel()
+    return w.tolist(), opened.tolist(), _crossings(spec, np.repeat(level[opened], 2), a, b)
+
+
+def _positive_bands_per_gap(spec, k_max):
+    """positive_bands as one Band per band, in a loop over the gaps, from the
+    same witness test and edges: the reference for the column bookkeeping."""
+    ws, is_open, edges = _positive_edges(spec, k_max) if spec.is_loose else ([], [], [])
+
+    def band(lo, hi, touches, cut=False):
+        return Band(lo[0] * lo[0], hi[0] * hi[0], lo[1], hi[1], cut, tuple(touches))
+
+    bands, lo, touches = [], (0.0, 0.0), []
+    edge = iter(edges)
+    for j, gap_open in enumerate(is_open, start=1):
+        if not gap_open:
+            if ws[j] < k_max:
+                touches.append(ws[j] * ws[j])
+            continue
+        theta = -math.pi if j % 2 else 0.0
+        k_gap, k_up = next(edge), next(edge)
+        if k_gap >= k_max:
+            break
+        bands.append(band(lo, (k_gap, theta), touches))
+        lo, touches = (k_up, theta), []
+        if k_up >= k_max:
+            return bands
+    cut = (k_max, math.acos(min(max(phi_positive(spec, k_max), -1.0), 1.0)))
+    return [*bands, band(lo, cut, touches, cut=True)]
+
+
+def _window_ends(spec):
+    """k_max inside a band, inside a gap, on a solved edge and on a gap
+    witness, and one float either side of each edge and witness; the window
+    holds at most about 120 gaps."""
+    if spec.is_tight:
+        return [0.3, 1.0, 2.0, 2.5, math.nextafter(3.0, 0.0), 3.0, 31.6]
+    top = min(31.6, _witness(spec, 120))
+    ends = [0.3, 3.0, top]
+    bands = _positive_bands_per_gap(spec, top)
+    for i in (0, len(bands) // 2, -2):
+        a, b = bands[i], bands[i + 1]
+        ends += [math.sqrt(0.5 * (a.e_lo + a.e_hi)), math.sqrt(0.5 * (a.e_hi + b.e_lo))]
+    edges = _positive_edges(spec, top)[2]
+    for k in (edges[:4] + edges[len(edges) // 2:][:2] + [_witness(spec, j) for j in (1, 2, 9)]):
+        ends += _around(k)
+    return ends
+
+
+def _assert_table_equals_per_gap(spec):
+    touched = 0
+    for k_max in _window_ends(spec):
+        got, expected = positive_bands(spec, k_max), _positive_bands_per_gap(spec, k_max)
+        assert got == expected and repr(got) == repr(expected), (spec, k_max)
+        window = k_max * k_max
+        rep = spectrum_measure(spec, window)
+        listed = _positive_bands_per_gap(spec, math.sqrt(window))
+        measure = min(sum(b.clipped_length(0.0, window) for b in listed), window)
+        assert (rep.measure, rep.fraction) == (measure, measure / window), (spec, k_max)
+        assert rep.band_count == len(listed), (spec, k_max)
+        assert rep.gap_count == len(listed) - 1 + (not listed[-1].truncated_hi)
+        touched += sum(bool(b.touch_energies) for b in got)
+    return touched
+
+
+_LOG_UNIFORM_ELLS = tuple(map(float, 10.0 ** np.random.default_rng(21).uniform(-3, 3, 24)))
+
+
+@pytest.mark.parametrize("ell", _LOG_UNIFORM_ELLS)
+def test_positive_band_table_equals_the_per_gap_loop(ell):
+    """The bands built from numpy columns equal the ones a loop over the
+    gaps builds from the same edges, Band for Band, at window ends inside a
+    band, inside a gap, on a solved edge and on a witness; so do the
+    measure, fraction and counts of spectrum_measure."""
+    _assert_table_equals_per_gap(ChainSpec(ell))
+
+
+def test_positive_band_table_equals_the_per_gap_loop_with_touchings():
+    touched = 0
+    for p, q in ((1, 1), (1, 2), (2, 3), (1, 3), (3, 4), (2, 1), (5, 7), (7, 5), (1, 10)):
+        touched += _assert_table_equals_per_gap(ChainSpec(math.pi * p / q))
+    assert touched >= 200
+
+
+def test_positive_band_table_equals_the_per_gap_loop_tight():
+    _assert_table_equals_per_gap(TIGHT)
 
 
 @pytest.mark.parametrize("batch_min", [0, None, 10**9], ids=["arrays", "default", "scalar"])

@@ -395,6 +395,16 @@ def test_json_writer_equals_indented_dumps(columns, data, config):
     assert cli_mod._json_report(columns, rows, config) == _indented_dumps(columns, rows, config)
 
 
+@pytest.mark.parametrize("rows", [
+    [],
+    [[math.inf, math.nan, -math.inf]],
+    [[1.0, "},\n      {", None], [np.float64(math.nan), "}", True], [0, -0.0, "a"]],
+], ids=["empty", "non-finite", "rows"])
+def test_json_writer_equals_indented_dumps_on_examples(rows):
+    columns, config = ["a", "b", "c"], {"c": math.inf, "d": 1}
+    assert cli_mod._json_report(columns, rows, config) == _indented_dumps(columns, rows, config)
+
+
 def test_json_writer_refuses_a_non_finite_float_it_is_handed(monkeypatch):
     # _json_value writes null for these; past it, the encoders raise, as
     # json.dumps with allow_nan=False does, and never write a bare token

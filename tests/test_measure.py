@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ringchain import (
+    Band,
     ChainSpec,
     GapCertificate,
     gap_certificate,
@@ -90,6 +91,32 @@ def test_measure_consistent_with_bands():
     total = sum(b.clipped_length(0.0, 100.0) for b in rep.bands)
     assert abs(rep.measure - total) < 1e-6 * 100.0
     assert 0.0 <= rep.fraction <= 1.0
+
+
+def test_spectrum_measure_builds_no_band_until_its_bands_are_read(monkeypatch):
+    built = []
+    post_init = Band.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Band, "__post_init__", counted)
+    window = 1.01e4
+    rep = spectrum_measure(LOOSE1, window)
+    again = spectrum_measure(LOOSE1, window)
+    assert (rep.band_count, rep.gap_count, len(rep.bands)) == (132, 132, 132)
+    assert rep.measure > 0.0 and built == []
+
+    expected = tuple(positive_bands(LOOSE1, math.sqrt(window)))
+    assert len(built) == 132
+    assert rep.bands == expected and expected == rep.bands and rep == again
+    assert len(built) == 3 * 132
+    # the bands read as the tuple of them does
+    assert rep.bands[1:3] == expected[1:3] and rep.bands[-1] == expected[-1]
+    assert list(rep.bands) == list(expected) and rep.bands != list(expected)
+    assert hash(rep.bands) == hash(expected) and repr(rep.bands) == repr(expected)
+    assert len(built) == 3 * 132
 
 
 def test_certificate_inconclusive_at_anchor():
