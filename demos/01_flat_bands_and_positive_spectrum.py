@@ -14,11 +14,11 @@ for ell in (0.0, 1.0):
     label = "tight" if spec.is_tight else f"loose, link length {ell}"
     print(f"=== {label} chain ===")
 
-    fbs = flat_bands(spec, e_max=30.0)
     print("flat bands (infinitely degenerate eigenvalues):")
-    for fb in fbs:
-        tag = "embedded in the ac spectrum" if fb.embedded else "isolated"
-        print(f"  E = {fb.energy:6.1f}   {tag}")
+    for e in flat_bands(spec, e_max=30.0):
+        # E >= 0 lies in the closure of the ac spectrum; E = -1 (tight) is isolated
+        tag = "embedded in the ac spectrum" if e >= 0.0 else "isolated"
+        print(f"  E = {e:6.1f}   {tag}")
 
     bands = positive_bands(spec, k_max=5.0)
     print(f"positive ac bands up to E = 25 ({len(bands)} bands):")

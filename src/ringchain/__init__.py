@@ -46,7 +46,6 @@ from .measure import (
 from .model import (
     Band,
     ChainSpec,
-    FlatBand,
     Quasimomentum,
     SpectralParameter,
     make_coupling,
@@ -65,7 +64,6 @@ __all__ = [
     # model
     "Band",
     "ChainSpec",
-    "FlatBand",
     "Quasimomentum",
     "SpectralParameter",
     "make_coupling",

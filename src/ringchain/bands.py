@@ -55,7 +55,7 @@ import numpy as np
 
 from ._numerics import MAX_WITNESSES, brentq_batch, brentq_strict, positive_finite, sincospi
 from .errors import SolverError
-from .model import Band, ChainSpec, FlatBand, Quasimomentum, SpectralParameter
+from .model import Band, ChainSpec, Quasimomentum, SpectralParameter
 
 # unused here: the benchmark's tracer (perfbench/tracing.py) looks up and
 # wraps ringchain.bands.closed_form_value
@@ -202,31 +202,30 @@ def f_prime_scaled(spec: ChainSpec, kappa):
 # flat bands
 
 
-def flat_bands(spec: ChainSpec, e_max: float) -> list[FlatBand]:
-    """Infinitely degenerate eigenvalues with energy <= e_max.
+def flat_bands(spec: ChainSpec, e_max: float) -> np.ndarray:
+    """The energies <= e_max of the infinitely degenerate eigenvalues, in
+    ascending order, as a float64 array.
 
-    Tight chain: {-1} and the positive integers.  Loose chain: every
-    non-negative integer (and no negative eigenvalue).  Each is a zero of
-    the closed-form condition at every theta through a prefactor:
-    sin(k pi) = 0 at integer k (exactly, from ``sincospi``), kappa^2 - 1 = 0
-    at -1, and the k -> 0 limit at 0.  Every E >= 0 also lies in the closure
-    of the ac spectrum, as ``FlatBand.embedded`` says: the tight chain's ac
-    spectrum is [0, inf), and on the loose chain Phi(n) = +-cos(n ell) and
-    Phi(0) = 1.
+    Tight chain: -1 and the squares of the positive integers.  Loose chain:
+    the squares of every non-negative integer (and no negative eigenvalue).
+    Each is a zero of the closed-form condition at every theta through a
+    prefactor: sin(k pi) = 0 at integer k (exactly, from ``sincospi``),
+    kappa^2 - 1 = 0 at -1, and the k -> 0 limit at 0.  So the sign tells
+    them apart: every E >= 0 lies in the closure of the ac spectrum
+    (embedded), since the tight chain's ac spectrum is [0, inf), and on the
+    loose chain Phi(n) = +-cos(n ell) and Phi(0) = 1; E = -1 is isolated.
     """
     e_max = positive_finite("e_max", e_max)
-    if spec.is_tight:
-        entries = [FlatBand(-1.0)]
-    else:
-        entries = [FlatBand(0.0)]
     n_max = math.isqrt(int(e_max))  # the largest n with n * n <= e_max
     if n_max > MAX_WITNESSES:
         raise ValueError(
             f"e_max = {e_max!r} holds about {math.sqrt(e_max):.3g} flat bands, "
             f"more than MAX_WITNESSES = {MAX_WITNESSES}"
         )
-    entries += [FlatBand(float(n) * n) for n in range(1, n_max + 1)]
-    return entries
+    n = np.arange(n_max + 1, dtype=float)
+    energies = n * n  # exact: n <= 2**24
+    energies[0] = -1.0 if spec.is_tight else 0.0
+    return energies
 
 
 # ---------------------------------------------------------------------------

@@ -126,10 +126,9 @@ def _write_report(args, columns: list[str], rows: list[list], config: dict) -> N
 
 
 def _cmd_flat(args, spec):
-    rows = [
-        [fb.energy, fb.embedded, fb.source]
-        for fb in flat_bands(spec, args.e_max)
-    ]
+    # E >= 0 is embedded, a zero of sin(k pi); E = -1 (tight) of kappa^2 - 1
+    rows = [[e, True, "sin_k_pi"] if e >= 0.0 else [e, False, "kappa_sq_minus_1"]
+            for e in flat_bands(spec, args.e_max).tolist()]
     return (["energy", "embedded", "source"], rows), {"e_max": args.e_max}, 0
 
 

@@ -23,9 +23,7 @@ import numpy as np
 
 from ._numerics import brentq_batch, brentq_strict
 from .model import ChainSpec, Quasimomentum
-from .secular import assemble_at, closed_form_at, normalized_determinant
-# unused here: the benchmark's tracer (perfbench/tracing.py) looks up and wraps them
-from .secular import assemble, closed_form_value  # noqa: F401
+from .secular import assemble, closed_form_value, normalized_determinant
 
 __all__ = ["RootMatchReport", "match_roots"]
 
@@ -72,7 +70,7 @@ def match_roots(
     The determinant at every bracket end comes from one stacked assembly;
     the determinant-proxy solves then advance together in one
     ``brentq_batch``, one stacked assembly per Brent iteration.  Both
-    formulations take floats: no SpectralParameter is built.
+    formulations take the floats k or kappa themselves.
     """
     if branch not in ("positive", "negative"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -84,10 +82,10 @@ def match_roots(
     cos_theta = q.cos
 
     def closed(x: float) -> float:
-        return closed_form_at(spec, branch, x, cos_theta)
+        return closed_form_value(spec, branch, x, cos_theta)
 
     def ndets(xs) -> list[complex]:
-        return normalized_determinant(assemble_at(spec, branch, xs, q)).tolist()
+        return normalized_determinant(assemble(spec, branch, xs, q)).tolist()
 
     pairs = []
     for _ in range(n_brackets):

@@ -32,7 +32,6 @@ __all__ = [
     "SpectralParameter",
     "Quasimomentum",
     "Band",
-    "FlatBand",
     "make_coupling",
 ]
 
@@ -191,24 +190,3 @@ class Band:
     def clipped_length(self, lo: float, hi: float) -> float:
         """Length of the band's intersection with [lo, hi]."""
         return max(0.0, min(self.e_hi, hi) - max(self.e_lo, lo))
-
-
-@dataclass(frozen=True)
-class FlatBand:
-    """An infinitely degenerate eigenvalue (theta-independent fiber root).
-
-    Its energy fixes the rest.  E = k^2 >= 0 is a zero of sin(k pi) and lies
-    in the closure of the ac spectrum (embedded); E = -1 is the zero of
-    kappa^2 - 1 and is isolated.
-    """
-
-    energy: float
-
-    @property
-    def source(self) -> str:
-        """The vanishing prefactor: 'sin_k_pi' or 'kappa_sq_minus_1'."""
-        return "kappa_sq_minus_1" if self.energy < 0.0 else "sin_k_pi"
-
-    @property
-    def embedded(self) -> bool:
-        return self.energy >= 0.0

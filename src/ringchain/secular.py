@@ -1,21 +1,24 @@
 """Fiber-operator secular systems and their closed-form counterparts.
 
-Two independent formulations of the same spectral condition live here:
+Two independent formulations of the same spectral condition live here, both
+as functions of one float: k > 0 on the positive branch (E = k^2) or
+kappa > 0 on the negative one (E = -kappa^2), where the trigonometric
+factors turn hyperbolic.
 
 * ``assemble`` builds the raw linear system for the trial coefficients on
   the cell edges (8 unknowns for the tight chain, 12 for the loose one)
-  from the quasi-periodic boundary conditions and the vertex matching, and
-  ``normalized_determinant`` takes its determinant with every row scaled to
-  unit norm.  It vanishes exactly on shell.  Both work on stacks of energies.
+  from the quasi-periodic boundary conditions and the vertex matching, one
+  matrix per float of a stack, and ``normalized_determinant`` takes their
+  determinants with every row scaled to unit norm.  It vanishes exactly on
+  shell.
 
 * ``closed_form_value`` evaluates the factored scalar conditions obtained by
   eliminating the system by hand, overflow safe and with their prefactors.
   The band solvers use the reduced dispersions of ``ringchain.bands``
   instead; both formulations here exist as a derivation cross-check.
 
-Each has one implementation, on floats (k or kappa): ``assemble_at`` and
-``closed_form_at``.  The two must agree on their zero sets; the test suite
-enforces this on random brackets for both energy branches.
+The two must agree on their zero sets; the test suite enforces this on
+random brackets for both energy branches.
 """
 
 from __future__ import annotations
@@ -26,14 +29,12 @@ import numpy as np
 
 from ._numerics import k_times_ell, positive_finite, sincospi, vertex_degree
 from .errors import OverflowGuardError, SolverError
-from .model import ChainSpec, Quasimomentum, SpectralParameter
+from .model import ChainSpec, Quasimomentum
 
 __all__ = [
     "assemble",
-    "assemble_at",
     "normalized_determinant",
     "closed_form_value",
-    "closed_form_at",
     "vertex_scattering",
     "s_minus_i_norm",
 ]
@@ -45,13 +46,23 @@ _HYPERBOLIC_GUARD = 700.0
 
 _HALF = math.pi / 2
 
-#: the constructor that a float of each branch stands for
-_PARAMETER = {"positive": SpectralParameter.from_k, "negative": SpectralParameter.from_kappa}
+#: the name of the float of each branch
+_NAME = {"positive": "k", "negative": "kappa"}
+
+
+def _zero_energy(name: str, x: float) -> bool:
+    """Whether ``x``, a k or kappa as ``name`` says, is zero energy: its
+    square underflows.  ValueError naming it unless x is finite and > 0 with
+    a finite square."""
+    x = positive_finite(name, x)
+    if x * x == math.inf:
+        raise ValueError(f"{name}*{name} is not finite for {name} = {x!r}")
+    return x * x == 0.0
 
 
 def _scatter(edges, rows):
     """(n, entry, piece): the matrix size, and the indices into the flattened
-    matrix and into assemble_at's flattened table that put each row's two
+    matrix and into assemble's flattened table that put each row's two
     pieces into the columns of their edges (``edges`` gives an edge's first
     column).  The table's pieces are named in its order, at x = +-pi/2, 0 and,
     for n = 12, +-l/2: V and D are the basis values and derivatives at x, t = e^{i theta}."""
@@ -108,13 +119,11 @@ _LOOSE = _scatter({"psi1": 0, "psi2": 2, "psi3": 4, "phi1": 6, "phi2": 8, "phi3"
 ))
 
 
-def assemble(spec: ChainSpec, sp, q: Quasimomentum) -> np.ndarray:
-    """The complex secular matrix for the given chain, energy and theta.
-
-    ``sp`` is one SpectralParameter, which gives the (n, n) matrix, or a
-    sequence of them on one branch, which gives the (N, n, n) stack of their
-    matrices, built by ``assemble_at`` from their k or kappa in one gather.
-    A stacked matrix equals the matrix assembled alone, bit for bit.
+def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarray:
+    """The (N, n, n) stack of complex secular matrices of the given chain at
+    theta and at each of the N floats ``values``: k on the positive branch,
+    kappa on the negative one.  Each matrix equals, bit for bit, the one
+    assembled alone.
 
     Unknown layout (two columns per edge, + then - coefficient):
       tight, 8x8:    (c1+, c1-, c2+, c2-, c3+, c3-, c4+, c4-)
@@ -133,42 +142,32 @@ def assemble(spec: ChainSpec, sp, q: Quasimomentum) -> np.ndarray:
     apart from the e^{i theta} boundary factors and the i's of the vertex
     condition.
 
-    Rejects zero energy: the k -> 0 degeneracy of the trial basis is handled
-    by the closed forms, not by the raw determinant.  On the negative branch
-    kappa*max(pi, ell) > 700 is refused at every point (entries would
-    overflow).
+    Refuses an empty stack and, naming k or kappa, a value that is not
+    finite and > 0 or whose square overflows.  Refuses zero energy too, a
+    value whose square underflows: the k -> 0 degeneracy of the trial basis
+    is handled by the closed forms, not by the raw determinant.  On the
+    negative branch kappa*max(pi, ell) > 700 is refused at every point
+    (entries would overflow).
     """
-    if not isinstance(spec, ChainSpec):
-        raise TypeError("spec must be a ChainSpec")
-    single = isinstance(sp, SpectralParameter)
-    points = (sp,) if single else tuple(sp)
-    if not points:
-        raise ValueError("no spectral parameter to assemble")
-    branch = points[0].branch
-    if any(p.branch != branch for p in points):
-        raise ValueError("a stack of spectral parameters must share one branch")
-    if branch == "zero":
-        raise ValueError("zero energy is not admissible in the raw system")
-    if not math.isfinite(q.theta):
-        raise ValueError("non-finite quasimomentum")
-    values = [p.k for p in points] if branch == "positive" else [p.kappa for p in points]
-    m = assemble_at(spec, branch, values, q)
-    return m[0] if single else m
-
-
-def assemble_at(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarray:
-    """``assemble`` of SpectralParameter.from_k (or from_kappa) of each of
-    the N floats ``values``, k (or kappa): the (N, n, n) stack, bit for bit,
-    or the error those calls raise."""
-    if branch not in _PARAMETER:
+    if branch not in _NAME:
         raise ValueError(f"unknown branch {branch!r}")
     x = np.asarray(values, dtype=float)
     lo, hi = (float(x.min()), float(x.max())) if x.size else (0.0, 0.0)  # x*x grows with x > 0
     if not (lo > 0.0 and 0.0 < lo * lo and hi * hi < math.inf
             and isinstance(spec, ChainSpec) and math.isfinite(q.theta)):
-        # refused: raise what assemble raises for the SpectralParameters of
-        # values, which it refuses before it calls assemble_at
-        assemble(spec, map(_PARAMETER[branch], x.tolist()), q)
+        if not isinstance(spec, ChainSpec):
+            raise TypeError("spec must be a ChainSpec")
+        name = _NAME[branch]
+        if not x.size:
+            raise ValueError(f"no {name} to assemble")
+        for v in x.tolist():
+            if _zero_energy(name, v):
+                raise ValueError(
+                    f"{name} = {v!r} is zero energy ({name}*{name} underflows), "
+                    "which the raw system does not admit"
+                )
+        # every value is admissible, so theta is what was refused
+        raise ValueError("non-finite quasimomentum")
     # the basis at x = pi/2, -pi/2, 0 and, on the loose chain, +-ell/2
     ell2 = spec.link_length / 2
     xs = np.array((_HALF, -_HALF, 0.0) + (() if spec.is_tight else (ell2, -ell2)))
@@ -227,10 +226,10 @@ def normalized_determinant(m: np.ndarray):
     return complex(det) if m.ndim == 2 else det
 
 
-def closed_form_value(
-    spec: ChainSpec, sp: SpectralParameter, q: Quasimomentum
-) -> float:
-    """Left-hand side of the factored scalar spectral condition.
+def closed_form_value(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> float:
+    """Left-hand side of the factored scalar spectral condition at k = x
+    (positive branch) or kappa = x (negative branch) and cos(theta) =
+    ``cos_theta``.
 
     Zero if and only if (energy, theta) is on shell.  The prefactors are
     included, so the flat-band energies are zeros through the sin(k*pi) or
@@ -238,27 +237,19 @@ def closed_form_value(
     exponentially rescaled forms; values beyond the float range are clamped
     to +-1.8e308 with the correct sign.
 
-    Zero energy is accepted and returns 0.0 for the loose chain (the k^5
-    prefactor limit) and 0.0 for the tight chain (k^3 prefactor limit).
+    An x whose square underflows is zero energy and gives 0.0, the k^5
+    (loose) and k^3 (tight) prefactor limit.  Past x ~ 1.8e61, where x**5 or
+    x**3 overflows, the value is 0 on the positive branch (sin(k*pi) = 0
+    there) and the clamp, with its sign, on the negative one.  Refused,
+    naming k or kappa (ValueError): an x that is not finite and > 0 or whose
+    square overflows, and on the loose positive branch a k whose product
+    with ell overflows.
     """
-    if sp.branch == "zero":
-        return 0.0
-    return closed_form_at(spec, sp.branch, sp.k or sp.kappa, q.cos)
-
-
-def closed_form_at(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> float:
-    """``closed_form_value`` of SpectralParameter.from_k(x) (or
-    from_kappa(x)) at cos(theta) = ``cos_theta``: the same float, or the
-    error those calls raise.  An x whose square underflows is zero energy.
-    Past x ~ 1.8e61, where x**5 or x**3 overflows, the value is 0 on the
-    positive branch (sin(k*pi) = 0 there) and the clamp, with its sign, on
-    the negative one.  On the loose positive branch a k whose product with
-    ell overflows is refused by name (ValueError)."""
-    if branch not in _PARAMETER:
+    if branch not in _NAME:
         raise ValueError(f"unknown branch {branch!r}")
     if not (x > 0.0 and 0.0 < x * x < math.inf):
-        _PARAMETER[branch](x)  # raises for a refused x
-        return 0.0  # zero energy
+        _zero_energy(_NAME[branch], x)  # raises unless x is zero energy
+        return 0.0
     ell = spec.link_length
 
     try:

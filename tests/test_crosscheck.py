@@ -11,7 +11,6 @@ from ringchain import (
     ChainSpec,
     OverflowGuardError,
     SolverError,
-    SpectralParameter,
     solve_negative_edge,
 )
 from ringchain.crosscheck import RootMatchReport, match_roots
@@ -62,12 +61,12 @@ def test_match_roots_rejects_unknown_branch():
         match_roots(ChainSpec(1.0), "diagonal", 0.1, 1.0)
 
 
-def _flipped(closed_form_at):
+def _flipped(closed_form_value):
     """The closed form negated on every other third of a unit, which plants
     closed-form roots the determinant does not have."""
 
     def flipped(spec, branch, x, cos_theta):
-        v = closed_form_at(spec, branch, x, cos_theta)
+        v = closed_form_value(spec, branch, x, cos_theta)
         return -v if math.floor(3.0 * x) % 2 else v
 
     return flipped
@@ -78,8 +77,8 @@ def _flipped(closed_form_at):
 )
 def test_reports_equal_the_per_point_implementation(source, monkeypatch):
     if "flipped" in source:
-        monkeypatch.setattr(ringchain.crosscheck, "closed_form_at",
-                            _flipped(ringchain.crosscheck.closed_form_at))
+        monkeypatch.setattr(ringchain.crosscheck, "closed_form_value",
+                            _flipped(ringchain.crosscheck.closed_form_value))
     entries = [e for e in FROZEN if e["source"] == source]
     default_tol = ringchain.crosscheck.TOL
     for e in entries:
@@ -148,12 +147,17 @@ def test_nan_in_a_lockstep_round_names_its_bracket(monkeypatch):
      "kappa*max(pi, ell) = 730 exceeds 700.0; use the closed-form spectral condition instead"),
     (40.0, "negative", 17.0, 18.0, OverflowGuardError,
      "kappa*max(pi, ell) = 712 exceeds 700.0; use the closed-form spectral condition instead"),
-    (1.0, "negative", 1e-200, 1e200, ValueError, "energy must be finite, got -inf"),
-    (1.0, "positive", 1e-200, 1e200, ValueError, "energy must be finite, got inf"),
-    (0.0, "positive", 1.0, 1e200, ValueError, "energy must be finite, got inf"),
+    # a bracket end whose square overflows, refused by name
+    (1.0, "negative", 1e-200, 1e200, ValueError,
+     "kappa*kappa is not finite for kappa = 4.0973523936194685e+198"),
+    (1.0, "positive", 1e-200, 1e200, ValueError,
+     "k*k is not finite for k = 4.0973523936194685e+198"),
+    (0.0, "positive", 1.0, 1e200, ValueError,
+     "k*k is not finite for k = 4.0973523936194685e+198"),
 ])
 def test_refusals_equal_the_per_point_implementation(ell, branch, lo, hi, error, message):
-    # the type and message the per-point implementation raised for these calls
+    # the type the per-point implementation raised for these calls; its
+    # messages named the energy, these name k or kappa
     with pytest.raises(error) as info:
         match_roots(ChainSpec(ell), branch, lo, hi, n_brackets=10, seed=0)
     assert type(info.value) is error and str(info.value) == message
@@ -166,23 +170,30 @@ def test_window_past_the_closed_forms_powers_meets_the_guard():
         match_roots(ChainSpec(1.0), "negative", 1e62, 2e62)
 
 
-def test_warm_up_op_builds_no_spectral_parameter(monkeypatch):
-    """The benchmark's warm-up op (ell = 1, theta = 0.3) works on floats: it
-    builds no SpectralParameter and makes as many determinant calls as the
-    per-point implementation, one per stacked assembly (8 and 5)."""
-    built, dets = [], []
-    post_init = SpectralParameter.__post_init__
-    true_det = ringchain.crosscheck.normalized_determinant
+def test_warm_up_op_calls_the_names_the_tracer_wraps(monkeypatch):
+    """The benchmark's warm-up op (ell = 1, theta = 0.3) looks up
+    ``assemble``, ``normalized_determinant`` and ``closed_form_value`` in
+    ringchain.crosscheck at each call, where the benchmark's tracer wraps
+    them, and makes as many determinant calls as the per-point
+    implementation, one per stacked assembly (8 and 5)."""
+    closed, stacks, dets = [], [], []
+    true = {name: getattr(ringchain.crosscheck, name)
+            for name in ("assemble", "normalized_determinant", "closed_form_value")}
 
-    def counted_post_init(self):
-        built.append(self)
-        post_init(self)
+    def counted_closed(spec, branch, x, cos_theta):
+        closed.append(x)
+        return true["closed_form_value"](spec, branch, x, cos_theta)
+
+    def counted_assemble(spec, branch, values, q):
+        stacks.append(len(values))
+        return true["assemble"](spec, branch, values, q)
 
     def counted_det(m):
         dets.append(len(m))
-        return true_det(m)
+        return true["normalized_determinant"](m)
 
-    monkeypatch.setattr(SpectralParameter, "__post_init__", counted_post_init)
+    monkeypatch.setattr(ringchain.crosscheck, "closed_form_value", counted_closed)
+    monkeypatch.setattr(ringchain.crosscheck, "assemble", counted_assemble)
     monkeypatch.setattr(ringchain.crosscheck, "normalized_determinant", counted_det)
     per_call = []
     for e in (e for e in FROZEN if e["source"] == "oracle-crosscheck warm-up"):
@@ -191,5 +202,5 @@ def test_warm_up_op_builds_no_spectral_parameter(monkeypatch):
         match_roots(ChainSpec(call.pop("ell")), call.pop("branch"), call.pop("lo"),
                     call.pop("hi"), **{**call, "extra_roots": tuple(call["extra_roots"])})
         per_call.append(len(dets) - start)
-    assert built == []
     assert per_call == [8, 5]
+    assert stacks == dets and closed

@@ -13,7 +13,6 @@ from ringchain import (
     ChainSpec,
     Quasimomentum,
     SpectralParameter,
-    flat_bands,
     large_l_squeeze,
     make_coupling,
     small_l_lower_band,
@@ -165,8 +164,6 @@ def test_band_validates_interval():
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), window_hi=10.0),
     lambda: replace(match_roots(ChainSpec(1.0), "positive", 0.5, 1.5, n_brackets=2),
                     spec=ChainSpec(1.0)),
-    lambda: replace(flat_bands(ChainSpec(0.0), 4.0)[-1], source="kappa_sq_minus_1"),
-    lambda: replace(flat_bands(ChainSpec(0.0), 4.0)[0], embedded=True),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), band_count=7),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), gap_count=0),
     lambda: replace(large_l_squeeze(20.0), energy_pair=(-3.0, -3.0)),
@@ -176,13 +173,11 @@ def test_band_validates_interval():
     lambda: replace(large_l_squeeze(20.0), ell=30.0),
     lambda: replace(Band(1.0, 2.0, 0.0, -math.pi), truncated_lo=True),
 ], ids=["k", "kappa", "kind", "upper_energy_pred", "lower_energy_pred", "kappa_sq_pair",
-        "measure_spec", "window_hi", "match_spec", "flat_source", "flat_embedded",
-        "band_count", "gap_count", "energy_pair", "upper_ell", "upper_theta", "lower_ell",
-        "squeeze_ell", "truncated_lo"])
+        "measure_spec", "window_hi", "match_spec", "band_count", "gap_count", "energy_pair",
+        "upper_ell", "upper_theta", "lower_ell", "squeeze_ell", "truncated_lo"])
 def test_a_contradictory_value_cannot_be_built(build):
-    # k, kappa and the branch follow from the energy, a flat band's source
-    # and embedding from its energy's sign, the predicted energies and
-    # kappa^2 from kappa and epsilon, and a report's counts from its bands;
+    # k, kappa and the branch follow from the energy, the predicted energies
+    # and kappa^2 from kappa and epsilon, and a report's counts from its bands;
     # a report's chain, window, ell and theta are the caller's arguments, and
     # no lower band edge is cut; none is an argument
     with pytest.raises(TypeError):

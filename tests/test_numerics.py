@@ -22,6 +22,8 @@ from ringchain import (
     Quasimomentum,
     SolverError,
     SpectralParameter,
+    assemble,
+    closed_form_value,
     flat_bands,
     gap_certificate,
     large_l_gap_spacing,
@@ -49,6 +51,8 @@ def test_solver_constants():
     assert (XTOL, RTOL, MAXITER) == (1e-13, 8.9e-16, 200)
 
 
+_Q = Quasimomentum(0.3)
+
 # every argument of an entry point that must be finite and > 0: its name
 # and a call with x in its place
 _POSITIVE_ARGUMENTS = {
@@ -60,6 +64,11 @@ _POSITIVE_ARGUMENTS = {
     "m_ell_membership.ell": ("ell", lambda x: m_ell_membership(1.0, x)),
     "SpectralParameter.from_k": ("k", SpectralParameter.from_k),
     "SpectralParameter.from_kappa": ("kappa", SpectralParameter.from_kappa),
+    "assemble.k": ("k", lambda x: assemble(ChainSpec(1.0), "positive", [1.0, x], _Q)),
+    "assemble.kappa": ("kappa", lambda x: assemble(ChainSpec(0.0), "negative", [x], _Q)),
+    "closed_form_value.k": ("k", lambda x: closed_form_value(ChainSpec(1.0), "positive", x, 0.3)),
+    "closed_form_value.kappa": (
+        "kappa", lambda x: closed_form_value(ChainSpec(0.0), "negative", x, 0.3)),
     "vertex_scattering.k": ("k", lambda x: vertex_scattering(3, x)),
     "s_minus_i_norm.k": ("k", lambda x: s_minus_i_norm(3, x)),
     "small_l_upper_band.ell": ("ell", lambda x: small_l_upper_band(x, Quasimomentum(0.0))),

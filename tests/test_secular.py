@@ -13,77 +13,72 @@ from ringchain import (
     OverflowGuardError,
     Quasimomentum,
     SolverError,
-    SpectralParameter,
     assemble,
     closed_form_value,
     make_coupling,
     normalized_determinant,
     vertex_scattering,
 )
-from ringchain.secular import assemble_at, closed_form_at, s_minus_i_norm
+from ringchain.secular import s_minus_i_norm
 
 TIGHT = ChainSpec(0.0)
 LOOSE1 = ChainSpec(1.0)
 
 
-def ndet(spec, sp, theta):
-    return normalized_determinant(assemble(spec, sp, Quasimomentum(theta)))
+def ndet(spec, branch, x, theta):
+    return normalized_determinant(assemble(spec, branch, [x], Quasimomentum(theta))[0])
 
 
 def test_system_sizes():
-    m8 = assemble(TIGHT, SpectralParameter.from_k(0.7), Quasimomentum(0.4))
-    assert m8.shape == (8, 8)
-    m12 = assemble(LOOSE1, SpectralParameter.from_k(0.7), Quasimomentum(0.4))
-    assert m12.shape == (12, 12)
+    q = Quasimomentum(0.4)
+    assert assemble(TIGHT, "positive", [0.7], q).shape == (1, 8, 8)
+    assert assemble(LOOSE1, "positive", [0.7, 1.2], q).shape == (2, 12, 12)
 
 
 def test_assemble_rejects_zero_energy():
-    with pytest.raises(ValueError):
-        assemble(TIGHT, SpectralParameter(0.0), Quasimomentum(0.0))
+    with pytest.raises(ValueError, match="zero energy"):
+        assemble(TIGHT, "positive", [1e-200], Quasimomentum(0.0))
 
 
 def test_assemble_overflow_guard():
     with pytest.raises(OverflowGuardError):
-        assemble(TIGHT, SpectralParameter.from_kappa(250.0), Quasimomentum(0.0))
+        assemble(TIGHT, "negative", [250.0], Quasimomentum(0.0))
     with pytest.raises(OverflowGuardError):
-        assemble(ChainSpec(5.0), SpectralParameter.from_kappa(150.0),
-                 Quasimomentum(0.0))
+        assemble(ChainSpec(5.0), "negative", [150.0], Quasimomentum(0.0))
 
 
 @pytest.mark.parametrize("theta", [-2.5, 0.0, 0.9, 3.0])
 def test_tight_flat_band_k1(theta):
     # sin(k pi) factor: the determinant vanishes at k = 1 for every theta
-    assert abs(ndet(TIGHT, SpectralParameter.from_k(1.0), theta)) < 1e-10
+    assert abs(ndet(TIGHT, "positive", 1.0, theta)) < 1e-10
 
 
 def test_tight_on_shell_half():
     # cos(k pi) = cos(theta) at k = 1/2, theta = pi/2
-    assert abs(ndet(TIGHT, SpectralParameter.from_k(0.5), math.pi / 2)) < 1e-10
+    assert abs(ndet(TIGHT, "positive", 0.5, math.pi / 2)) < 1e-10
 
 
 def test_tight_off_shell_half():
-    assert abs(ndet(TIGHT, SpectralParameter.from_k(0.5), 0.0)) > 1e-3
+    assert abs(ndet(TIGHT, "positive", 0.5, 0.0)) > 1e-3
 
 
 def test_tight_negative_flat_kappa1():
-    assert abs(ndet(TIGHT, SpectralParameter.from_kappa(1.0), 0.77)) < 1e-10
-    assert abs(ndet(TIGHT, SpectralParameter.from_kappa(1.3), 0.77)) > 1e-6
+    assert abs(ndet(TIGHT, "negative", 1.0, 0.77)) < 1e-10
+    assert abs(ndet(TIGHT, "negative", 1.3, 0.77)) > 1e-6
 
 
 def test_loose_pi_on_shell_sqrt3():
     # the ell = pi dispersion attains cos(theta) = 1 exactly at kappa = sqrt(3)
-    spec = ChainSpec(math.pi)
-    v = ndet(spec, SpectralParameter.from_kappa(math.sqrt(3.0)), 0.0)
-    assert abs(v) < 1e-9
+    assert abs(ndet(ChainSpec(math.pi), "negative", math.sqrt(3.0), 0.0)) < 1e-9
 
 
 def test_loose_flat_band_integer_k():
     for theta in (0.0, 1.0, -2.0):
-        assert abs(ndet(LOOSE1, SpectralParameter.from_k(3.0), theta)) < 1e-10
+        assert abs(ndet(LOOSE1, "positive", 3.0, theta)) < 1e-10
 
 
 def test_normalization_consistency():
-    m = assemble(LOOSE1, SpectralParameter.from_k(2.2), Quasimomentum(0.8))
+    m = assemble(LOOSE1, "positive", [2.2], Quasimomentum(0.8))[0]
     norms = np.linalg.norm(m, axis=1)
     expected = np.linalg.det(m) / np.prod(norms)
     assert abs(normalized_determinant(m) - expected) < 1e-12 * abs(expected) + 1e-15
@@ -92,33 +87,30 @@ def test_normalization_consistency():
 def test_closed_form_tight_negative_flat():
     # (kappa^2 - 1) factor vanishes exactly at kappa = 1, independent of theta
     for theta in np.linspace(-math.pi, math.pi, 16, endpoint=False):
-        v = closed_form_value(TIGHT, SpectralParameter.from_kappa(1.0),
-                              Quasimomentum(theta))
-        assert v == 0.0
+        assert closed_form_value(TIGHT, "negative", 1.0, math.cos(theta)) == 0.0
 
 
 def test_closed_form_loose_integer_flat():
     for n in (1, 2, 5):
-        v = closed_form_value(LOOSE1, SpectralParameter.from_k(float(n)),
-                              Quasimomentum(0.3))
-        assert v == 0.0
+        assert closed_form_value(LOOSE1, "positive", float(n), math.cos(0.3)) == 0.0
 
 
 def test_closed_form_tight_value_at_half():
     # prefactor k^3 (k^2+1) sin(k pi) = 5/32 at k = 1/2, last factor
     # cos(pi/2) - cos(0) = -1
-    v = closed_form_value(TIGHT, SpectralParameter.from_k(0.5), Quasimomentum(0.0))
+    v = closed_form_value(TIGHT, "positive", 0.5, 1.0)
     assert v == pytest.approx(-5.0 / 32.0, abs=1e-15)
 
 
 def test_closed_form_zero_energy():
-    assert closed_form_value(LOOSE1, SpectralParameter(0.0),
-                             Quasimomentum(0.5)) == 0.0
+    # k*k underflows to E = 0: the k^5 prefactor limit
+    for x in (1e-200, 5e-324):
+        assert closed_form_value(LOOSE1, "positive", x, math.cos(0.5)) == 0.0
+        assert closed_form_value(TIGHT, "negative", x, math.cos(0.5)) == 0.0
 
 
 def test_closed_form_no_overflow_at_large_kappa():
-    v = closed_form_value(LOOSE1, SpectralParameter.from_kappa(500.0),
-                          Quasimomentum(0.0))
+    v = closed_form_value(LOOSE1, "negative", 500.0, 1.0)
     assert math.isfinite(v) or abs(v) == pytest.approx(1.7976931348623157e308)
 
 
@@ -126,12 +118,12 @@ def test_closed_form_no_overflow_at_large_kappa():
 # stacked assembly against the per-point reference
 
 
-def _assemble_point(spec, sp, q):
-    """The secular matrix of one point, entry by entry: the reference that
-    the stacked assembly must equal bit for bit."""
+def _assemble_point(spec, branch, x, q):
+    """The secular matrix at one k (or kappa) x, entry by entry: the
+    reference that the stacked assembly must equal bit for bit."""
     half = math.pi / 2
-    if sp.branch == "positive":
-        k = sp.k
+    if branch == "positive":
+        k = x
 
         def val(x):
             return np.array([np.exp(1j * k * x), np.exp(-1j * k * x)])
@@ -139,7 +131,7 @@ def _assemble_point(spec, sp, q):
         def der(x):
             return np.array([1j * k * np.exp(1j * k * x), -1j * k * np.exp(-1j * k * x)])
     else:
-        kap = sp.kappa
+        kap = x
 
         def val(x):
             return np.array([np.cosh(kap * x), np.sinh(kap * x)], dtype=complex)
@@ -218,11 +210,9 @@ def _largest_admissible_kappa(ell):
 
 def _points(branch, ell, rng):
     if branch == "positive":
-        xs = [*rng.uniform(0.01, 15.0, 24), 1e-6, 0.5, 1.0, 2.0, 100.0]
-        return [SpectralParameter.from_k(x) for x in xs]
+        return [*rng.uniform(0.01, 15.0, 24), 1e-6, 0.5, 1.0, 2.0, 100.0]
     edge = _largest_admissible_kappa(ell)
-    xs = [*rng.uniform(0.01, 5.0, 24), 1e-6, 1.0, math.sqrt(3.0), edge * (1 - 1e-9), edge]
-    return [SpectralParameter.from_kappa(x) for x in xs]
+    return [*rng.uniform(0.01, 5.0, 24), 1e-6, 1.0, math.sqrt(3.0), edge * (1 - 1e-9), edge]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -232,27 +222,33 @@ def _points(branch, ell, rng):
 def test_stacked_assembly_equals_per_point_bit_for_bit(ell, branch):
     spec = ChainSpec(ell)
     rng = np.random.default_rng(int(ell * 1e3) + len(branch))
-    points = _points(branch, ell, rng)
+    xs = _points(branch, ell, rng)
     for theta in (-math.pi, -2.0, 0.0, 0.4, 1.3, 3.0):
         q = Quasimomentum(theta)
-        ref = np.array([_assemble_point(spec, sp, q) for sp in points])
-        stack = assemble(spec, points, q)
+        ref = np.array([_assemble_point(spec, branch, x, q) for x in xs])
+        stack = assemble(spec, branch, xs, q)
         assert stack.shape == ref.shape
         assert stack.tobytes() == ref.tobytes()
-        for i in (0, len(points) - 1):
-            assert assemble(spec, points[i], q).tobytes() == ref[i].tobytes()
+        assert assemble(spec, branch, np.array(xs), q).tobytes() == ref.tobytes()
+        for part in (slice(0, 1), slice(-1, None), slice(-2, None)):
+            assert assemble(spec, branch, xs[part], q).tobytes() == ref[part].tobytes()
         dets = np.array([_normalized_determinant_point(m) for m in ref])
         assert normalized_determinant(stack).tobytes() == dets.tobytes()
         assert type(normalized_determinant(ref[0])) is complex
 
 
-def test_stack_guard_applies_to_every_point():
-    spec = ChainSpec(5.0)
-    inside = SpectralParameter.from_kappa(_largest_admissible_kappa(5.0))
-    outside = SpectralParameter.from_kappa(141.0)
-    assemble(spec, [inside, inside], Quasimomentum(0.0))
-    with pytest.raises(OverflowGuardError, match="705"):
-        assemble(spec, [inside, outside, inside], Quasimomentum(0.0))
+@pytest.mark.parametrize("ell", [0.0, 1.0, 5.0, 40.0])
+def test_stack_guard_applies_to_every_point(ell):
+    spec = ChainSpec(ell)
+    inside = _largest_admissible_kappa(ell)
+    outside = 705.0 / max(math.pi, ell)
+    q = Quasimomentum(0.0)
+    assemble(spec, "negative", [inside, inside], q)
+    for stack in ([inside, outside, inside], [outside], [1.0, outside, 2 * outside]):
+        with pytest.raises(OverflowGuardError, match=r"^kappa\*max\(pi, ell\) = 705 exceeds"):
+            assemble(spec, "negative", stack, q)
+    # no guard on the positive branch
+    assert assemble(spec, "positive", [inside, outside], q).shape[0] == 2
 
 
 @pytest.mark.parametrize("ell", [0.0, 1.0, 3.0, 7.0])
@@ -260,8 +256,8 @@ def test_normalized_determinant_nonzero_up_to_the_guard(ell):
     # at kappa*max(pi, ell) in [699, 700) and ell <= pi, row entries near
     # 1e154 overflow the 2-norm; the determinant once read exactly 0 there
     reach = np.linspace(600.0, 700.0, 2000, endpoint=False)
-    points = [SpectralParameter.from_kappa(r / max(math.pi, ell)) for r in reach]
-    dets = normalized_determinant(assemble(ChainSpec(ell), points, Quasimomentum(0.3)))
+    xs = reach / max(math.pi, ell)
+    dets = normalized_determinant(assemble(ChainSpec(ell), "negative", xs, Quasimomentum(0.3)))
     assert np.all(np.isfinite(dets)) and not np.any(dets == 0.0)
     # and it runs on smoothly across the overflow
     ratio = np.abs(dets[1:] / dets[:-1])
@@ -269,130 +265,89 @@ def test_normalized_determinant_nonzero_up_to_the_guard(ell):
 
 
 def test_stack_zero_row_raises():
-    stack = assemble(LOOSE1, [SpectralParameter.from_k(k) for k in (0.7, 1.3, 2.1)],
-                     Quasimomentum(0.4))
+    stack = assemble(LOOSE1, "positive", [0.7, 1.3, 2.1], Quasimomentum(0.4))
     normalized_determinant(stack)
     stack[1, 5] = 0.0
     with pytest.raises(SolverError, match="zero row"):
         normalized_determinant(stack)
 
 
-def test_stack_needs_points_on_one_branch():
-    q = Quasimomentum(0.0)
-    with pytest.raises(ValueError, match="one branch"):
-        assemble(LOOSE1, [SpectralParameter.from_k(1.2), SpectralParameter.from_kappa(1.2)], q)
-    with pytest.raises(ValueError):
-        assemble(LOOSE1, [], q)
-    with pytest.raises(ValueError):
-        assemble(LOOSE1, [SpectralParameter(0.0)], q)
-
-
 # ---------------------------------------------------------------------------
-# float kernels against the object-level calls
+# refusals, each naming k or kappa
 
-_PAR = {"positive": SpectralParameter.from_k, "negative": SpectralParameter.from_kappa}
+_NAME = {"positive": "k", "negative": "kappa"}
 
-
-def _outcome(fn, *args):
-    """fn(*args), or the type and message of the exception it raises."""
-    try:
-        return fn(*args)
-    except Exception as exc:  # the errors themselves are compared
-        return type(exc), str(exc)
-
-
-def _same(got, want):
-    """Equal outcomes: the same bytes for an array or a float (so the same
-    sign of zero), the same type and message for an error."""
-    if isinstance(want, np.ndarray):
-        return isinstance(got, np.ndarray) and got.tobytes() == want.tobytes()
-    if isinstance(want, float):
-        return type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
-    return got == want
+#: inputs that are not a k or kappa, with the message of each ({0} for the
+#: name), or None where x*x underflows, which is zero energy
+_REFUSED = [
+    (0.0, "{0} must be finite and > 0, got 0.0"),
+    (-0.0, "{0} must be finite and > 0, got -0.0"),
+    (-1.0, "{0} must be finite and > 0, got -1.0"),
+    (math.nan, "{0} must be finite and > 0, got nan"),
+    (math.inf, "{0} must be finite and > 0, got inf"),
+    (-math.inf, "{0} must be finite and > 0, got -inf"),
+    (1e200, "{0}*{0} is not finite for {0} = 1e+200"),
+    (1e-200, None),
+    (5e-324, None),
+]
 
 
-@pytest.mark.parametrize("branch", ["positive", "negative"])
-@pytest.mark.parametrize("ell", [0.0, 1.0, 40.0])
-def test_assemble_at_equals_assemble_bit_for_bit(ell, branch):
-    spec = ChainSpec(ell)
-    rng = np.random.default_rng(int(ell) + len(branch))
-    # on the negative branch up to the largest kappa below the guard
-    top = 100.0 if branch == "positive" else _largest_admissible_kappa(ell)
-    for n in (1, 2, 17, 64):
-        xs = rng.uniform(0.01, 15.0 if branch == "positive" else top, n)
-        xs[-1] = top
-        if n > 2:
-            xs[:3] = (1.0, top * (1 - 1e-9), 1e-6)
-        points = [_PAR[branch](x) for x in xs]
-        for theta in (0.0, -math.pi, 0.3, 2.9):
-            q = Quasimomentum(theta)
-            got = assemble_at(spec, branch, xs, q)
-            assert got.shape == (n, 8 if ell == 0.0 else 12, 8 if ell == 0.0 else 12)
-            assert got.tobytes() == assemble(spec, points, q).tobytes()
-            assert got.tobytes() == assemble_at(spec, branch, xs.tolist(), q).tobytes()
-            ref = np.array([_assemble_point(spec, sp, q) for sp in points])
-            assert got.tobytes() == ref.tobytes()
-
-
-def _closed_form_points(branch):
-    if branch == "positive":
-        near = [0.5, 1.0, 2.0, 3.0, 7.0, 1000.0]
-        extra = [0.3, 1e-150, 1e100, 1e154]
-    else:
-        # kappa near 1 (the flat band), sqrt 3, and far enough out that
-        # _descale clamps (2 kappa pi > 709 on the tight chain)
-        near = [1.0, math.sqrt(3.0), 113.0]
-        extra = [1 - 1e-9, 1 + 1e-9, 0.4, 120.0, 300.0, 1e3, 1e60, 1e100, 1e-150]
-    return extra + [y for x in near for y in (x, math.nextafter(x, 0.0), math.nextafter(x, 2 * x))]
-
-
-@pytest.mark.parametrize("branch", ["positive", "negative"])
-@pytest.mark.parametrize("ell", [0.0, 1.0, math.pi, 40.0])
-def test_closed_form_at_equals_closed_form_value_bit_for_bit(ell, branch):
-    spec = ChainSpec(ell)
-    zero_signs = set()
-    for theta in (0.0, -math.pi, 0.3, 2.9):
-        q = Quasimomentum(theta)
-        for x in _closed_form_points(branch):
-            want = _outcome(lambda: closed_form_value(spec, _PAR[branch](x), q))
-            got = _outcome(closed_form_at, spec, branch, x, q.cos)
-            assert _same(got, want), (x, theta, got, want)
-            if want == 0.0:
-                zero_signs.add(math.copysign(1.0, want))
-    # flat-band zeros are among the cases, -0.0 too where sin(k pi) gives it
-    assert zero_signs == ({1.0, -1.0} if branch == "positive" else {1.0})
-
-
-@pytest.mark.parametrize("branch", ["positive", "negative"])
-@pytest.mark.parametrize("ell", [0.0, 1.0, 40.0])
-def test_float_kernels_refuse_what_the_objects_refuse(ell, branch):
-    spec = ChainSpec(ell)
+def _nan_theta():
     q = Quasimomentum(0.3)
-    nan_theta = Quasimomentum(0.3)
-    object.__setattr__(nan_theta, "theta", math.nan)
-    past = 705.0 / max(math.pi, ell)  # past the kappa guard
-    stacks = [
-        [math.nan], [math.inf], [-math.inf], [0.0], [-0.0], [-1.0], [1e200],  # from_k/kappa
-        [1e-200], [1e-200, 1e-200], [1.0, 1e-200], [1e-200, 1.0],  # squares underflow: E = 0
-        [1.0, math.nan, -1.0, 1e-200], [], [1.0, past, 2 * past], [past, 1.0],
-    ]
-    refused = 0
-    for values in stacks:
-        for qq in (q, nan_theta):
-            want = _outcome(lambda: assemble(spec, [_PAR[branch](v) for v in values], qq))
-            got = _outcome(assemble_at, spec, branch, np.array(values), qq)
-            assert _same(got, want), (values, qq, got, want)
-            refused += isinstance(want, tuple)
-    assert refused == 2 * len(stacks) - (2 if branch == "positive" else 0)
-    for x in (math.nan, math.inf, -math.inf, 0.0, -0.0, -1.0, 1e200, 1e-200, 5e-324):
-        want = _outcome(lambda: closed_form_value(spec, _PAR[branch](x), q))
-        assert _same(_outcome(closed_form_at, spec, branch, x, q.cos), want), x
-    assert _same(_outcome(assemble_at, "spec", branch, [1.0], q),
-                 _outcome(assemble, "spec", [_PAR[branch](1.0)], q))
-    with pytest.raises(ValueError, match="unknown branch 'zero'"):
-        assemble_at(spec, "zero", [1.0], q)
-    with pytest.raises(ValueError, match="unknown branch 'zero'"):
-        closed_form_at(spec, "zero", 1.0, 1.0)
+    object.__setattr__(q, "theta", math.nan)
+    return q
+
+
+@pytest.mark.parametrize("x, message", _REFUSED, ids=[repr(x) for x, _ in _REFUSED])
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_assemble_refuses_by_name(branch, x, message):
+    if message is None:
+        message = f"{{0}} = {x!r} is zero energy ({{0}}*{{0}} underflows), " \
+            "which the raw system does not admit"
+    message = message.format(_NAME[branch])
+    for spec in (TIGHT, LOOSE1, ChainSpec(40.0)):
+        # the first refused value of a stack is named, whatever follows it
+        for stack in ([x], [1.0, x], [x, 1.0, 2.0], [1.0, x, math.nan, -1.0]):
+            for q in (Quasimomentum(0.3), _nan_theta()):
+                with pytest.raises(ValueError) as info:
+                    assemble(spec, branch, stack, q)
+                assert type(info.value) is ValueError and str(info.value) == message
+
+
+@pytest.mark.parametrize("x, message", _REFUSED, ids=[repr(x) for x, _ in _REFUSED])
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_closed_form_value_refuses_by_name(branch, x, message):
+    for spec in (TIGHT, LOOSE1, ChainSpec(40.0)):
+        for c in (math.cos(0.3), -1.0, 1.0):
+            if message is None:  # zero energy: the prefactor limit, +0.0
+                v = closed_form_value(spec, branch, x, c)
+                assert type(v) is float and v == 0.0 and math.copysign(1.0, v) == 1.0
+                continue
+            with pytest.raises(ValueError) as info:
+                closed_form_value(spec, branch, x, c)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message.format(_NAME[branch])
+
+
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_assemble_refuses_what_is_not_a_value(branch):
+    q = Quasimomentum(0.3)
+    with pytest.raises(ValueError, match=f"^no {_NAME[branch]} to assemble$"):
+        assemble(LOOSE1, branch, [], q)
+    with pytest.raises(ValueError, match="^non-finite quasimomentum$"):
+        assemble(LOOSE1, branch, [1.0, 2.0], _nan_theta())
+    with pytest.raises(TypeError, match="^spec must be a ChainSpec$"):
+        assemble("spec", branch, [1.0], q)
+    with pytest.raises(TypeError, match="^spec must be a ChainSpec$"):
+        assemble("spec", branch, [math.nan], _nan_theta())
+
+
+@pytest.mark.parametrize("branch", ["zero", "Positive", "k"])
+def test_an_unknown_branch_is_refused(branch):
+    with pytest.raises(ValueError, match=f"unknown branch '{branch}'"):
+        assemble(LOOSE1, branch, [1.0], Quasimomentum(0.3))
+    with pytest.raises(ValueError, match=f"unknown branch '{branch}'"):
+        closed_form_value(LOOSE1, branch, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +357,7 @@ _FLOAT_MAX = 1.7976931348623157e308
 
 
 def _closed_form_mp(ell, branch, x, c):
-    """The factored condition that closed_form_at evaluates, in 60 digits
+    """The factored condition that closed_form_value evaluates, in 60 digits
     and with no exponent range."""
     with mp.workdps(60):
         x, ell, c = mp.mpf(x), mp.mpf(ell), mp.mpf(c)
@@ -433,7 +388,7 @@ def _closed_form_mp(ell, branch, x, c):
 def test_closed_form_past_the_range_of_its_powers(ell, branch, x, theta):
     c = math.cos(theta)
     want = _closed_form_mp(ell, branch, x, c)
-    got = closed_form_at(ChainSpec(ell), branch, x, c)
+    got = closed_form_value(ChainSpec(ell), branch, x, c)
     if want == 0:  # sin(k pi) = 0 exactly: every float past 2**53 is an integer
         assert got == 0.0
     elif abs(want) > _FLOAT_MAX:
@@ -444,7 +399,7 @@ def test_closed_form_past_the_range_of_its_powers(ell, branch, x, theta):
 
 def test_closed_form_refuses_an_overflowing_k_ell_by_name():
     with pytest.raises(ValueError, match=r"^k\*ell is not finite for k = 20\.5, ell = 1e\+307$"):
-        closed_form_at(ChainSpec(1e307), "positive", 20.5, 0.3)
+        closed_form_value(ChainSpec(1e307), "positive", 20.5, 0.3)
 
 
 # ---------------------------------------------------------------------------
