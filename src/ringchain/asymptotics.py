@@ -19,7 +19,7 @@ Contains
 
 The solved values that the predictions are checked against come from
 ``bands``: ``solve_negative_edge`` and ``negative_bands`` on the negative
-branch, ``positive_band_table`` on the positive one.  Every asymptotic
+branch, ``positive_bands`` on the positive one.  Every asymptotic
 claim is checked as a ratio or order test at two or more link lengths; the
 O(.) constants are not published, so no absolute error constants are
 asserted.
@@ -28,15 +28,14 @@ asserted.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._numerics import brentq_strict, coth, positive_finite
-from .bands import BandTable, positive_band_table
+from .bands import BandTable, positive_bands
 from .errors import LemmaWitnessError, SolverError
-from .model import Band, ChainSpec, Quasimomentum
+from .model import ChainSpec, Quasimomentum
 
 __all__ = [
     "g1_function",
@@ -224,19 +223,20 @@ def large_l_gap_spacing(n: int, ell: float) -> float:
 # set convergence of the loose spectrum to the tight one
 
 
-def _one_sided_hausdorff(ref_hi: float, bands: Iterable[Band]) -> float:
+def _one_sided_hausdorff(ref_hi: float, bands: BandTable) -> float:
     """sup over x in [0, ref_hi] of the distance from x to the union of bands.
 
     In a gap the distance peaks at its midpoint, or at ref_hi if ref_hi cuts
     the gap before that; the band above ref_hi bounds the last gap.  Past the
-    last band the spectrum is taken to end."""
+    last band the spectrum is taken to end.  Reads the table's energy
+    columns and builds no ``Band``."""
     best = 0.0
     cursor = 0.0
-    for b in bands:
-        lo = max(0.0, b.e_lo)
+    for e_lo, e_hi in zip(bands.e_lo.tolist(), bands.e_hi.tolist()):
+        lo = max(0.0, e_lo)
         if lo > cursor:
             best = max(best, min(0.5 * (lo - cursor), ref_hi - cursor))
-        cursor = max(cursor, b.e_hi)
+        cursor = max(cursor, e_hi)
         if cursor >= ref_hi:
             return best
     return max(best, ref_hi - cursor)
@@ -259,20 +259,21 @@ _E_MAX = 25.0  # the Hausdorff distance covers the tight spectrum on [0, _E_MAX]
 def set_convergence_check(ell_list: list[float]) -> dict:
     """Quantify spectral set convergence as the link shrinks.
 
-    For each ell (the list must be decreasing) computes (a) the one-sided
-    Hausdorff distance from the tight positive spectrum [0, 25] to the
-    loose one, which must shrink with ell, and (b) a non-uniformity witness:
+    For each ell (finite and > 0, the list strictly decreasing, both
+    checked before any solve) computes (a) the one-sided Hausdorff distance
+    from the tight positive spectrum [0, 25] to the loose one, which must
+    shrink with ell, and (b) a non-uniformity witness:
     the first energy window [K, K + 10] whose gap fraction exceeds 1/2.
     Gaps always dominate again at high enough energy, so the witness exists
     for every ell > 0; the threshold K grows as the link shrinks.  One band
-    list serves both: [0, 25] is a prefix of the witness search range."""
-    ells = [float(x) for x in ell_list]
+    table serves both: [0, 25] is a prefix of the witness search range."""
+    ells = [positive_finite("ell", x) for x in ell_list]
     if any(b >= a for a, b in zip(ells, ells[1:])):
         raise ValueError("ell_list must be strictly decreasing")
 
     rows = []
     for ell in ells:
-        bands = positive_band_table(ChainSpec(ell), math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH))
+        bands = positive_bands(ChainSpec(ell), math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH))
         witness_k = None
         k0 = 0.0
         while k0 <= _SEARCH_CAP:

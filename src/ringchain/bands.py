@@ -367,9 +367,32 @@ class BandTable(Sequence):
         return repr(self._bands)
 
 
-def positive_band_table(spec: ChainSpec, k_max: float) -> BandTable:
-    """The bands of ``positive_bands`` as one ``BandTable``, built from the
-    open-gap mask and the edges of one ``brentq_batch`` with numpy."""
+def positive_bands(spec: ChainSpec, k_max: float) -> BandTable:
+    """Maximal energy intervals of the positive ac spectrum up to k_max^2.
+
+    With g = sin(k pi) sin(k ell) and r - 1 = (k^2 - 1)^2 / (4 (k^2 + 1)),
+
+        Phi - 1 = -2 sin^2(k (pi + ell)/2) - (r - 1) g,
+        Phi + 1 =  2 cos^2(k (pi + ell)/2) - (r - 1) g.
+
+    So Phi = cos(k (pi + ell)) lies in [-1, 1] at the anchors k = n and
+    k = m pi/ell, and at the witnesses w_j = j pi/(pi + ell)
+    Phi = (-1)^j (1 + (r - 1) sin^2(pi w_j)) lies on or beyond (-1)^j.
+    Anchors and witnesses alternate, so each gap holds one witness, and
+    Phi crosses each level once between consecutive witnesses.  Each edge
+    of the gap at w_j is then one bracketed solve of Phi = (-1)^j, on
+    [w_{j-1}, w_j] and on [w_j, w_{j+1}], with theta = 0 for +1 and -pi
+    for -1.  Where Phi(w_j) does not pass (-1)^j in floats the gap is
+    closed to float precision: the two bands beside it touch there, and
+    w_j^2 is recorded in the merged band's ``touch_energies``.  That
+    happens exactly at coincident anchors, e.g. ell = pi p/q.  The band
+    the window ends in is cut at k_max (``truncated_hi``).  Phi is
+    evaluated at all witnesses in one array call, both edges of every open
+    gap are solved in one ``brentq_batch``, and the bands are returned
+    as the columns of one ``BandTable``, which builds a ``Band`` only when
+    it is indexed or iterated.  A window of more than MAX_WITNESSES
+    witnesses raises ValueError.
+    """
     k_max = positive_finite("k_max", k_max)
 
     # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band
@@ -410,34 +433,6 @@ def positive_band_table(spec: ChainSpec, k_max: float) -> BandTable:
     return BandTable(
         k_lo * k_lo, k_hi * k_hi, theta_lo, theta_hi, offsets, w[jc] * w[jc], cut
     )
-
-
-def positive_bands(spec: ChainSpec, k_max: float) -> list[Band]:
-    """Maximal energy intervals of the positive ac spectrum up to k_max^2.
-
-    With g = sin(k pi) sin(k ell) and r - 1 = (k^2 - 1)^2 / (4 (k^2 + 1)),
-
-        Phi - 1 = -2 sin^2(k (pi + ell)/2) - (r - 1) g,
-        Phi + 1 =  2 cos^2(k (pi + ell)/2) - (r - 1) g.
-
-    So Phi = cos(k (pi + ell)) lies in [-1, 1] at the anchors k = n and
-    k = m pi/ell, and at the witnesses w_j = j pi/(pi + ell)
-    Phi = (-1)^j (1 + (r - 1) sin^2(pi w_j)) lies on or beyond (-1)^j.
-    Anchors and witnesses alternate, so each gap holds one witness, and
-    Phi crosses each level once between consecutive witnesses.  Each edge
-    of the gap at w_j is then one bracketed solve of Phi = (-1)^j, on
-    [w_{j-1}, w_j] and on [w_j, w_{j+1}], with theta = 0 for +1 and -pi
-    for -1.  Where Phi(w_j) does not pass (-1)^j in floats the gap is
-    closed to float precision: the two bands beside it touch there, and
-    w_j^2 is recorded in the merged band's ``touch_energies``.  That
-    happens exactly at coincident anchors, e.g. ell = pi p/q.  The band
-    the window ends in is cut at k_max (``truncated_hi``).  Phi is
-    evaluated at all witnesses in one array call, both edges of every open
-    gap are solved in one ``brentq_batch``, and the bands are built from
-    the columns of ``positive_band_table``.  A window of more than
-    MAX_WITNESSES witnesses raises ValueError.
-    """
-    return list(positive_band_table(spec, k_max))
 
 
 def _negative_band(lo, hi, touches=()) -> Band:
@@ -525,12 +520,15 @@ def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
     check of the asymptotic predictions.  f(sqrt3) - cos(theta) is positive
     except for cos(theta) = 1 at ell = pi (to float resolution), where f
     only touches 1 at sqrt3; sqrt3 is returned then.  The tight chain has no
-    negative edge and raises ValueError.
+    negative edge, and a level outside [-1, 1] or NaN has no crossing in
+    the brackets: both raise ValueError.
     """
     if not spec.is_loose:
         raise ValueError("negative edges exist for the loose chain only")
     if band not in ("upper", "lower"):
         raise ValueError(f"band must be 'upper' or 'lower', got {band!r}")
+    if not -1.0 <= theta_cos <= 1.0:
+        raise ValueError(f"theta_cos must be in [-1, 1], got {theta_cos!r}")
     upper, lower = _negative_brackets(spec)
     if f_shifted(spec, _SQRT3, theta_cos) <= 0.0:
         return _SQRT3
@@ -544,7 +542,8 @@ def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
 def dispersion(
     spec: ChainSpec, q: Quasimomentum, k_range: tuple[float, float]
 ) -> list[SpectralParameter]:
-    """All k in the range with Phi(k) = cos(theta), as spectral parameters.
+    """All k in the range with Phi(k) = cos(theta), ascending, each as the
+    ``SpectralParameter`` of that k.
 
     For the tight chain the solutions are |theta/pi + 2n| and are returned
     exactly.  For the loose chain Phi runs between consecutive gap
@@ -566,13 +565,11 @@ def dispersion(
         _witness_range(spec, 0.0, hi)  # the roots number about hi
         base = q.theta / math.pi
         n = np.arange(math.floor((-hi - base) / 2.0) - 1, math.ceil((hi - base) / 2.0) + 2)
-        ks = np.abs(base + 2.0 * n)
-        return [SpectralParameter.from_k(k) for k in np.unique(ks[(lo < ks) & (ks <= hi)])]
-
-    c = q.cos
-    w = _witnesses(spec, lo, hi)[:-1]
-    f = phi_positive(spec, w) - c
-    crossed = f[:-1] * f[1:] < 0.0
-    a, b = w[:-1][crossed], w[1:][crossed]
-    roots = _crossings(spec, c, a, b)
-    return [SpectralParameter.from_k(r) for r in roots if lo < r <= hi]
+        ks = np.unique(np.abs(base + 2.0 * n))
+    else:
+        c = q.cos
+        w = _witnesses(spec, lo, hi)[:-1]
+        f = phi_positive(spec, w) - c
+        crossed = f[:-1] * f[1:] < 0.0
+        ks = np.asarray(_crossings(spec, c, w[:-1][crossed], w[1:][crossed]))
+    return [SpectralParameter(k) for k in ks[(lo < ks) & (ks <= hi)].tolist()]

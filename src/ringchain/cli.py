@@ -35,14 +35,11 @@ from .asymptotics import (
     small_l_lower_band,
     small_l_upper_band,
 )
-# positive_bands is unused here: kept importable as ringchain.cli.positive_bands,
-# a name the benchmark's tracer (perfbench/tracing.py) looks up and wraps
-from .bands import (  # noqa: F401
+from .bands import (
     dispersion,
     flat_bands,
     negative_bands,
     phi_positive,
-    positive_band_table,
     positive_bands,
     solve_negative_edge,
 )
@@ -136,7 +133,7 @@ _BAND_COLUMNS = ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"]
 
 
 def _cmd_bands(args, spec):
-    t = positive_band_table(spec, args.k_max)
+    t = positive_bands(spec, args.k_max)
     columns = (t.e_lo, t.e_hi, t.theta_lo, t.theta_hi)
     rows = [[i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))]
     return (_BAND_COLUMNS, rows), {"k_max": args.k_max}, 0

@@ -14,16 +14,11 @@ from dataclasses import dataclass
 
 from ._numerics import k_times_ell, positive_finite, sincospi
 
-# phi_positive and positive_bands are unused here: kept importable as
-# ringchain.measure.<name>, names the benchmark's tracer
-# (perfbench/tracing.py) looks up and wraps
-from .bands import (  # noqa: F401
-    BandTable,
-    phi_positive,
-    positive_band_table,
-    positive_bands,
-    r_coefficient,
-)
+from .bands import BandTable, positive_bands, r_coefficient
+
+# unused here: kept importable as ringchain.measure.phi_positive, a name the
+# benchmark's tracer (perfbench/tracing.py) looks up and wraps
+from .bands import phi_positive  # noqa: F401
 from .model import ChainSpec
 
 __all__ = [
@@ -64,15 +59,14 @@ def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
 
     The measure is summed over band lengths in the energy variable
     (band length = k_hi^2 - k_lo^2), clipped to the window, left to right
-    from 0 as ``sum`` adds them.  The bands are the columns of
-    ``positive_band_table``, the ones ``positive_bands`` builds its list
-    from: two bracketed solves per gap and no scan, so every window is
-    accepted and the cost grows with the number of gaps, about
+    from 0 as ``sum`` adds them.  The bands are the table of
+    ``positive_bands``: two bracketed solves per gap and no scan, so every
+    window is accepted and the cost grows with the number of gaps, about
     sqrt(window_hi) (pi + ell)/pi.  No ``Band`` is built until the
     report's ``bands`` is read.
     """
     window_hi = positive_finite("window_hi", window_hi)
-    table = positive_band_table(spec, math.sqrt(window_hi))
+    table = positive_bands(spec, math.sqrt(window_hi))
     measure = min(sum(table.clipped_lengths(0.0, window_hi).tolist()), window_hi)
     return MeasureReport(measure=measure, fraction=measure / window_hi, bands=table)
 

@@ -21,11 +21,11 @@ All types are immutable value objects and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import positive_finite, vertex_degree
+from ._numerics import vertex_degree
 
 __all__ = [
     "ChainSpec",
@@ -108,50 +108,14 @@ class Quasimomentum:
 
 @dataclass(frozen=True)
 class SpectralParameter:
-    """Energy E together with its branch parametrization.
+    """One positive-branch root k > 0, as ``dispersion`` reports it; its
+    energy is E = k^2."""
 
-    Positive branch: E = k^2 with k > 0.  Negative branch: E = -kappa^2 with
-    kappa > 0, each derived from E; ``from_k``/``from_kappa`` keep theirs, so
-    round trips through them are exact, unless its square underflows to 0.
-    """
-
-    energy: float
-    k: float | None = field(default=None, init=False)
-    kappa: float | None = field(default=None, init=False)
-
-    def __post_init__(self):
-        e = float(self.energy)
-        if not math.isfinite(e):
-            raise ValueError(f"energy must be finite, got {e}")
-        object.__setattr__(self, "energy", e)
-        if e > 0.0:
-            object.__setattr__(self, "k", math.sqrt(e))
-        elif e < 0.0:
-            object.__setattr__(self, "kappa", math.sqrt(-e))
+    k: float
 
     @property
-    def branch(self) -> str:
-        if self.energy > 0.0:
-            return "positive"
-        if self.energy < 0.0:
-            return "negative"
-        return "zero"
-
-    @classmethod
-    def from_k(cls, k: float) -> "SpectralParameter":
-        k = positive_finite("k", k)
-        sp = cls(energy=k * k)
-        if sp.k is not None:  # keep k itself, not sqrt(k^2)
-            object.__setattr__(sp, "k", k)
-        return sp
-
-    @classmethod
-    def from_kappa(cls, kappa: float) -> "SpectralParameter":
-        kappa = positive_finite("kappa", kappa)
-        sp = cls(energy=-(kappa * kappa))
-        if sp.kappa is not None:
-            object.__setattr__(sp, "kappa", kappa)
-        return sp
+    def energy(self) -> float:
+        return self.k * self.k
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Lemma-function witnesses and small/large link asymptotics."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +21,7 @@ from ringchain import (
     small_l_upper_band,
     solve_negative_edge,
 )
+import ringchain.asymptotics
 from ringchain._numerics import coth
 from ringchain.asymptotics import (
     _SEARCH_CAP,
@@ -28,7 +30,7 @@ from ringchain.asymptotics import (
     _one_sided_hausdorff,
     g2_ell_derivative_at_pi,
 )
-from ringchain.bands import f_shifted, positive_band_table
+from ringchain.bands import f_shifted
 
 SQRT3 = math.sqrt(3.0)
 
@@ -257,6 +259,17 @@ def test_solve_negative_edge_touching_at_pi():
         assert solve_negative_edge(spec, -1.0, band) != math.sqrt(3.0)
 
 
+@pytest.mark.parametrize("theta_cos", [5.0, math.nextafter(1.0, 2.0), -1.0000000000000002,
+                                       -3.0, math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("band", ["upper", "lower"])
+def test_solve_negative_edge_refuses_a_level_outside_minus_one_to_one(theta_cos, band):
+    # f(sqrt3) - 5 < 0 at ell = 3, so no crossing of 5 exists; a NaN level is
+    # an argument error, not a SolverError
+    message = f"theta_cos must be in [-1, 1], got {theta_cos!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_negative_edge(ChainSpec(3.0), theta_cos, band)
+
+
 def test_implicit_g_germ_at_kappa1_ell0():
     for theta_cos in (1.0, 0.3, -1.0):
         assert implicit_g(1.0, 0.0, theta_cos) == 0.0
@@ -392,8 +405,8 @@ def test_gap_fraction_sums_only_the_bands_that_meet_the_window():
     window adds +0.0."""
     for ell in (0.1, 0.01):
         k_max = math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH)
-        table = positive_band_table(ChainSpec(ell), k_max)
-        bands = positive_bands(ChainSpec(ell), k_max)
+        table = positive_bands(ChainSpec(ell), k_max)
+        bands = tuple(table)
         windows = [(k0, k0 + _WINDOW_WIDTH)
                    for k0 in np.arange(0.0, _SEARCH_CAP + 1.0, _WINDOW_WIDTH / 2.0).tolist()]
         for b in bands:
@@ -442,3 +455,13 @@ def test_hausdorff_at_e_max_inside_first_gap_ell2():
 def test_set_convergence_validates_input():
     with pytest.raises(ValueError):
         set_convergence_check([0.01, 0.1])
+
+
+@pytest.mark.parametrize("ells", [[1.0, 0.0], [1.0, -0.5], [math.nan, 0.1], [math.inf, 1.0],
+                                  [1.0, 0.1, 0.0]], ids=repr)
+def test_set_convergence_refuses_each_ell_before_any_solve(monkeypatch, ells):
+    solves = []
+    monkeypatch.setattr(ringchain.asymptotics, "positive_bands", lambda *a: solves.append(a))
+    with pytest.raises(ValueError, match="ell must be finite and > 0, got "):
+        set_convergence_check(ells)
+    assert solves == []

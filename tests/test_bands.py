@@ -267,7 +267,8 @@ def _window_ends(spec):
 def _assert_table_equals_per_gap(spec):
     touched = 0
     for k_max in _window_ends(spec):
-        got, expected = positive_bands(spec, k_max), _positive_bands_per_gap(spec, k_max)
+        got = positive_bands(spec, k_max)
+        expected = tuple(_positive_bands_per_gap(spec, k_max))
         assert got == expected and repr(got) == repr(expected), (spec, k_max)
         window = k_max * k_max
         rep = spectrum_measure(spec, window)
@@ -972,7 +973,7 @@ def _tight_roots_by_enumeration(theta, lo, hi):
     base = Quasimomentum(theta).theta / math.pi
     top = math.ceil(hi) + 3
     ks = {abs(base + 2.0 * n) for n in range(-top, top + 1)}
-    return [SpectralParameter.from_k(k) for k in sorted(k for k in ks if lo < k <= hi)]
+    return [SpectralParameter(k) for k in sorted(k for k in ks if lo < k <= hi)]
 
 
 _TIGHT_THETAS = [0.0, -math.pi, math.pi / 2, -math.pi / 2, 1e-300, 0.7,
@@ -1035,9 +1036,24 @@ def test_dispersion_at_edge_levels_gives_the_band_edges(ell):
         assert roots == edges
 
 
-def test_dispersion_energy_roundtrip():
-    for sp in dispersion(LOOSE1, Quasimomentum(0.7), (0.0, 5.0)):
-        assert sp.energy == sp.k * sp.k
+@pytest.mark.parametrize("ell, theta, window", [
+    (0.0, 1e-170, (0.0, 2.0)), (0.0, 0.7, (0.0, 9.0)), (1.0, 0.7, (0.0, 5.0)),
+    (0.05, 0.0, (0.0, 12.0)), (20.0, -3.0, (0.5, 40.0)),
+], ids=["tight_tiny_k", "tight", "loose", "loose_edge", "long_link"])
+def test_each_root_holds_its_solved_k_and_energy_k_squared(ell, theta, window):
+    # at theta = 1e-170 the first tight root is k = theta/pi = 3.2e-171,
+    # whose square underflows to 0: the root keeps k all the same
+    spec, q = ChainSpec(ell), Quasimomentum(theta)
+    if spec.is_tight:
+        expected = [sp.k for sp in _tight_roots_by_enumeration(theta, *window)]
+    else:
+        expected = _dispersion_one_by_one(spec, q.cos, *window)
+    got = dispersion(spec, q, window)
+    assert [sp.k for sp in got] == expected and expected
+    for sp in got:
+        assert type(sp.k) is float and sp.k > 0.0 and sp.energy == sp.k * sp.k
+    if theta == 1e-170:
+        assert got[0].k == 1e-170 / math.pi and got[0].energy == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,9 @@ lengths where bands touch (pi p/q), with pi +- 1e-8.
 ``tests/data/cli_all_sha256.json`` holds the digest of every subcommand in
 both formats: ``flat``, ``negative`` at and around ell = pi and near the
 pole, ``certify``, ``asymptotics`` with its nulls at ell = 1e-200,
-``scattering``, ``selfcheck``, reports with no rows, and CSV ``bands``,
-``dispersion`` and ``measure``.  A solver or writer change that moves any
+``scattering``, ``selfcheck``, reports with no rows, a tight ``dispersion``
+root whose square underflows, and CSV ``bands``, ``dispersion`` and
+``measure``.  A solver or writer change that moves any
 printed byte fails here.  Regenerate a file only for a change whose
 changed bytes are accounted for:
 
@@ -70,6 +71,7 @@ _COMMANDS = (
     "selfcheck", "selfcheck --seed 5",
     "dispersion --ell 1 --theta 0.7 --k-min 0.5 --k-max 0.6",
     "dispersion --ell 0 --theta 0.7 --k-min 0.5 --k-max 0.6",
+    "dispersion --ell 0 --theta 1e-170 --k-max 2",  # k = 3.2e-171, where k*k underflows
     *(f"bands --ell {ell} --k-max 40" for ell in ("0", "1", "0.05", "20", "3.141592653589793")),
     *(f"dispersion --ell {ell} --theta {t} --k-max 40"
       for ell in ("0", "1", "0.05", "20") for t in ("0.7", "0", "-3")),

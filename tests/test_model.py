@@ -1,7 +1,7 @@
-"""Domain-type invariants: coupling unitary, theta normalization, branches."""
+"""Domain-type invariants: coupling unitary, theta normalization, roots."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -93,43 +93,15 @@ def test_theta_normalization_properties(raw):
     assert Quasimomentum(q.theta).theta == q.theta
 
 
-def test_spectral_parameter_roundtrip_exact():
-    sp = SpectralParameter.from_k(1.7)
-    assert sp.energy == 1.7 * 1.7 and sp.k == 1.7 and sp.branch == "positive"
-    sp = SpectralParameter.from_kappa(2.3)
-    assert sp.energy == -(2.3 * 2.3) and sp.kappa == 2.3 and sp.branch == "negative"
-    assert SpectralParameter(0.0).branch == "zero"
-
-
-def test_spectral_parameter_keeps_its_constructing_argument():
-    # k^2 = 1e-320 is subnormal and sqrt of it is not 1e-160; 1e-200
-    # squares to E = 0, which has neither k nor kappa
-    assert SpectralParameter.from_k(1e-160).k == 1e-160 != math.sqrt(1e-320)
-    assert SpectralParameter.from_kappa(1e-160).kappa == 1e-160
-    for sp in (SpectralParameter.from_k(1e-200), SpectralParameter.from_kappa(1e-200)):
-        assert sp.branch == "zero" and sp.k is None and sp.kappa is None
-
-
-def test_spectral_parameter_random_roundtrip():
-    rng = np.random.default_rng(7)
-    es = rng.uniform(-100.0, 100.0, 1000)
-    es = es[np.abs(es) > 1e-12]
-    for e in es:
-        sp = SpectralParameter(float(e))
-        if sp.branch == "positive":
-            back = SpectralParameter.from_k(sp.k).energy
-        else:
-            back = SpectralParameter.from_kappa(sp.kappa).energy
-        assert abs(back - e) < 1e-14 * abs(e)
-
-
-def test_spectral_parameter_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SpectralParameter.from_k(-1.0)
-    with pytest.raises(ValueError):
-        SpectralParameter.from_kappa(0.0)
-    with pytest.raises(ValueError):
-        SpectralParameter(math.inf)
+def test_spectral_parameter_is_one_root_k():
+    # the energy is the float k * k, also where the square is subnormal or
+    # underflows to 0, so the root itself is never lost
+    assert [f.name for f in fields(SpectralParameter)] == ["k"]
+    for k in (1.7, 2.3, 1e-160, 3.18e-171, 1e-200, 5e-324, 1e154):
+        sp = SpectralParameter(k)
+        assert sp.k == k and sp.energy == k * k
+    with pytest.raises(AttributeError):
+        SpectralParameter(1.0).k = 2.0
 
 
 def test_chain_spec_flags():
@@ -154,8 +126,8 @@ def test_band_validates_interval():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: SpectralParameter(4.41, k=2.5),
-    lambda: SpectralParameter(-4.0, kappa=3.0),
+    lambda: replace(SpectralParameter(2.5), energy=4.41),
+    lambda: replace(SpectralParameter(2.0), kappa=3.0),
     lambda: Band(-4.0, -2.0, 0.0, 0.0, kind="positive-ac"),
     lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), energy_pred=-1.0),
     lambda: replace(small_l_lower_band(0.01), energy_pred=-1.0),
@@ -172,13 +144,14 @@ def test_band_validates_interval():
     lambda: replace(small_l_lower_band(0.01), ell=0.02),
     lambda: replace(large_l_squeeze(20.0), ell=30.0),
     lambda: replace(Band(1.0, 2.0, 0.0, -math.pi), truncated_lo=True),
-], ids=["k", "kappa", "kind", "upper_energy_pred", "lower_energy_pred", "kappa_sq_pair",
+], ids=["energy", "kappa", "kind", "upper_energy_pred", "lower_energy_pred", "kappa_sq_pair",
         "measure_spec", "window_hi", "match_spec", "band_count", "gap_count", "energy_pair",
         "upper_ell", "upper_theta", "lower_ell", "squeeze_ell", "truncated_lo"])
 def test_a_contradictory_value_cannot_be_built(build):
-    # k, kappa and the branch follow from the energy, the predicted energies
-    # and kappa^2 from kappa and epsilon, and a report's counts from its bands;
-    # a report's chain, window, ell and theta are the caller's arguments, and
-    # no lower band edge is cut; none is an argument
+    # a root's energy follows from its k, and a root has no kappa; the
+    # predicted energies and kappa^2 follow from kappa and epsilon, and a
+    # report's counts from its bands; a report's chain, window, ell and theta
+    # are the caller's arguments, and no lower band edge is cut; none is an
+    # argument
     with pytest.raises(TypeError):
         build()

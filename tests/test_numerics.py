@@ -21,7 +21,6 @@ from ringchain import (
     ChainSpec,
     Quasimomentum,
     SolverError,
-    SpectralParameter,
     assemble,
     closed_form_value,
     flat_bands,
@@ -62,8 +61,6 @@ _POSITIVE_ARGUMENTS = {
     "gap_certificate.k": ("k", lambda x: gap_certificate(ChainSpec(1.0), x)),
     "m_ell_membership.k": ("k", lambda x: m_ell_membership(x, 1.0)),
     "m_ell_membership.ell": ("ell", lambda x: m_ell_membership(1.0, x)),
-    "SpectralParameter.from_k": ("k", SpectralParameter.from_k),
-    "SpectralParameter.from_kappa": ("kappa", SpectralParameter.from_kappa),
     "assemble.k": ("k", lambda x: assemble(ChainSpec(1.0), "positive", [1.0, x], _Q)),
     "assemble.kappa": ("kappa", lambda x: assemble(ChainSpec(0.0), "negative", [x], _Q)),
     "closed_form_value.k": ("k", lambda x: closed_form_value(ChainSpec(1.0), "positive", x, 0.3)),
