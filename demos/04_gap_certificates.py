@@ -7,15 +7,13 @@ points can be trusted without any scanning, which is how the measure-zero
 statement is proved.
 """
 
-import math
-
 import numpy as np
 
 from ringchain import (
     ChainSpec,
     GapCertificate,
     gap_certificate,
-    m_ell_membership,
+    joint_m_membership,
     phi_positive,
     positive_bands,
 )
@@ -26,7 +24,7 @@ print("certificates on a coarse grid (link length 1):")
 for k in np.linspace(2.7, 14.7, 13):
     cert = gap_certificate(spec, float(k))
     phi = float(phi_positive(spec, float(k)))
-    joint = m_ell_membership(float(k), 1.0) and m_ell_membership(float(k), math.pi)
+    joint = joint_m_membership(spec, float(k))
     print(f"  k = {k:5.2f}   |Phi| = {abs(phi):9.3f}   {cert.value:18s}"
           f"   joint sine test: {joint}")
 

@@ -11,10 +11,10 @@ gaps.
 """
 
 from ringchain import (
+    SQUEEZE_EPSILON,
     ChainSpec,
     Quasimomentum,
     large_l_gap_spacing,
-    large_l_squeeze,
     negative_bands,
     set_convergence_check,
     small_l_lower_band,
@@ -36,14 +36,12 @@ print("small links: the lower band escapes like (4/ell)^(1/3)")
 for ell in (1e-2, 1e-3, 1e-4):
     pred = small_l_lower_band(ell)
     solved = solve_negative_edge(ChainSpec(ell), 1.0, "lower")
-    print(f"  ell = {ell:7.0e}   kappa solved/predicted = "
-          f"{solved / pred.kappa_pred:.5f}")
+    print(f"  ell = {ell:7.0e}   kappa solved/predicted = {solved / pred:.5f}")
 
 print()
 print("long links: squeezing onto energy -3")
-sq = large_l_squeeze(20.0)
 bands = negative_bands(ChainSpec(20.0))
-print(f"  predicted band energies: {sq.energy_pair[0]:.6f}, {sq.energy_pair[1]:.6f}")
+print(f"  predicted band energies: {-3.0 - SQUEEZE_EPSILON:.6f}, {-3.0 + SQUEEZE_EPSILON:.6f}")
 print(f"  solved band centers:     "
       f"{0.5*(bands[0].e_lo+bands[0].e_hi):.6f}, "
       f"{0.5*(bands[1].e_lo+bands[1].e_hi):.6f}")

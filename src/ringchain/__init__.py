@@ -15,12 +15,10 @@ fiber-operator determinant assembled from the boundary and vertex matching.
 """
 
 from .asymptotics import (
-    LargeEllSqueeze,
-    SmallEllLowerBand,
+    SQUEEZE_EPSILON,
     SmallEllUpperBand,
     g1_function,
     large_l_gap_spacing,
-    large_l_squeeze,
     lemma_witnesses,
     set_convergence_check,
     small_l_lower_band,
@@ -40,7 +38,7 @@ from .measure import (
     GapCertificate,
     MeasureReport,
     gap_certificate,
-    m_ell_membership,
+    joint_m_membership,
     spectrum_measure,
 )
 from .model import (
@@ -84,15 +82,13 @@ __all__ = [
     "GapCertificate",
     "MeasureReport",
     "gap_certificate",
-    "m_ell_membership",
+    "joint_m_membership",
     "spectrum_measure",
     # asymptotics
-    "LargeEllSqueeze",
-    "SmallEllLowerBand",
+    "SQUEEZE_EPSILON",
     "SmallEllUpperBand",
     "g1_function",
     "large_l_gap_spacing",
-    "large_l_squeeze",
     "lemma_witnesses",
     "set_convergence_check",
     "small_l_lower_band",

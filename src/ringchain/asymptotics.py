@@ -42,17 +42,27 @@ __all__ = [
     "g2_small_ell_limit",
     "g2_ell_derivative_at_pi",
     "lemma_witnesses",
+    "SMALL_L_MAX",
+    "LARGE_L_MIN",
     "SmallEllUpperBand",
     "small_l_upper_band",
-    "SmallEllLowerBand",
     "small_l_lower_band",
-    "LargeEllSqueeze",
-    "large_l_squeeze",
+    "SQUEEZE_EPSILON",
     "large_l_gap_spacing",
     "set_convergence_check",
 ]
 
 _SQRT3 = math.sqrt(3.0)
+
+#: The small-link predictions hold for ell <= SMALL_L_MAX, the long-link
+#: ones for ell >= LARGE_L_MIN.
+SMALL_L_MAX = 0.1
+LARGE_L_MIN = 10.0
+
+#: For long links the two negative bands concentrate at
+#: kappa^2 = 3 +- SQUEEZE_EPSILON, energy -3 -+ SQUEEZE_EPSILON, with
+#: SQUEEZE_EPSILON = 4*e^(-pi*sqrt(3)) ~ 0.0173.
+SQUEEZE_EPSILON = 4.0 * math.exp(-math.pi * _SQRT3)
 
 
 # ---------------------------------------------------------------------------
@@ -142,68 +152,33 @@ def lemma_witnesses() -> dict:
 
 @dataclass(frozen=True)
 class SmallEllUpperBand:
-    """Leading-order prediction for the negative band that stays near -1;
-    ell and theta are the caller's arguments."""
+    """Leading-order prediction for the negative band that stays near -1."""
 
     kappa_pred: float
     lower_edge_energy_pred: float  # at theta = 0
     width_pred: float
-    regime_warning: str | None
 
 
 def small_l_upper_band(ell: float, q: Quasimomentum) -> SmallEllUpperBand:
     """kappa(ell; theta) = 1 + (ell/2) sinh(pi) / (cosh(pi) - cos(theta)).
 
     Also returns the theta = 0 lower-edge energy -1 - ell*coth(pi/2) and the
-    band width 2*ell/sinh(pi), both with O(ell^2) error."""
+    band width 2*ell/sinh(pi), both with O(ell^2) error; the regime is
+    ell <= SMALL_L_MAX."""
     ell = positive_finite("ell", ell)
-    warning = None if ell <= 0.1 else f"ell={ell} outside the small-link regime"
     kappa = 1.0 + 0.5 * ell * math.sinh(math.pi) / (math.cosh(math.pi) - q.cos)
     return SmallEllUpperBand(
         kappa_pred=kappa,
         lower_edge_energy_pred=-1.0 - ell * coth(math.pi / 2.0),
         width_pred=2.0 * ell / math.sinh(math.pi),
-        regime_warning=warning,
     )
 
 
-@dataclass(frozen=True)
-class SmallEllLowerBand:
-    """Leading-order prediction for the negative band escaping to -inf;
-    ell is the caller's argument."""
-
-    kappa_pred: float
-    regime_warning: str | None
-
-
-def small_l_lower_band(ell: float) -> SmallEllLowerBand:
-    """kappa = (4/ell)^(1/3) + O(ell^(1/3)), independent of theta."""
+def small_l_lower_band(ell: float) -> float:
+    """kappa = (4/ell)^(1/3) + O(ell^(1/3)) for the negative band escaping
+    to -inf, independent of theta; the regime is ell <~ 0.01."""
     ell = positive_finite("ell", ell)
-    warning = None if ell <= 0.01 else f"ell={ell} outside the small-link regime"
-    kappa = (4.0 / ell) ** (1.0 / 3.0)
-    return SmallEllLowerBand(kappa_pred=kappa, regime_warning=warning)
-
-
-@dataclass(frozen=True)
-class LargeEllSqueeze:
-    """Predicted squeezing of the negative band pair around energy -3, at
-    kappa^2 = 3 +- epsilon; ell is the caller's argument."""
-
-    epsilon: float
-    regime_warning: str | None
-
-    @property
-    def energy_pair(self) -> tuple[float, float]:
-        return (-3.0 - self.epsilon, -3.0 + self.epsilon)
-
-
-def large_l_squeeze(ell: float) -> LargeEllSqueeze:
-    """For long links the bands concentrate at kappa^2 = 3 +- epsilon with
-    epsilon = 4*e^(-pi*sqrt(3)) ~ 0.0173."""
-    ell = positive_finite("ell", ell)
-    warning = None if ell >= 10.0 else f"ell={ell} below the long-link regime"
-    eps = 4.0 * math.exp(-math.pi * _SQRT3)
-    return LargeEllSqueeze(epsilon=eps, regime_warning=warning)
+    return (4.0 / ell) ** (1.0 / 3.0)
 
 
 def large_l_gap_spacing(n: int, ell: float) -> float:

@@ -29,8 +29,10 @@ import numpy as np
 from . import __version__
 from ._numerics import vertex_degree
 from .asymptotics import (
+    LARGE_L_MIN,
+    SMALL_L_MAX,
+    SQUEEZE_EPSILON,
     large_l_gap_spacing,
-    large_l_squeeze,
     lemma_witnesses,
     small_l_lower_band,
     small_l_upper_band,
@@ -45,7 +47,7 @@ from .bands import (
 )
 from .crosscheck import match_roots
 from .errors import LemmaWitnessError, RingChainError, SolverError
-from .measure import GapCertificate, gap_certificate, m_ell_membership, spectrum_measure
+from .measure import GapCertificate, gap_certificate, joint_m_membership, spectrum_measure
 from .model import ChainSpec, Quasimomentum, make_coupling
 from .secular import s_minus_i_norm, vertex_scattering
 
@@ -168,8 +170,7 @@ def _cmd_certify(args, spec):
     rows = []
     for k in args.k:
         cert = gap_certificate(spec, k)
-        joint = m_ell_membership(k, spec.link_length) and m_ell_membership(k, math.pi)
-        rows.append([k, cert.value, joint])
+        rows.append([k, cert.value, joint_m_membership(spec, k)])
     cfg = {"k": ",".join(_fmt(k) for k in args.k)}
     return (["k", "certificate", "joint_m_membership"], rows), cfg, 0
 
@@ -180,8 +181,8 @@ def _cmd_asymptotics(args, spec):
     rows = []
 
     upper = small_l_upper_band(ell, q0)
-    if upper.regime_warning:
-        print(f"warning: {upper.regime_warning}", file=sys.stderr)
+    if ell > SMALL_L_MAX:
+        print(f"warning: ell={ell} outside the small-link regime", file=sys.stderr)
     kap0 = solve_negative_edge(spec, 1.0, "upper")
     kap_pi = solve_negative_edge(spec, -1.0, "upper")
     edge = -(kap0 * kap0)
@@ -192,20 +193,17 @@ def _cmd_asymptotics(args, spec):
     width = kap0 * kap0 - kap_pi * kap_pi
     rows.append(["upper_band_width", upper.width_pred, width, width / upper.width_pred])
 
-    lower = small_l_lower_band(ell)
+    pred_low = small_l_lower_band(ell)
     kap_low = solve_negative_edge(spec, 1.0, "lower")
-    rows.append(
-        ["lower_band_kappa", lower.kappa_pred, kap_low, kap_low / lower.kappa_pred]
-    )
+    rows.append(["lower_band_kappa", pred_low, kap_low, kap_low / pred_low])
 
-    sq = large_l_squeeze(ell)
-    if sq.regime_warning:
-        print(f"warning: {sq.regime_warning}", file=sys.stderr)
+    if ell < LARGE_L_MIN:
+        print(f"warning: ell={ell} below the long-link regime", file=sys.stderr)
     bands = negative_bands(spec)
     if len(bands) == 2:
         for name, pred, band in (
-            ("squeeze_lower_band_energy", sq.energy_pair[0], bands[0]),
-            ("squeeze_upper_band_energy", sq.energy_pair[1], bands[1]),
+            ("squeeze_lower_band_energy", -3.0 - SQUEEZE_EPSILON, bands[0]),
+            ("squeeze_upper_band_energy", -3.0 + SQUEEZE_EPSILON, bands[1]),
         ):
             center = 0.5 * (band.e_lo + band.e_hi)
             rows.append([name, pred, center, center / pred])
@@ -396,7 +394,7 @@ def main(argv=None) -> int:
             config["ell"] = spec.link_length
         _write_report(args, columns, rows, config)
         return code
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:  # OSError: an unwritable --output
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

@@ -26,7 +26,7 @@ __all__ = [
     "GapCertificate",
     "spectrum_measure",
     "gap_certificate",
-    "m_ell_membership",
+    "joint_m_membership",
 ]
 
 
@@ -96,12 +96,14 @@ def gap_certificate(spec: ChainSpec, k: float) -> GapCertificate:
     return GapCertificate.INCONCLUSIVE
 
 
-def m_ell_membership(k: float, ell: float) -> bool:
-    """Whether |sin(k*ell)| > 2*sqrt(2)/k.
+def joint_m_membership(spec: ChainSpec, k: float) -> bool:
+    """Whether |sin(k ell)| and |sin(k pi)| both exceed 2*sqrt(2)/k.
 
-    Joint membership for the link length and for pi implies
-    |sin(k ell) sin(k pi)| > 8/k^2 and hence a spectral gap at k^2.
+    Joint membership implies |sin(k ell) sin(k pi)| > 8/k^2 and hence a
+    spectral gap at k^2.  sin(k pi) comes from ``sincospi``, so it is 0 at
+    every integer k, which is in the spectrum.
     """
     k = positive_finite("k", k)
-    ell = positive_finite("ell", ell)
-    return abs(math.sin(k_times_ell(k, ell))) > 2.0 * math.sqrt(2.0) / k
+    ell = positive_finite("ell", spec.link_length)
+    bound = 2.0 * math.sqrt(2.0) / k
+    return abs(math.sin(k_times_ell(k, ell))) > bound and abs(sincospi(k)[0]) > bound

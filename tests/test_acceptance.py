@@ -10,11 +10,11 @@ import math
 import numpy as np
 
 from ringchain import (
+    SQUEEZE_EPSILON,
     ChainSpec,
     Quasimomentum,
     closed_form_value,
     flat_bands,
-    large_l_squeeze,
     lemma_witnesses,
     make_coupling,
     negative_bands,
@@ -110,14 +110,13 @@ def test_c04_small_ell_asymptotics():
 
 
 def test_c05_large_ell_squeeze():
-    sq = large_l_squeeze(20.0)
     bands = negative_bands(ChainSpec(20.0))
     ok = len(bands) == 2
     # lower band in energy has the larger kappa^2 = 3 + eps
-    for band, target in ((bands[0], 3.0 + sq.epsilon), (bands[1], 3.0 - sq.epsilon)):
+    for band, target in ((bands[0], 3.0 + SQUEEZE_EPSILON), (bands[1], 3.0 - SQUEEZE_EPSILON)):
         for e in (band.e_lo, band.e_hi):
             ok &= abs(-e - target) < 2e-3
-    ok &= abs(sq.epsilon - 0.0173) < 1e-4
+    ok &= abs(SQUEEZE_EPSILON - 0.0173) < 1e-4
     check(5, "ell=20 bands within 2e-3 (kappa^2) of 3 -+ 4 e^{-pi sqrt(3)}", ok)
 
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from ringchain import (
+    SQUEEZE_EPSILON,
     ChainSpec,
     Quasimomentum,
     g1_function,
     large_l_gap_spacing,
-    large_l_squeeze,
     lemma_witnesses,
     negative_bands,
     positive_bands,
@@ -317,18 +317,12 @@ def test_upper_band_theta_dependence():
         assert solved == pytest.approx(pred.kappa_pred, abs=5e-7)
 
 
-def test_upper_band_regime_warning():
-    assert small_l_upper_band(0.5, Quasimomentum(0.0)).regime_warning is not None
-    assert small_l_upper_band(0.05, Quasimomentum(0.0)).regime_warning is None
-
-
 def test_lower_band_prediction():
-    pred = small_l_lower_band(4.0)
-    assert pred.kappa_pred == 1.0 and pred.regime_warning is not None
+    assert small_l_lower_band(4.0) == 1.0
     k3 = solve_negative_edge(ChainSpec(1e-3), 1.0, "lower")
-    assert k3 / small_l_lower_band(1e-3).kappa_pred == pytest.approx(1.0, abs=5e-2)
+    assert k3 / small_l_lower_band(1e-3) == pytest.approx(1.0, abs=5e-2)
     k4 = solve_negative_edge(ChainSpec(1e-4), 1.0, "lower")
-    assert k4 / small_l_lower_band(1e-4).kappa_pred == pytest.approx(1.0, abs=2e-2)
+    assert k4 / small_l_lower_band(1e-4) == pytest.approx(1.0, abs=2e-2)
     assert k4 / k3 == pytest.approx(10.0 ** (1.0 / 3.0), rel=5e-2)
 
 
@@ -345,16 +339,14 @@ def test_lower_band_theta_independent():
 
 
 def test_squeeze_epsilon_value():
-    sq = large_l_squeeze(20.0)
-    assert sq.epsilon == pytest.approx(0.0173, abs=1e-4)
-    assert sq.energy_pair == (-3.0 - sq.epsilon, -3.0 + sq.epsilon)
+    assert SQUEEZE_EPSILON == 4.0 * math.exp(-math.pi * math.sqrt(3.0))
+    assert SQUEEZE_EPSILON == pytest.approx(0.0173, abs=1e-4)
 
 
 def test_squeeze_matches_solved_bands():
-    sq = large_l_squeeze(20.0)
     bands = negative_bands(ChainSpec(20.0))
     # bands_k^2 within 2e-3 of 3 -+ epsilon (lower band has larger kappa)
-    for band, target in ((bands[0], 3.0 + sq.epsilon), (bands[1], 3.0 - sq.epsilon)):
+    for band, target in ((bands[0], 3.0 + SQUEEZE_EPSILON), (bands[1], 3.0 - SQUEEZE_EPSILON)):
         for e in (band.e_lo, band.e_hi):
             assert abs(-e - target) < 2e-3
 

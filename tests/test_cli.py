@@ -349,6 +349,30 @@ def test_scattering_refuses_a_degree_it_cannot_build_by_name(capsys):
     assert err == "error: vertex degree must be <= 4096, got 4294967296\n"
 
 
+@pytest.mark.parametrize("ell, err", [
+    ("0.05", "warning: ell=0.05 below the long-link regime\n"),
+    ("0.5", "warning: ell=0.5 outside the small-link regime\n"
+            "warning: ell=0.5 below the long-link regime\n"),
+    ("5", "warning: ell=5.0 outside the small-link regime\n"
+          "warning: ell=5.0 below the long-link regime\n"),
+    ("20", "warning: ell=20.0 outside the small-link regime\n"),
+])
+def test_asymptotics_warns_outside_each_regime(capsys, ell, err):
+    # the small-link rows hold for ell <= 0.1, the squeeze rows for ell >= 10
+    code, _, got = run_cli(capsys, "asymptotics", "--ell", ell)
+    assert code == 0 and got == err
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_an_unwritable_output_exits_1_with_one_message(tmp_path, capsys, where):
+    path = tmp_path / "missing" / "x" if where == "missing" else tmp_path
+    code, out, err = run_cli(capsys, "bands", "--ell", "1", "--k-max", "3",
+                             "--output", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: [Errno ") and err.endswith(f"{str(path)!r}\n")
+    assert err.count("\n") == 1
+
+
 def test_certify_refuses_an_overflowing_k_ell(capsys):
     code, out, err = run_cli(capsys, "certify", "--ell", "1e300", "--k", "1e300")
     assert code == 1 and out == ""

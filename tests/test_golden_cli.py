@@ -65,6 +65,7 @@ _COMMANDS = (
                                     "--ell 1e-200", "--ell 300")),
     *(f"certify {ell} --k 0.1 0.5 1.5 7.3 100 12345.678"
       for ell in ("--ell 1", "--ell 0.37", "--ell pi", "--ell 1e-200")),
+    "certify --ell 1 --k 100000000 1000000000 1000000000000",  # integer k: sin(k pi) = 0
     *(f"asymptotics {ell}" for ell in ("--ell 1e-200", "--ell 1e-14", "--ell 0.01",
                                        "--ell 1", "--ell pi", "--ell 300")),
     "scattering --n 3", "scattering --n 4", "scattering --n 2 --k 0.1 1e-3 7",

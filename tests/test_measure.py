@@ -11,7 +11,7 @@ from ringchain import (
     ChainSpec,
     GapCertificate,
     gap_certificate,
-    m_ell_membership,
+    joint_m_membership,
     phi_positive,
     positive_bands,
     r_coefficient,
@@ -162,13 +162,25 @@ def test_asymptotic_implies_strong():
         assert hits > 1000
 
 
-def test_m_ell_membership_examples():
+def test_joint_m_membership_examples():
     ell = 1.3
-    assert not m_ell_membership(math.pi / ell, ell)  # sin(k ell) = 0
-    # |sin(k ell)| = 1 at k ell = pi/2 + m pi; pick k > 2 sqrt(2)
+    spec = ChainSpec(ell)
+    assert not joint_m_membership(spec, math.pi / ell)  # sin(k ell) = 0
+    assert not joint_m_membership(spec, 7.0)  # sin(k pi) = 0
+    # |sin(k ell)| = 1 at k ell = pi/2 + m pi, and |sin(k pi)| > 2 sqrt(2)/k here
     k = (math.pi / 2 + 4 * math.pi) / ell
-    assert k > 2 * math.sqrt(2)
-    assert m_ell_membership(k, ell)
+    assert abs(sincospi(k)[0]) > 2 * math.sqrt(2) / k
+    assert joint_m_membership(spec, k)
+    assert joint_m_membership(LOOSE1, 1e9 + 0.5)  # |sin(k pi)| = 1
+    with pytest.raises(ValueError, match="ell must be finite and > 0, got 0.0"):
+        joint_m_membership(TIGHT, 2.5)
+
+
+@pytest.mark.parametrize("k", [1e8, 2e8, 1e9, 1e12, 2.0**53])
+def test_joint_m_membership_is_false_at_a_large_integer_k(k):
+    # sin(k pi) = 0 exactly, so k^2 lies in the spectrum; math.sin of the
+    # rounded k*pi is noise of order k*ulp(pi) and would pass the test
+    assert not joint_m_membership(LOOSE1, k)
 
 
 def test_joint_membership_certifies_gap():
@@ -176,9 +188,9 @@ def test_joint_membership_certifies_gap():
     hits = 0
     for k in rng.uniform(3.0, 60.0, 4000):
         k = float(k)
-        if m_ell_membership(k, 1.0) and m_ell_membership(k, math.pi):
+        if joint_m_membership(LOOSE1, k):
             hits += 1
-            assert abs(math.sin(k) * math.sin(k * math.pi)) > 8.0 / (k * k)
+            assert abs(math.sin(k) * sincospi(k)[0]) > 8.0 / (k * k)
             assert abs(float(phi_positive(LOOSE1, k))) > 1.0
     assert hits > 100
 
@@ -209,7 +221,7 @@ def test_r_coefficient_float_path_equals_the_array_path_without_warnings():
 def test_certificates_refuse_an_overflowing_k_ell():
     # sin(inf) has no value: the refusal names k and ell
     for call in (lambda: gap_certificate(ChainSpec(1e300), 1e300),
-                 lambda: m_ell_membership(1e300, 1e300)):
+                 lambda: joint_m_membership(ChainSpec(1e300), 1e300)):
         with pytest.raises(ValueError, match=r"k = 1e\+300, ell = 1e\+300"):
             call()
     assert gap_certificate(LOOSE1, 1e200) is GapCertificate.INCONCLUSIVE

@@ -13,9 +13,7 @@ from ringchain import (
     ChainSpec,
     Quasimomentum,
     SpectralParameter,
-    large_l_squeeze,
     make_coupling,
-    small_l_lower_band,
     small_l_upper_band,
     spectrum_measure,
 )
@@ -130,28 +128,21 @@ def test_band_validates_interval():
     lambda: replace(SpectralParameter(2.0), kappa=3.0),
     lambda: Band(-4.0, -2.0, 0.0, 0.0, kind="positive-ac"),
     lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), energy_pred=-1.0),
-    lambda: replace(small_l_lower_band(0.01), energy_pred=-1.0),
-    lambda: replace(large_l_squeeze(20.0), kappa_sq_pair=(3.0, 3.0)),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), spec=ChainSpec(1.0)),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), window_hi=10.0),
     lambda: replace(match_roots(ChainSpec(1.0), "positive", 0.5, 1.5, n_brackets=2),
                     spec=ChainSpec(1.0)),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), band_count=7),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), gap_count=0),
-    lambda: replace(large_l_squeeze(20.0), energy_pair=(-3.0, -3.0)),
     lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), ell=0.02),
     lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), theta=1.0),
-    lambda: replace(small_l_lower_band(0.01), ell=0.02),
-    lambda: replace(large_l_squeeze(20.0), ell=30.0),
     lambda: replace(Band(1.0, 2.0, 0.0, -math.pi), truncated_lo=True),
-], ids=["energy", "kappa", "kind", "upper_energy_pred", "lower_energy_pred", "kappa_sq_pair",
-        "measure_spec", "window_hi", "match_spec", "band_count", "gap_count", "energy_pair",
-        "upper_ell", "upper_theta", "lower_ell", "squeeze_ell", "truncated_lo"])
+], ids=["energy", "kappa", "kind", "upper_energy_pred", "measure_spec", "window_hi",
+        "match_spec", "band_count", "gap_count", "upper_ell", "upper_theta", "truncated_lo"])
 def test_a_contradictory_value_cannot_be_built(build):
     # a root's energy follows from its k, and a root has no kappa; the
-    # predicted energies and kappa^2 follow from kappa and epsilon, and a
-    # report's counts from its bands; a report's chain, window, ell and theta
-    # are the caller's arguments, and no lower band edge is cut; none is an
-    # argument
+    # predicted energy follows from kappa, and a report's counts from its
+    # bands; a report's chain, window, ell and theta are the caller's
+    # arguments, and no lower band edge is cut; none is an argument
     with pytest.raises(TypeError):
         build()

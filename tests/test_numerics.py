@@ -25,9 +25,8 @@ from ringchain import (
     closed_form_value,
     flat_bands,
     gap_certificate,
+    joint_m_membership,
     large_l_gap_spacing,
-    large_l_squeeze,
-    m_ell_membership,
     small_l_lower_band,
     small_l_upper_band,
     solve_negative_edge,
@@ -59,8 +58,7 @@ _POSITIVE_ARGUMENTS = {
     "positive_bands.k_max": ("k_max", lambda x: positive_bands(ChainSpec(1.0), x)),
     "spectrum_measure.window_hi": ("window_hi", lambda x: spectrum_measure(ChainSpec(1.0), x)),
     "gap_certificate.k": ("k", lambda x: gap_certificate(ChainSpec(1.0), x)),
-    "m_ell_membership.k": ("k", lambda x: m_ell_membership(x, 1.0)),
-    "m_ell_membership.ell": ("ell", lambda x: m_ell_membership(1.0, x)),
+    "joint_m_membership.k": ("k", lambda x: joint_m_membership(ChainSpec(1.0), x)),
     "assemble.k": ("k", lambda x: assemble(ChainSpec(1.0), "positive", [1.0, x], _Q)),
     "assemble.kappa": ("kappa", lambda x: assemble(ChainSpec(0.0), "negative", [x], _Q)),
     "closed_form_value.k": ("k", lambda x: closed_form_value(ChainSpec(1.0), "positive", x, 0.3)),
@@ -70,7 +68,6 @@ _POSITIVE_ARGUMENTS = {
     "s_minus_i_norm.k": ("k", lambda x: s_minus_i_norm(3, x)),
     "small_l_upper_band.ell": ("ell", lambda x: small_l_upper_band(x, Quasimomentum(0.0))),
     "small_l_lower_band.ell": ("ell", small_l_lower_band),
-    "large_l_squeeze.ell": ("ell", large_l_squeeze),
     "large_l_gap_spacing.ell": ("ell", lambda x: large_l_gap_spacing(1, x)),
 }
 
