@@ -24,6 +24,8 @@ from ringchain import (
 import ringchain.asymptotics
 from ringchain._numerics import coth
 from ringchain.asymptotics import (
+    LARGE_L_MIN,
+    SMALL_L_MAX,
     _SEARCH_CAP,
     _WINDOW_WIDTH,
     _gap_fraction,
@@ -31,6 +33,7 @@ from ringchain.asymptotics import (
     g2_ell_derivative_at_pi,
 )
 from ringchain.bands import f_shifted
+from ringchain.cli import main
 
 SQRT3 = math.sqrt(3.0)
 
@@ -315,6 +318,15 @@ def test_upper_band_theta_dependence():
         pred = small_l_upper_band(ell, q)
         solved = solve_negative_edge(spec, q.cos, "upper")
         assert solved == pytest.approx(pred.kappa_pred, abs=5e-7)
+
+
+def test_upper_band_regime_warning(capsys):
+    # the upper-band rows hold for ell <= SMALL_L_MAX; the CLI warns past it
+    assert (SMALL_L_MAX, LARGE_L_MIN) == (0.1, 10.0)
+    for ell, warned in ((0.5, True), (0.05, False)):
+        assert main(["asymptotics", "--ell", str(ell)]) == 0
+        err = capsys.readouterr().err
+        assert (f"warning: ell={ell} outside the small-link regime\n" in err) is warned
 
 
 def test_lower_band_prediction():

@@ -363,6 +363,21 @@ def test_asymptotics_warns_outside_each_regime(capsys, ell, err):
     assert code == 0 and got == err
 
 
+@pytest.mark.parametrize("ell, err", [
+    ("0.1", "warning: ell=0.1 below the long-link regime\n"),
+    ("0.10000000000000002", "warning: ell=0.10000000000000002 outside the small-link regime\n"
+                            "warning: ell=0.10000000000000002 below the long-link regime\n"),
+    ("10", "warning: ell=10.0 outside the small-link regime\n"),
+    ("9.999999999999998", "warning: ell=9.999999999999998 outside the small-link regime\n"
+                          "warning: ell=9.999999999999998 below the long-link regime\n"),
+], ids=["small_at_bound", "small_past_bound", "large_at_bound", "large_past_bound"])
+def test_asymptotics_regime_bounds_are_inclusive(capsys, ell, err):
+    # ell = 0.1 is still small-link and ell = 10 already long-link; one ulp
+    # further out each warns
+    code, _, got = run_cli(capsys, "asymptotics", "--ell", ell)
+    assert code == 0 and got == err
+
+
 @pytest.mark.parametrize("where", ["missing", "directory"])
 def test_an_unwritable_output_exits_1_with_one_message(tmp_path, capsys, where):
     path = tmp_path / "missing" / "x" if where == "missing" else tmp_path
