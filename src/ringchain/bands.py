@@ -311,15 +311,14 @@ def _crossings(spec: ChainSpec, c, a: np.ndarray, b: np.ndarray) -> list[float]:
 
 
 class BandTable(Sequence):
-    """The positive bands of one window as columns, read as a sequence of
-    ``Band``.
+    """The bands of one branch as columns, read as a sequence of ``Band``.
 
     Band i spans the energies e_lo[i] .. e_hi[i], with edge quasimomenta
     theta_lo[i] and theta_hi[i] and touch energies
     touches[offsets[i]:offsets[i + 1]]; the last band is cut at the window's
     end when ``truncated_hi``.  Its length and its columns are read without
-    building a ``Band``.  Indexing, iteration and equality build every
-    ``Band`` once, and behave as the tuple of them does.
+    building a ``Band``.  Indexing and iteration build every ``Band`` once,
+    and the repr is that of the tuple of them.
     """
 
     def __init__(self, e_lo, e_hi, theta_lo, theta_hi, offsets, touches, truncated_hi):
@@ -331,9 +330,10 @@ class BandTable(Sequence):
             column.setflags(write=False)
 
     def clipped_lengths(self, lo: float, hi: float) -> np.ndarray:
-        """``Band.clipped_length(lo, hi)`` of the bands that meet [lo, hi],
-        equal to it bit for bit.  The edges ascend, so the bands left out
-        lie wholly below lo or above hi, and each would add +0.0 to a sum."""
+        """max(0, min(e_hi, hi) - max(e_lo, lo)), the length of each band's
+        intersection with [lo, hi], for the bands that meet it.  The edges
+        ascend, so the bands left out lie wholly below lo or above hi, and
+        each would add +0.0 to a sum."""
         i = np.searchsorted(self.e_hi, lo, side="right")
         j = np.searchsorted(self.e_lo, hi)
         return np.maximum(0.0, np.minimum(self.e_hi[i:j], hi) - np.maximum(self.e_lo[i:j], lo))
@@ -343,8 +343,8 @@ class BandTable(Sequence):
         touches, offsets = self.touches.tolist(), self.offsets.tolist()
         cut = [False] * (len(self) - 1) + [self.truncated_hi]
         columns = (self.e_lo, self.e_hi, self.theta_lo, self.theta_hi)
-        rows = zip(zip(*(c.tolist() for c in columns), cut), offsets, offsets[1:])
-        return tuple(Band(*row, tuple(touches[a:b])) for row, a, b in rows)
+        touched = [tuple(touches[a:b]) for a, b in zip(offsets, offsets[1:])]
+        return tuple(map(Band, *(c.tolist() for c in columns), cut, touched))
 
     def __len__(self) -> int:
         return self.e_lo.size
@@ -352,18 +352,9 @@ class BandTable(Sequence):
     def __getitem__(self, i):
         return self._bands[i]
 
-    def __iter__(self):
-        return iter(self._bands)
-
-    def __eq__(self, other):
-        if isinstance(other, BandTable):
-            other = other._bands
-        return self._bands == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._bands)
-
     def __repr__(self) -> str:
+        # the tuple's repr, with no address and no elided array: the same
+        # bands always print the same
         return repr(self._bands)
 
 
@@ -435,14 +426,6 @@ def positive_bands(spec: ChainSpec, k_max: float) -> BandTable:
     )
 
 
-def _negative_band(lo, hi, touches=()) -> Band:
-    """The negative band between two edges, each (kappa, theta), lower
-    energy (larger kappa) first; theta is 0 where Phi = +1 and -pi where
-    Phi = -1."""
-    (k_lo, theta_lo), (k_hi, theta_hi) = lo, hi
-    return Band(-(k_lo * k_lo), -(k_hi * k_hi), theta_lo, theta_hi, touch_energies=touches)
-
-
 # ---------------------------------------------------------------------------
 # negative bands
 
@@ -481,8 +464,9 @@ def _negative_edge(spec: ChainSpec, c: float, bracket) -> float:
     return brentq_strict(lambda x: f_shifted(spec, x, c), *bracket)
 
 
-def negative_bands(spec: ChainSpec) -> list[Band]:
-    """Negative ac bands (energy intervals), sorted by increasing energy.
+def negative_bands(spec: ChainSpec) -> BandTable:
+    """Negative ac bands (energy intervals), sorted by increasing energy, as
+    a ``BandTable``.
 
     Four bracketed solves give the edges: Phi = -1 and Phi = +1 once each on
     (1, sqrt3] and on [sqrt3, cap).  The loose chain has two bands, both
@@ -492,24 +476,28 @@ def negative_bands(spec: ChainSpec) -> list[Band]:
     below float resolution) the two merge into one band touching
     cos(theta) = 1 at energy -3, recorded in ``touch_energies``.  A band
     narrower than the root tolerance collapses to a point.  The tight chain
-    has no negative ac spectrum and returns [].
+    has no negative ac spectrum and returns an empty table.
     """
-    if spec.is_tight:
-        return []
-
-    upper, lower = _negative_brackets(spec)
-    # Phi(sqrt3) + 1 >= 2, so the theta = -pi solves always have a bracket
-    ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
-    if f_shifted(spec, _SQRT3, 1.0) <= 0.0:  # the gap is closed
-        return [_negative_band((kd, _THETA_PI), (ka, _THETA_PI), (-3.0,))]
-    # Phi(sqrt3) > 1 puts the theta = 0 edges on either side of sqrt3, and
-    # kc*kc > 3 needs kc above the float sqrt3, which is below the true one
-    kb = max(_negative_edge(spec, 1.0, upper), ka)
-    kc = min(max(_negative_edge(spec, 1.0, lower), _ABOVE_SQRT3), kd)
-    return [
-        _negative_band((kd, _THETA_PI), (kc, 0.0)),  # lower: kappa in [kc, kd]
-        _negative_band((kb, 0.0), (ka, _THETA_PI)),  # upper: kappa in [ka, kb]
-    ]
+    # the band edges in kappa, each band's larger kappa (lower energy) first
+    kappa = theta = touches = np.empty(0)
+    offsets = np.zeros(1, dtype=int)
+    if spec.is_loose:
+        upper, lower = _negative_brackets(spec)
+        # Phi(sqrt3) + 1 >= 2, so the theta = -pi solves always have a bracket
+        ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
+        if f_shifted(spec, _SQRT3, 1.0) <= 0.0:  # the gap is closed
+            kappa, theta = np.array([kd, ka]), np.full(2, _THETA_PI)
+            offsets, touches = np.array([0, 1]), np.array([-3.0])
+        else:
+            # Phi(sqrt3) > 1 puts the theta = 0 edges on either side of sqrt3,
+            # and kc*kc > 3 needs kc above the float sqrt3, below the true one
+            kb = max(_negative_edge(spec, 1.0, upper), ka)
+            kc = min(max(_negative_edge(spec, 1.0, lower), _ABOVE_SQRT3), kd)
+            # lower band: kappa in [kc, kd]; upper: kappa in [ka, kb]
+            kappa, theta = np.array([kd, kc, kb, ka]), np.array([_THETA_PI, 0.0, 0.0, _THETA_PI])
+            offsets = np.zeros(3, dtype=int)
+    e = -(kappa * kappa)
+    return BandTable(e[0::2], e[1::2], theta[0::2], theta[1::2], offsets, touches, False)
 
 
 def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:

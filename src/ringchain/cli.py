@@ -134,19 +134,18 @@ def _cmd_flat(args, spec):
 _BAND_COLUMNS = ["band_index", "e_lo", "e_hi", "edge_theta_lo", "edge_theta_hi"]
 
 
+def _band_rows(table):
+    columns = (table.e_lo, table.e_hi, table.theta_lo, table.theta_hi)
+    return [[i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))]
+
+
 def _cmd_bands(args, spec):
-    t = positive_bands(spec, args.k_max)
-    columns = (t.e_lo, t.e_hi, t.theta_lo, t.theta_hi)
-    rows = [[i, *row] for i, row in enumerate(zip(*(c.tolist() for c in columns)))]
+    rows = _band_rows(positive_bands(spec, args.k_max))
     return (_BAND_COLUMNS, rows), {"k_max": args.k_max}, 0
 
 
 def _cmd_negative(args, spec):
-    rows = [
-        [i, b.e_lo, b.e_hi, b.edge_theta_lo, b.edge_theta_hi]
-        for i, b in enumerate(negative_bands(spec))
-    ]
-    return (_BAND_COLUMNS, rows), {}, 0
+    return (_BAND_COLUMNS, _band_rows(negative_bands(spec))), {}, 0
 
 
 def _cmd_dispersion(args, spec):
@@ -201,12 +200,10 @@ def _cmd_asymptotics(args, spec):
         print(f"warning: ell={ell} below the long-link regime", file=sys.stderr)
     bands = negative_bands(spec)
     if len(bands) == 2:
-        for name, pred, band in (
-            ("squeeze_lower_band_energy", -3.0 - SQUEEZE_EPSILON, bands[0]),
-            ("squeeze_upper_band_energy", -3.0 + SQUEEZE_EPSILON, bands[1]),
-        ):
-            center = 0.5 * (band.e_lo + band.e_hi)
-            rows.append([name, pred, center, center / pred])
+        centers = [0.5 * (lo + hi) for lo, hi in zip(bands.e_lo.tolist(), bands.e_hi.tolist())]
+        preds = (-3.0 - SQUEEZE_EPSILON, -3.0 + SQUEEZE_EPSILON)
+        for side, pred, center in zip(("lower", "upper"), preds, centers):
+            rows.append([f"squeeze_{side}_band_energy", pred, center, center / pred])
     for n in (1, 2, 3):
         rows.append([f"gap_spacing_n{n}", large_l_gap_spacing(n, ell), None, None])
 

@@ -150,7 +150,3 @@ class Band:
     @property
     def width(self) -> float:
         return self.e_hi - self.e_lo
-
-    def clipped_length(self, lo: float, hi: float) -> float:
-        """Length of the band's intersection with [lo, hi]."""
-        return max(0.0, min(self.e_hi, hi) - max(self.e_lo, lo))

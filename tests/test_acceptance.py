@@ -58,7 +58,7 @@ def test_c02_tight_chain_coverage():
     tight = ChainSpec(0.0)
     rep = spectrum_measure(tight, 100.0)
     ok = abs(rep.fraction - 1.0) <= 1e-6
-    ok &= negative_bands(tight) == []
+    ok &= len(negative_bands(tight)) == 0
     negative_flats = [e for e in flat_bands(tight, 100.0).tolist() if e < 0]
     ok &= negative_flats == [-1.0]
     check(2, "tight chain: fraction 1, no negative ac, point spectrum {-1}", ok)

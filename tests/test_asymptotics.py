@@ -402,6 +402,11 @@ def test_set_convergence_decreasing_hausdorff_with_witnesses():
     assert rows[1]["witness_window_lo"] > rows[0]["witness_window_lo"]
 
 
+def _clipped_length(band, lo, hi):
+    """The length of the band's intersection with [lo, hi]."""
+    return max(0.0, min(band.e_hi, hi) - max(band.e_lo, lo))
+
+
 def test_gap_fraction_sums_only_the_bands_that_meet_the_window():
     """On the demo's link lengths, the gap fraction of every window
     set_convergence_check tries, and of windows that end on a band edge,
@@ -416,7 +421,7 @@ def test_gap_fraction_sums_only_the_bands_that_meet_the_window():
         for b in bands:
             windows += [(b.e_lo, b.e_hi), (b.e_hi, b.e_hi + 1.0), (b.e_lo - 1.0, b.e_lo)]
         for lo, hi in windows:
-            full = 1.0 - sum(b.clipped_length(lo, hi) for b in bands) / (hi - lo)
+            full = 1.0 - sum(_clipped_length(b, lo, hi) for b in bands) / (hi - lo)
             assert _gap_fraction(table, lo, hi) == full, (ell, lo, hi)
 
 

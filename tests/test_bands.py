@@ -31,6 +31,8 @@ from ringchain._numerics import RTOL, XTOL, brentq_strict, sincospi
 from ringchain.bands import (
     MAX_WITNESSES,
     _crossings,
+    _negative_brackets,
+    _negative_edge,
     _phi_minus,
     _witness_range,
     _witnesses,
@@ -246,6 +248,11 @@ def _positive_bands_per_gap(spec, k_max):
     return [*bands, band(lo, cut, touches, cut=True)]
 
 
+def _clipped_length(band, lo, hi):
+    """The length of the band's intersection with [lo, hi]."""
+    return max(0.0, min(band.e_hi, hi) - max(band.e_lo, lo))
+
+
 def _window_ends(spec):
     """k_max inside a band, inside a gap, on a solved edge and on a gap
     witness, and one float either side of each edge and witness; the window
@@ -269,11 +276,11 @@ def _assert_table_equals_per_gap(spec):
     for k_max in _window_ends(spec):
         got = positive_bands(spec, k_max)
         expected = tuple(_positive_bands_per_gap(spec, k_max))
-        assert got == expected and repr(got) == repr(expected), (spec, k_max)
+        assert tuple(got) == expected and repr(got) == repr(expected), (spec, k_max)
         window = k_max * k_max
         rep = spectrum_measure(spec, window)
         listed = _positive_bands_per_gap(spec, math.sqrt(window))
-        measure = min(sum(b.clipped_length(0.0, window) for b in listed), window)
+        measure = min(sum(_clipped_length(b, 0.0, window) for b in listed), window)
         assert (rep.measure, rep.fraction) == (measure, measure / window), (spec, k_max)
         assert rep.band_count == len(listed), (spec, k_max)
         assert rep.gap_count == len(listed) - 1 + (not listed[-1].truncated_hi)
@@ -662,7 +669,42 @@ def test_sincospi_exact_at_integers_and_half_integers():
 
 
 def test_negative_bands_tight_empty():
-    assert negative_bands(TIGHT) == []
+    assert len(negative_bands(TIGHT)) == 0
+
+
+def _negative_bands_per_band(spec):
+    """negative_bands as one Band per band, from the same four edge solves
+    with the same clamps: the reference for the table's columns."""
+    if spec.is_tight:
+        return ()
+    upper, lower = _negative_brackets(spec)
+    ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
+    if f_shifted(spec, SQRT3, 1.0) <= 0.0:
+        return (Band(-(kd * kd), -(ka * ka), -math.pi, -math.pi, touch_energies=(-3.0,)),)
+    kb = max(_negative_edge(spec, 1.0, upper), ka)
+    kc = min(max(_negative_edge(spec, 1.0, lower), math.nextafter(SQRT3, 2.0)), kd)
+    return (Band(-(kd * kd), -(kc * kc), -math.pi, 0.0),
+            Band(-(kb * kb), -(ka * ka), 0.0, -math.pi))
+
+
+_NEGATIVE_TABLE_ELLS = (
+    [0.0, math.pi]
+    + [math.pi + d for d in (-1e-8, 1e-8, -1e-14, 1e-14)]
+    + np.exp(np.random.default_rng(25).uniform(math.log(1e-12), math.log(300.0), 500)).tolist()
+)
+
+
+def test_negative_band_table_equals_the_per_band_reference():
+    """The bands read from the table equal the ones built one by one from
+    the same edges, Band for Band, on both sides of the merge at pi and on
+    the tight chain, which has none."""
+    merged = 0
+    for ell in _NEGATIVE_TABLE_ELLS:
+        spec = ChainSpec(ell)
+        got, expected = negative_bands(spec), _negative_bands_per_band(spec)
+        assert tuple(got) == expected and repr(got) == repr(expected), ell
+        merged += len(got) == 1
+    assert merged >= 3  # pi and pi +- 1e-14
 
 
 def test_negative_bands_ell_pi_single_with_touch():

@@ -3,19 +3,25 @@ modules import no private name from one another, and no import it does not
 use but those the benchmark's tracer looks up.  Its results store no echo of
 the arguments that built them.
 
-Run as a script, it lists the package's settable values:
+Run as a script, it lists the package's settable values or counts its
+code lines:
 
     python tests/test_dependencies.py settable
+    python tests/test_dependencies.py lines
 
-prints their count, then one per line.
+``settable`` prints their count, then one per line; ``lines`` prints the
+number of lines of src/ringchain/*.py that are not blank, comment-only or
+docstring lines.
 """
 
 import ast
 import importlib.util
+import io
 import json
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -295,9 +301,45 @@ def test_settable_values_do_not_grow():
     assert len(_settable(_modules())) <= SETTABLE_BOUND
 
 
+# ---------------------------------------------------------------------------
+# code lines
+
+
+def _code_lines(source):
+    """The lines of source that hold a token other than a comment, and
+    belong to no docstring (of the module, a class or a function)."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docstrings.update(range(first.lineno, first.end_lineno + 1))
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in layout:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - docstrings)
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings():
+    source = (
+        '"""Module\ndocstring."""\n\n# a comment\nimport math\n\n\n'
+        'def f(x):  # trailing comment\n    """One line."""\n'
+        '    s = """not a\n    docstring"""\n    return (x +\n            1)\n'
+    )
+    # import, def, the two lines of s and the two of the return
+    assert _code_lines(source) == 6
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["settable"]:
-        sys.exit("usage: python tests/test_dependencies.py settable")
-    settable = _settable(_modules())
-    print(len(settable))
-    print("\n".join(settable))
+    if sys.argv[1:] == ["settable"]:
+        settable = _settable(_modules())
+        print(len(settable))
+        print("\n".join(settable))
+    elif sys.argv[1:] == ["lines"]:
+        print(sum(_code_lines(p.read_text()) for p in sorted((SRC / "ringchain").glob("*.py"))))
+    else:
+        sys.exit("usage: python tests/test_dependencies.py settable|lines")
