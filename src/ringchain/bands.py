@@ -38,11 +38,11 @@ energy interval (-1, 0) is never in the spectrum.
 
 Every comparison f <=> c is made on one kernel, (f - c) * e^{-s} with
 s = kappa*(pi + ell), which has the same sign and zeros and is finite
-below kappa = 2**256.  f -> -inf as kappa -> 1+ and as kappa -> inf, and
-f(sqrt3) = cosh(sqrt3 (pi - ell)) >= 1, so each negative band edge is one
-bracketed solve: f = -1 and f = +1 once each on (1, sqrt3] and on
-[sqrt3, cap).  The bands merge into one exactly when f(sqrt3) - 1 =
-2 sinh^2(sqrt3 (pi - ell)/2) is zero to float resolution.
+while kappa^2 is (kappa below ~1.3e154).  f -> -inf as kappa -> 1+ and
+as kappa -> inf, and f(sqrt3) = cosh(sqrt3 (pi - ell)) >= 1, so each
+negative band edge is one bracketed solve: f = -1 and f = +1 once each on
+(1, sqrt3] and on [sqrt3, cap).  The bands merge into one exactly when
+f(sqrt3) - 1 = 2 sinh^2(sqrt3 (pi - ell)/2) is zero to float resolution.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from ._numerics import MAX_WITNESSES, brentq_batch, brentq_strict, positive_finite, sincospi
-from .errors import SolverError
 from .model import Band, ChainSpec, Quasimomentum, SpectralParameter
 
 # unused here: the benchmark's tracer (perfbench/tracing.py) looks up and
@@ -76,9 +75,6 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _ABOVE_POLE = math.nextafter(1.0, 2.0)  # smallest float kappa above the pole
 _ABOVE_SQRT3 = math.nextafter(_SQRT3, 2.0)
-#: the last doubling of 8 at which q(kappa) is finite: at 2**256 its
-#: numerator (kappa^2 - 3)^2 overflows
-_CAP_LIMIT = 2.0**255
 
 _THETA_PI = -math.pi  # canonical representative of the cos(theta) = -1 edge
 
@@ -128,9 +124,9 @@ def phi_positive(spec: ChainSpec, k):
     return out if scalar or out.ndim else float(out)
 
 
-def f_shifted(spec: ChainSpec, kappa, c: float):
+def f_shifted(spec: ChainSpec, kappa: float, c: float) -> float:
     """(Phi(kappa) - c) * e^{-s} with s = kappa*(pi + ell) for the loose
-    chain, vectorized.
+    chain, at one float kappa.
 
     Same sign and zeros as Phi - c.  With u = kappa*pi, v = kappa*ell and
     w = u - v = kappa*(pi - ell), on both sides of the pole
@@ -140,18 +136,15 @@ def f_shifted(spec: ChainSpec, kappa, c: float):
     and for |c| <= 1 the bracket is non-negative.  Above the pole q >= 0 and
     both scaled terms are non-negative, so the sign of their difference is
     right even where they agree to rounding.  Below it q < 0 and every term
-    is non-negative, so nothing cancels.  Finite for kappa in [0, 2**256)
-    but NaN at the pole kappa = 1; from 2**256 on q overflows, and the value
-    is -inf or NaN, with no warning.
+    is non-negative, so nothing cancels.
 
-    A float kappa and c (every Brent callback and sqrt(3) test) run the
-    same expression on a numpy float64 scalar instead of a 0-d array, and
-    return a float.  On a 0-d array the first products already return
-    float64 scalars, so both take the same roundings and give the same
-    float; the float path only skips the array wrapping and ``np.where``.
+    The expression runs on a numpy float64 scalar and returns a float.  q is
+    formed from bounded factors, d * (0.25 d / (kappa^2 - 1)) with
+    d = kappa^2 - 3, so it stays finite as long as kappa^2 does: the value
+    is finite for kappa up to ~1.3e154 but NaN at the pole kappa = 1, and
+    NaN past that, with no warning.
     """
-    scalar = isinstance(kappa, float) and isinstance(c, float)
-    kappa = np.float64(kappa) if scalar else np.asarray(kappa, dtype=float)
+    kappa = np.float64(kappa)
     ell = spec.link_length
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         u = kappa * math.pi
@@ -161,13 +154,11 @@ def f_shifted(spec: ChainSpec, kappa, c: float):
         es = np.exp(-(u + v))
         ss = 0.25 * np.expm1(-2.0 * u) * np.expm1(-2.0 * v)  # sinh u sinh v e^{-s}
         # t^2 = sinh^2(w/2) e^{-s}, with no cancellation as ell -> pi
-        t = 0.5 * np.exp(-np.minimum(u, v)) * np.expm1(-np.abs(w))
-        q = (k2 - 3.0) ** 2 / (4.0 * (k2 - 1.0))
+        t = 0.5 * np.exp(-min(u, v)) * np.expm1(-abs(w))
+        d = k2 - 3.0
+        q = d * (0.25 * d / (k2 - 1.0))
         out = 2.0 * t * t + (1.0 - c) * es - q * ss
-    if scalar:
-        return math.nan if kappa == 1.0 else float(out)
-    out = np.where(kappa == 1.0, np.nan, out)
-    return out if out.ndim else float(out)
+    return math.nan if kappa == 1.0 else float(out)
 
 
 def f_prime_scaled(spec: ChainSpec, kappa):
@@ -437,17 +428,12 @@ def _negative_brackets(spec: ChainSpec):
     Phi -> -inf at both outer ends, Phi(sqrt3) = cosh(sqrt3 (pi - ell))
     >= 1, and every critical point of Phi but its one peak lies below -1.
     So each bracket holds exactly one crossing Phi = c for every c in
-    [-1, 1].  The lower band sits near kappa = (4/ell)^(1/3); past
-    ``_CAP_LIMIT`` (ell below ~2e-230) the kernel overflows first.
+    [-1, 1].  The doubling ends for every ell > 0, since Phi -> -inf: the
+    lower band sits near kappa = (4/ell)^(1/3), below ~1e108 even at the
+    least subnormal ell, where the kernel is finite.
     """
     cap = 8.0
     while f_shifted(spec, cap, -1.0) >= 0.0:
-        if cap >= _CAP_LIMIT:
-            raise SolverError(
-                f"could not cap the negative branch: Phi >= -1 up to kappa = "
-                f"{cap!r}, where q(kappa) is about to overflow; the lower band "
-                f"near (4/ell)^(1/3) lies beyond it for ell = {spec.link_length!r}"
-            )
         cap *= 2.0
     return (_ABOVE_POLE, _SQRT3), (_SQRT3, cap)
 

@@ -174,6 +174,12 @@ def _cmd_certify(args, spec):
     return (["k", "certificate", "joint_m_membership"], rows), cfg, 0
 
 
+def _ratio(solved: float, pred: float):
+    """solved / pred, or None (an empty cell) where the prediction
+    underflowed to 0 or overflowed."""
+    return solved / pred if pred and math.isfinite(pred) else None
+
+
 def _cmd_asymptotics(args, spec):
     ell = spec.link_length
     q0 = Quasimomentum(0.0)
@@ -187,14 +193,14 @@ def _cmd_asymptotics(args, spec):
     edge = -(kap0 * kap0)
     rows.append(
         ["upper_band_lower_edge", upper.lower_edge_energy_pred, edge,
-         edge / upper.lower_edge_energy_pred]
+         _ratio(edge, upper.lower_edge_energy_pred)]
     )
     width = kap0 * kap0 - kap_pi * kap_pi
-    rows.append(["upper_band_width", upper.width_pred, width, width / upper.width_pred])
+    rows.append(["upper_band_width", upper.width_pred, width, _ratio(width, upper.width_pred)])
 
     pred_low = small_l_lower_band(ell)
     kap_low = solve_negative_edge(spec, 1.0, "lower")
-    rows.append(["lower_band_kappa", pred_low, kap_low, kap_low / pred_low])
+    rows.append(["lower_band_kappa", pred_low, kap_low, _ratio(kap_low, pred_low)])
 
     if ell < LARGE_L_MIN:
         print(f"warning: ell={ell} below the long-link regime", file=sys.stderr)
@@ -203,7 +209,7 @@ def _cmd_asymptotics(args, spec):
         centers = [0.5 * (lo + hi) for lo, hi in zip(bands.e_lo.tolist(), bands.e_hi.tolist())]
         preds = (-3.0 - SQUEEZE_EPSILON, -3.0 + SQUEEZE_EPSILON)
         for side, pred, center in zip(("lower", "upper"), preds, centers):
-            rows.append([f"squeeze_{side}_band_energy", pred, center, center / pred])
+            rows.append([f"squeeze_{side}_band_energy", pred, center, _ratio(center, pred)])
     for n in (1, 2, 3):
         rows.append([f"gap_spacing_n{n}", large_l_gap_spacing(n, ell), None, None])
 

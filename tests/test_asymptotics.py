@@ -163,7 +163,7 @@ def test_f_pi_equals_one_minus_h_squared():
     spec = ChainSpec(math.pi)
     ks = np.linspace(1.01, 10.0, 400)
     # f itself, from the overflow-safe kernel (f - 0) e^{-s}, s = 2 pi kappa
-    f = f_shifted(spec, ks, 0.0) * np.exp(2.0 * math.pi * ks)
+    f = np.array([f_shifted(spec, k, 0.0) for k in ks.tolist()]) * np.exp(2.0 * math.pi * ks)
     h2 = h_function(ks) ** 2
     rel = np.abs(f + h2 - 1.0) / (1.0 + np.abs(h2))
     assert float(rel.max()) < 1e-9

@@ -7,13 +7,14 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from ringchain import (
     Band,
     ChainSpec,
     Quasimomentum,
-    SolverError,
     SpectralParameter,
     closed_form_value,
     dispersion,
@@ -26,7 +27,6 @@ from ringchain import (
     spectrum_measure,
 )
 import ringchain._numerics
-import ringchain.bands
 from ringchain._numerics import RTOL, XTOL, brentq_strict, sincospi
 from ringchain.bands import (
     MAX_WITNESSES,
@@ -775,7 +775,7 @@ def _mp_crossing(ell, c, lo, hi):
 @pytest.mark.parametrize(
     "ell",
     [1e-8, 1e-3, 0.3, 1.0, math.pi - 1e-3, math.pi - 1e-6, math.pi + 1e-8,
-     math.pi + 1e-3, 5.0, 20.0, 60.0, 300.0],
+     math.pi + 1e-3, 5.0, 20.0, 60.0, 300.0, 1e-231, 1e-300, 5e-324],
 )
 def test_negative_edges_match_mpmath(ell):
     lower, upper = negative_bands(ChainSpec(ell))
@@ -786,9 +786,17 @@ def test_negative_edges_match_mpmath(ell):
         while _mp_dispersion(cap, e) > -1:
             cap *= 2
         above_pole = 1 + mp.mpf(10) ** -40
+
+        def upper_crossing(c):
+            # below ell ~ 1e-40 the crossing lies within 1e-40 of the pole,
+            # finer than 50 digits bisect, and kappa^2 is 1 to 3e-40 there
+            if _mp_dispersion(above_pole, e) > c:
+                return above_pole
+            return _mp_crossing(e, c, above_pole, sqrt3)
+
         edges = [
-            (upper.e_hi, _mp_crossing(e, -1, above_pole, sqrt3)),
-            (upper.e_lo, _mp_crossing(e, 1, above_pole, sqrt3)),
+            (upper.e_hi, upper_crossing(-1)),
+            (upper.e_lo, upper_crossing(1)),
             (lower.e_hi, _mp_crossing(e, 1, sqrt3, cap)),
             (lower.e_lo, _mp_crossing(e, -1, sqrt3, cap)),
         ]
@@ -823,7 +831,7 @@ def test_negative_bands_tiny_link_upper_edge(ell):
     assert upper.e_lo == pytest.approx(pred, abs=1e-12)
 
 
-@pytest.mark.parametrize("ell", [1e-14, 1e-15, 1e-16, 1e-20, 1e-200])
+@pytest.mark.parametrize("ell", [1e-14, 1e-15, 1e-16, 1e-20, 1e-200, 1e-231, 1e-300, 5e-324])
 def test_negative_bands_tiny_links(ell):
     # the lower band escapes like kappa = (4/ell)^(1/3), past any fixed cap;
     # the upper band clings to -1, within Brent's tolerance of 1 + O(ell) in
@@ -836,7 +844,7 @@ def test_negative_bands_tiny_links(ell):
         assert -1.0 - 3.0 * (XTOL + RTOL) <= e < -1.0
         if ell <= 1e-16:
             assert e == -(above_pole * above_pole)
-    pred = (4.0 / ell) ** (1.0 / 3.0)
+    pred = math.exp((math.log(4.0) - math.log(ell)) / 3.0)  # 4/ell overflows at 5e-324
     for e in (lower.e_lo, lower.e_hi):
         assert abs(math.sqrt(-e) / pred - 1.0) < ell ** (2.0 / 3.0) + 1e-13
     # solve_negative_edge solves on the same brackets
@@ -848,14 +856,26 @@ def test_negative_bands_tiny_links(ell):
     assert lower.e_hi == -(min(k[1.0, "lower"], k[-1.0, "lower"]) ** 2)
 
 
-def test_negative_bands_refuse_links_past_the_kernel_overflow():
-    # below ell ~ 2e-230 the lower band lies beyond kappa = 2**255, the last
-    # cap at which q(kappa) is finite: a refusal that says so, not an edge
-    # at the overflow point
-    for solve in (negative_bands, lambda s: solve_negative_edge(s, 1.0, "upper")):
-        with pytest.raises(SolverError, match="overflow"):
-            solve(ChainSpec(1e-231))
-    assert len(negative_bands(ChainSpec(1e-229))) == 2
+@settings(max_examples=300, deadline=None)
+@given(st.floats(math.log(5e-324), math.log(1e300)).map(lambda x: max(math.exp(x), 5e-324)))
+@example(5e-324)
+@example(2.2e-308)
+@example(math.pi)
+@example(math.pi + 1e-14)
+@example(math.pi - 2e-14)
+def test_negative_bands_over_every_positive_link(ell):
+    # ell log-uniform over the positive floats, subnormals included: two
+    # bands with -3 strictly between them, or, within 1.5e-14 of pi, one band
+    # touching -3; every edge finite and ordered, the upper band below -1
+    table = negative_bands(ChainSpec(ell))
+    e_lo, e_hi = table.e_lo, table.e_hi
+    assert np.all(np.isfinite(e_lo)) and np.all(np.isfinite(e_hi))
+    assert np.all(e_lo <= e_hi) and e_hi[-1] < -1.0
+    if len(table) == 2:
+        assert e_hi[0] < -3.0 < e_lo[1] and table.touches.size == 0
+    else:
+        assert len(table) == 1 and abs(ell - math.pi) <= 1.5e-14, ell
+        assert table.touches.tolist() == [-3.0] and e_lo[0] < -3.0 < e_hi[0]
 
 
 def test_f_shifted_overflow_is_silent():
@@ -865,18 +885,19 @@ def test_f_shifted_overflow_is_silent():
         for spec in (LOOSE1, ChainSpec(math.pi), ChainSpec(1e-200)):
             for kappa in (1.0, 2.0**255, 2.0**256, 1e155, 1e300, 1e308, big, math.inf):
                 f_shifted(spec, kappa, -1.0)
-            f_shifted(spec, np.array([0.5, 1.0, 2.0**256, 1e308, big, math.inf]), 1.0)
-    assert math.isfinite(f_shifted(LOOSE1, 2.0**255, -1.0))
-    assert f_shifted(LOOSE1, 2.0**256, -1.0) == -math.inf
+            for kappa in (0.5, 1.0, 2.0**256, 1e308, big, math.inf):
+                f_shifted(spec, kappa, 1.0)
+    # finite as long as kappa^2 is (up to ~1.34e154), NaN past that
+    assert f_shifted(LOOSE1, 2.0**256, -1.0) < 0.0
+    assert f_shifted(LOOSE1, 1.3e154, -1.0) < 0.0
+    assert math.isnan(f_shifted(LOOSE1, 1.4e154, -1.0))
 
 
 def test_negative_level_crossing_unique_beyond_sqrt3():
     # exactly one solution of f(kappa) = -1 in (sqrt(3), inf): the scan
     # profile must show a single sign change there
-    from ringchain.bands import f_shifted
-
     ks = np.linspace(SQRT3, 12.0, 200001)
-    d = np.asarray(f_shifted(LOOSE1, ks, -1.0))
+    d = np.array([f_shifted(LOOSE1, kappa, -1.0) for kappa in ks.tolist()])
     sgn = np.sign(d)
     changes = int(np.sum(sgn[:-1] * sgn[1:] < 0))
     assert changes == 1
@@ -912,69 +933,15 @@ def test_f_shifted_matches_mpmath(ell):
                 assert abs(got - ref) <= bound, (kappa, c, got, ref)
 
 
-def test_f_shifted_large_kappa_is_inf_or_nan():
-    # never an OverflowError: q(kappa) overflows to inf first (-inf), then
-    # its kappa^2 too (NaN)
-    for kappa in (1e3, 1e10, 1e76, 1e78, 1e150, 1e155, 1e300, math.inf):
+def test_f_shifted_large_kappa_is_negative_or_nan():
+    # never an OverflowError: q(kappa) is formed from bounded factors, so the
+    # value is finite and negative while kappa^2 is finite, then NaN
+    for kappa in (1e3, 1e10, 1e76, 1e78, 1e150, 1e154, 1.34e154):
         for c in (-1.0, 1.0):
             got = f_shifted(LOOSE1, kappa, c)
-            assert math.isnan(got) or got < 0.0, (kappa, got)
-    assert f_shifted(LOOSE1, 1e78, 1.0) == -math.inf
-    assert math.isnan(f_shifted(LOOSE1, 1e155, 1.0))
-
-
-def _same_float(a, b):
-    """Equal bit for bit, with any NaN equal to any NaN."""
-    if math.isnan(a) or math.isnan(b):
-        return math.isnan(a) and math.isnan(b)
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-def test_f_shifted_float_equals_0d_array_bit_for_bit():
-    """A float kappa runs the kernel on float64 scalars: the float of the
-    0-d array path, NaN at the pole and past the overflow included, returned
-    as a Python float."""
-    rng = np.random.default_rng(20)
-    kappas = [
-        *(2.0 ** rng.uniform(0.0, 255.0, 2000)).tolist(),
-        *(1.0 + np.geomspace(1e-12, 1e-3, 200)).tolist(),
-        *rng.uniform(0.0, 1.0, 100).tolist(),
-        0.0, 1.0 - 1e-12, 1.0, SQRT3, 2.0**255,
-        2.0**256, 1e100, 1e155, 1e300, sys.float_info.max, math.inf,
-    ]
-    for ell in (1e-200, 0.01, 1.0, math.pi, math.pi - 1e-8, math.pi + 1e-8, 30.0):
-        spec = ChainSpec(ell)
-        for c in (-1.0, 1.0, 0.3):
-            for kappa in kappas:
-                got = f_shifted(spec, kappa, c)
-                ref = f_shifted(spec, np.asarray(kappa), c)
-                assert type(got) is float and _same_float(got, ref), (ell, c, kappa, got, ref)
-
-
-def test_negative_solves_equal_their_0d_kernel_path(monkeypatch):
-    """negative_bands and solve_negative_edge give the same floats when every
-    kernel call takes the 0-d array path instead of the float one."""
-    ells = np.exp(np.random.default_rng(21).uniform(math.log(1e-12), math.log(300.0), 500))
-
-    def solve_all():
-        out = []
-        for ell in ells.tolist():
-            spec = ChainSpec(ell)
-            out.append(_as_dicts(negative_bands(spec)))
-            out.append([solve_negative_edge(spec, c, band)
-                        for c in (-1.0, 1.0, 0.3) for band in ("upper", "lower")])
-        return out
-
-    fast = solve_all()
-    calls = []
-
-    def on_0d_arrays(spec, kappa, c):
-        calls.append(kappa)
-        return f_shifted(spec, np.asarray(kappa), c)
-
-    monkeypatch.setattr(ringchain.bands, "f_shifted", on_0d_arrays)
-    assert solve_all() == fast
-    assert len(calls) > 500 * 7 * 20
+            assert math.isfinite(got) and got < 0.0, (kappa, got)
+    for kappa in (1.35e154, 1e155, 1e300, math.inf):
+        assert math.isnan(f_shifted(LOOSE1, kappa, 1.0)), kappa
 
 
 def test_f_shifted_at_sqrt3_clears_minus_one():
@@ -1096,6 +1063,39 @@ def test_each_root_holds_its_solved_k_and_energy_k_squared(ell, theta, window):
         assert type(sp.k) is float and sp.k > 0.0 and sp.energy == sp.k * sp.k
     if theta == 1e-170:
         assert got[0].k == 1e-170 / math.pi and got[0].energy == 0.0
+
+
+# ---------------------------------------------------------------------------
+# counting: Weyl's law
+#
+# One state per cell and theta for each band (a merged band once per touch)
+# and each flat band: below k they number (2 pi + ell) k / pi, the cell's
+# edge length over pi, up to O(1).
+
+_WEYL_PAIRS = (
+    list(zip(
+        np.exp(np.random.default_rng(17).uniform(math.log(1e-3), math.log(50.0), 60)).tolist(),
+        np.exp(np.random.default_rng(18).uniform(0.0, math.log(1e4), 60)).tolist(),
+    ))
+    + [(math.pi * p / q, k)
+       for p, q in sorted({(p // math.gcd(p, q), q // math.gcd(p, q))
+                           for p in range(1, 7) for q in range(1, 7)})
+       for k in (7.3, 911.4)]
+)
+
+
+def test_band_count_follows_weyls_law():
+    for ell, k in _WEYL_PAIRS:
+        spec = ChainSpec(ell)
+        table = positive_bands(spec, k)
+        states = len(table) + table.touches.size
+        excess = states + flat_bands(spec, k * k).size - (2.0 * math.pi + ell) * k / math.pi
+        assert -1.0 < excess < 2.0, (ell, k, excess)
+        # at a generic theta each band and each touch holds one root
+        for theta in (0.9, 2.1):
+            roots = len(dispersion(spec, Quasimomentum(theta), (0.0, k)))
+            assert roots == states or (roots == states - 1 and table.truncated_hi), (
+                ell, k, theta, roots, states)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,12 @@ Phi = +-1 edge kernel) and ``measure`` on a fixed grid of link lengths: 30
 log-spaced on [1e-3, 50], the tight chain, ell = 1 and coincident-anchor
 lengths where bands touch (pi p/q), with pi +- 1e-8.
 ``tests/data/cli_all_sha256.json`` holds the digest of every subcommand in
-both formats: ``flat``, ``negative`` at and around ell = pi and near the
-pole, ``certify``, ``asymptotics`` with its nulls at ell = 1e-200,
-``scattering``, ``selfcheck``, reports with no rows, a tight ``dispersion``
-root whose square underflows, and CSV ``bands``, ``dispersion`` and
-``measure``.  A solver or writer change that moves any
-printed byte fails here.  Regenerate a file only for a change whose
+both formats: ``flat``, ``negative`` at and around ell = pi, near the
+pole and down to the least subnormal link, ``certify``, ``asymptotics``
+with its nulls at ell = 1e-200 and 5e-324, ``scattering``, ``selfcheck``,
+reports with no rows, a tight ``dispersion`` root whose square underflows,
+and CSV ``bands``, ``dispersion`` and ``measure``.  A solver or writer
+change that moves any printed byte fails here.  Regenerate a file only for a change whose
 changed bytes are accounted for:
 
     PYTHONPATH=src python tests/test_golden_cli.py grid > tests/data/cli_json_sha256.json
@@ -62,12 +62,14 @@ _COMMANDS = (
     *(f"flat --ell {ell} --e-max {e}" for ell in ("0", "1", "0.37") for e in ("0.5", "1000")),
     "flat --ell pi --e-max 10",
     *(f"negative {ell}" for ell in (*_PI_ELLS, "--ell 1e-14", "--ell 0", "--ell 1",
-                                    "--ell 1e-200", "--ell 300")),
+                                    "--ell 1e-200", "--ell 300", "--ell 1e-231",
+                                    "--ell 5e-324")),
     *(f"certify {ell} --k 0.1 0.5 1.5 7.3 100 12345.678"
       for ell in ("--ell 1", "--ell 0.37", "--ell pi", "--ell 1e-200")),
     "certify --ell 1 --k 100000000 1000000000 1000000000000",  # integer k: sin(k pi) = 0
     *(f"asymptotics {ell}" for ell in ("--ell 1e-200", "--ell 1e-14", "--ell 0.01",
-                                       "--ell 1", "--ell pi", "--ell 300")),
+                                       "--ell 1", "--ell pi", "--ell 300", "--ell 1e-300",
+                                       "--ell 5e-324")),
     "scattering --n 3", "scattering --n 4", "scattering --n 2 --k 0.1 1e-3 7",
     "selfcheck", "selfcheck --seed 5",
     "dispersion --ell 1 --theta 0.7 --k-min 0.5 --k-max 0.6",
