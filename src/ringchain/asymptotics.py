@@ -176,9 +176,13 @@ def small_l_upper_band(ell: float, q: Quasimomentum) -> SmallEllUpperBand:
 
 def small_l_lower_band(ell: float) -> float:
     """kappa = (4/ell)^(1/3) + O(ell^(1/3)) for the negative band escaping
-    to -inf, independent of theta; the regime is ell <~ 0.01."""
+    to -inf, independent of theta; the regime is ell <~ 0.01.
+
+    Finite for every ell > 0: below ~2.2e-308, where 4/ell overflows, ell
+    is first scaled by 2^99, exactly, and the root taken by np.cbrt."""
     ell = positive_finite("ell", ell)
-    return (4.0 / ell) ** (1.0 / 3.0)
+    x = 4.0 / ell
+    return x ** (1.0 / 3.0) if x < math.inf else 2.0**33 * float(np.cbrt(4.0 / (ell * 2.0**99)))
 
 
 def large_l_gap_spacing(n: int, ell: float) -> float:

@@ -75,6 +75,7 @@ __all__ = [
 _SQRT3 = math.sqrt(3.0)
 _ABOVE_POLE = math.nextafter(1.0, 2.0)  # smallest float kappa above the pole
 _ABOVE_SQRT3 = math.nextafter(_SQRT3, 2.0)
+_UPPER_BRACKET = (_ABOVE_POLE, _SQRT3)
 
 _THETA_PI = -math.pi  # canonical representative of the cos(theta) = -1 edge
 
@@ -126,7 +127,7 @@ def phi_positive(spec: ChainSpec, k):
 
 def f_shifted(spec: ChainSpec, kappa: float, c: float) -> float:
     """(Phi(kappa) - c) * e^{-s} with s = kappa*(pi + ell) for the loose
-    chain, at one float kappa.
+    chain, at one float kappa >= 0.
 
     Same sign and zeros as Phi - c.  With u = kappa*pi, v = kappa*ell and
     w = u - v = kappa*(pi - ell), on both sides of the pole
@@ -138,27 +139,28 @@ def f_shifted(spec: ChainSpec, kappa: float, c: float) -> float:
     right even where they agree to rounding.  Below it q < 0 and every term
     is non-negative, so nothing cancels.
 
-    The expression runs on a numpy float64 scalar and returns a float.  q is
-    formed from bounded factors, d * (0.25 d / (kappa^2 - 1)) with
-    d = kappa^2 - 3, so it stays finite as long as kappa^2 does: the value
-    is finite for kappa up to ~1.3e154 but NaN at the pole kappa = 1, and
-    NaN past that, with no warning.
+    The arithmetic runs on Python floats, and only the five transcendentals
+    go to numpy's exp and expm1, whose arguments are never positive, so none
+    overflows (the math module's differ from numpy's in the last bit on some
+    arguments, and would move digits).  q is formed from bounded factors,
+    d * (0.25 d / (kappa^2 - 1)) with d = kappa^2 - 3, so it stays finite as
+    long as kappa^2 does: the value is finite for kappa up to ~1.3e154 but
+    NaN at the pole kappa = 1, and NaN past that, with no warning.
     """
-    kappa = np.float64(kappa)
+    kappa = float(kappa)
+    if kappa == 1.0:
+        return math.nan
     ell = spec.link_length
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        u = kappa * math.pi
-        v = kappa * ell
-        w = kappa * (math.pi - ell)
-        k2 = kappa * kappa
-        es = np.exp(-(u + v))
-        ss = 0.25 * np.expm1(-2.0 * u) * np.expm1(-2.0 * v)  # sinh u sinh v e^{-s}
-        # t^2 = sinh^2(w/2) e^{-s}, with no cancellation as ell -> pi
-        t = 0.5 * np.exp(-min(u, v)) * np.expm1(-abs(w))
-        d = k2 - 3.0
-        q = d * (0.25 * d / (k2 - 1.0))
-        out = 2.0 * t * t + (1.0 - c) * es - q * ss
-    return math.nan if kappa == 1.0 else float(out)
+    u = kappa * math.pi
+    v = kappa * ell
+    w = kappa * (math.pi - ell)
+    k2 = kappa * kappa
+    ss = 0.25 * float(np.expm1(-2.0 * u)) * float(np.expm1(-2.0 * v))  # sinh u sinh v e^{-s}
+    # t^2 = sinh^2(w/2) e^{-s}, with no cancellation as ell -> pi
+    t = 0.5 * float(np.exp(-min(u, v))) * float(np.expm1(-abs(w)))
+    d = k2 - 3.0
+    q = d * (0.25 * d / (k2 - 1.0))
+    return 2.0 * t * t + (1.0 - c) * float(np.exp(-(u + v))) - q * ss
 
 
 def f_prime_scaled(spec: ChainSpec, kappa):
@@ -421,21 +423,21 @@ def positive_bands(spec: ChainSpec, k_max: float) -> BandTable:
 # negative bands
 
 
-def _negative_brackets(spec: ChainSpec):
-    """(1, sqrt3] and [sqrt3, cap) for the loose chain, with cap the first
-    doubling of 8 where Phi < -1.
+def _lower_bracket(spec: ChainSpec):
+    """[sqrt3, cap) for the loose chain, with cap the first doubling of 8
+    where Phi < -1; the upper band's bracket is ``_UPPER_BRACKET``.
 
     Phi -> -inf at both outer ends, Phi(sqrt3) = cosh(sqrt3 (pi - ell))
     >= 1, and every critical point of Phi but its one peak lies below -1.
-    So each bracket holds exactly one crossing Phi = c for every c in
-    [-1, 1].  The doubling ends for every ell > 0, since Phi -> -inf: the
-    lower band sits near kappa = (4/ell)^(1/3), below ~1e108 even at the
-    least subnormal ell, where the kernel is finite.
+    So (1, sqrt3] and [sqrt3, cap) each hold exactly one crossing Phi = c
+    for every c in [-1, 1].  The doubling ends for every ell > 0, since
+    Phi -> -inf: the lower band sits near kappa = (4/ell)^(1/3), below
+    ~1e108 even at the least subnormal ell, where the kernel is finite.
     """
     cap = 8.0
     while f_shifted(spec, cap, -1.0) >= 0.0:
         cap *= 2.0
-    return (_ABOVE_POLE, _SQRT3), (_SQRT3, cap)
+    return _SQRT3, cap
 
 
 def _negative_edge(spec: ChainSpec, c: float, bracket) -> float:
@@ -468,7 +470,7 @@ def negative_bands(spec: ChainSpec) -> BandTable:
     kappa = theta = touches = np.empty(0)
     offsets = np.zeros(1, dtype=int)
     if spec.is_loose:
-        upper, lower = _negative_brackets(spec)
+        upper, lower = _UPPER_BRACKET, _lower_bracket(spec)
         # Phi(sqrt3) + 1 >= 2, so the theta = -pi solves always have a bracket
         ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
         if f_shifted(spec, _SQRT3, 1.0) <= 0.0:  # the gap is closed
@@ -490,7 +492,8 @@ def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
     """One negative-branch crossing f(kappa) = cos(theta), by Brent's method.
 
     ``band='upper'`` solves on (1, sqrt(3)], ``'lower'`` on [sqrt(3), cap):
-    the brackets and the edge solve of ``negative_bands``.  The independent
+    the brackets and the edge solve of ``negative_bands``, with the cap
+    searched for only by a lower-band solve.  The independent
     check of the asymptotic predictions.  f(sqrt3) - cos(theta) is positive
     except for cos(theta) = 1 at ell = pi (to float resolution), where f
     only touches 1 at sqrt3; sqrt3 is returned then.  The tight chain has no
@@ -503,10 +506,9 @@ def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
         raise ValueError(f"band must be 'upper' or 'lower', got {band!r}")
     if not -1.0 <= theta_cos <= 1.0:
         raise ValueError(f"theta_cos must be in [-1, 1], got {theta_cos!r}")
-    upper, lower = _negative_brackets(spec)
     if f_shifted(spec, _SQRT3, theta_cos) <= 0.0:
         return _SQRT3
-    return _negative_edge(spec, theta_cos, upper if band == "upper" else lower)
+    return _negative_edge(spec, theta_cos, _UPPER_BRACKET if band == "upper" else _lower_bracket(spec))
 
 
 # ---------------------------------------------------------------------------

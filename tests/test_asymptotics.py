@@ -338,6 +338,20 @@ def test_lower_band_prediction():
     assert k4 / k3 == pytest.approx(10.0 ** (1.0 / 3.0), rel=5e-2)
 
 
+def test_lower_band_prediction_is_finite_for_every_positive_link():
+    # pow of the float 4/ell wherever that is finite; below ~2.2e-308, where
+    # it overflows, within 4 ulp of the 50-digit root
+    rng = np.random.default_rng(27)
+    for ell in np.exp(rng.uniform(math.log(2.3e-308), math.log(1e3), 2000)).tolist():
+        assert small_l_lower_band(ell) == (4.0 / ell) ** (1.0 / 3.0), ell
+    tiny = np.exp(rng.uniform(math.log(5e-324), math.log(2.2e-308), 500)).tolist()
+    with mp.workdps(50):
+        for ell in [5e-324, 1e-323, 1e-310, 2.2250738585072014e-308, *tiny]:
+            ref = mp.cbrt(4 / mp.mpf(ell))
+            assert abs(small_l_lower_band(ell) - ref) <= 4 * math.ulp(float(ref)), ell
+    assert f"{small_l_lower_band(5e-324):.3g}" == "9.32e+107"
+
+
 def test_lower_band_theta_independent():
     spec = ChainSpec(1e-3)
     k_a = solve_negative_edge(spec, 1.0, "lower")

@@ -27,11 +27,13 @@ from ringchain import (
     spectrum_measure,
 )
 import ringchain._numerics
+import ringchain.bands
 from ringchain._numerics import RTOL, XTOL, brentq_strict, sincospi
 from ringchain.bands import (
     MAX_WITNESSES,
     _crossings,
-    _negative_brackets,
+    _UPPER_BRACKET,
+    _lower_bracket,
     _negative_edge,
     _phi_minus,
     _witness_range,
@@ -677,7 +679,7 @@ def _negative_bands_per_band(spec):
     with the same clamps: the reference for the table's columns."""
     if spec.is_tight:
         return ()
-    upper, lower = _negative_brackets(spec)
+    upper, lower = _UPPER_BRACKET, _lower_bracket(spec)
     ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
     if f_shifted(spec, SQRT3, 1.0) <= 0.0:
         return (Band(-(kd * kd), -(ka * ka), -math.pi, -math.pi, touch_energies=(-3.0,)),)
@@ -856,6 +858,37 @@ def test_negative_bands_tiny_links(ell):
     assert lower.e_hi == -(min(k[1.0, "lower"], k[-1.0, "lower"]) ** 2)
 
 
+_NEGATIVE_SOLVE_ELLS = (
+    np.exp(np.random.default_rng(26).uniform(math.log(1e-12), math.log(300.0), 3000)).tolist()
+    + [math.pi + d for d in (-1e-8, -1e-12, 0.0, 1e-12, 1e-8)]
+    + np.logspace(-229.5, -12.0, 200).tolist()
+)
+
+
+def test_upper_negative_solves_search_no_cap(monkeypatch):
+    # an upper-band solve evaluates the kernel on (1, sqrt3] only, with no
+    # cap doubling, and its crossings of -1 and +1 are the upper band's
+    # edges in the table, bit for bit (sqrt3 for +1 where the bands merge)
+    tables = [negative_bands(ChainSpec(ell)) for ell in _NEGATIVE_SOLVE_ELLS]
+    kernel, kappas = ringchain.bands.f_shifted, []
+
+    def recorded(spec, kappa, c):
+        kappas.append(kappa)
+        return kernel(spec, kappa, c)
+
+    monkeypatch.setattr(ringchain.bands, "f_shifted", recorded)
+    for ell, table in zip(_NEGATIVE_SOLVE_ELLS, tables):
+        k = {c: solve_negative_edge(ChainSpec(ell), c, "upper") for c in (-1.0, 1.0)}
+        assert max(kappas) <= SQRT3, ell
+        kappas.clear()
+        assert table.e_hi[-1] == -(k[-1.0] * k[-1.0]), ell
+        kb = max(k[1.0], k[-1.0])
+        if len(table) == 2:
+            assert table.e_lo[-1] == -(kb * kb), ell
+        else:
+            assert k[1.0] == SQRT3, ell
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.floats(math.log(5e-324), math.log(1e300)).map(lambda x: max(math.exp(x), 5e-324)))
 @example(5e-324)
@@ -879,14 +912,18 @@ def test_negative_bands_over_every_positive_link(ell):
 
 
 def test_f_shifted_overflow_is_silent():
+    # no warning and no floating-point error in numpy's exp and expm1, whose
+    # arguments are never positive, and a Python float every time
     big = sys.float_info.max
-    with warnings.catch_warnings():
+    specs = (LOOSE1, ChainSpec(math.pi), ChainSpec(1e-200), ChainSpec(5e-324), ChainSpec(1e300))
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
         warnings.simplefilter("error")
-        for spec in (LOOSE1, ChainSpec(math.pi), ChainSpec(1e-200)):
+        for spec in specs:
             for kappa in (1.0, 2.0**255, 2.0**256, 1e155, 1e300, 1e308, big, math.inf):
-                f_shifted(spec, kappa, -1.0)
+                for c in (-1.0, 0.3):
+                    assert type(f_shifted(spec, kappa, c)) is float
             for kappa in (0.5, 1.0, 2.0**256, 1e308, big, math.inf):
-                f_shifted(spec, kappa, 1.0)
+                assert type(f_shifted(spec, kappa, 1.0)) is float
     # finite as long as kappa^2 is (up to ~1.34e154), NaN past that
     assert f_shifted(LOOSE1, 2.0**256, -1.0) < 0.0
     assert f_shifted(LOOSE1, 1.3e154, -1.0) < 0.0

@@ -150,20 +150,23 @@ def test_json_output_is_strict_for_non_finite_values(capsys):
 
 def test_asymptotics_has_no_ratio_against_a_zero_or_infinite_prediction(capsys):
     # at the least subnormal link the width prediction 2 ell / sinh(pi)
-    # underflows to 0 and the lower-band prediction (4/ell)^(1/3) overflows:
-    # their ratios are empty, as the gap spacings' are, not a division
+    # underflows to 0: its ratio is empty, as the gap spacings' are, not a
+    # division.  The lower-band prediction (4/ell)^(1/3) = 9.32e107 stays
+    # finite, though 4/ell overflows, and has its ratio
     code, out, _ = run_cli(capsys, "asymptotics", "--ell", "5e-324", "--format", "json")
     assert code == 0
     rows = {r["quantity"]: r for r in json.loads(out, parse_constant=_refuse_constant)["rows"]}
     assert rows["upper_band_width"]["predicted"] == 0.0
-    assert rows["lower_band_kappa"]["predicted"] is None
-    for name in ("upper_band_width", "lower_band_kappa"):
-        assert rows[name]["ratio"] is None and rows[name]["solved"] is not None
+    assert rows["upper_band_width"]["ratio"] is None
+    assert f'{rows["lower_band_kappa"]["predicted"]:.3g}' == "9.32e+107"
+    assert rows["lower_band_kappa"]["ratio"] == pytest.approx(1.0, abs=1e-6)
+    for name in ("upper_band_width", "lower_band_kappa", "upper_band_lower_edge"):
+        assert rows[name]["solved"] is not None
     assert rows["upper_band_lower_edge"]["ratio"] is not None
     code, out, _ = run_cli(capsys, "asymptotics", "--ell", "5e-324")
     rows = {row[0]: row[1:] for row in csv_rows(out)[1]}
     assert code == 0 and rows["upper_band_width"][::2] == ["0", ""]
-    assert rows["lower_band_kappa"][::2] == ["inf", ""]
+    assert rows["lower_band_kappa"][0].startswith("9.32") and rows["lower_band_kappa"][2] != ""
 
 
 def test_json_csv_numeric_equality(capsys):
