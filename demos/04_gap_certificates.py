@@ -11,7 +11,6 @@ import numpy as np
 
 from ringchain import (
     ChainSpec,
-    GapCertificate,
     gap_certificate,
     joint_m_membership,
     phi_positive,
@@ -22,10 +21,10 @@ spec = ChainSpec(1.0)
 
 print("certificates on a coarse grid (link length 1):")
 for k in np.linspace(2.7, 14.7, 13):
-    cert = gap_certificate(spec, float(k))
+    cert = "in-gap-strong" if gap_certificate(spec, float(k)) else "inconclusive"
     phi = float(phi_positive(spec, float(k)))
     joint = joint_m_membership(spec, float(k))
-    print(f"  k = {k:5.2f}   |Phi| = {abs(phi):9.3f}   {cert.value:18s}"
+    print(f"  k = {k:5.2f}   |Phi| = {abs(phi):9.3f}   {cert:18s}"
           f"   joint sine test: {joint}")
 
 print()
@@ -35,7 +34,7 @@ rng = np.random.default_rng(0)
 checked = certified = 0
 for k in rng.uniform(1.0, 30.0, 20000):
     checked += 1
-    if gap_certificate(spec, float(k)) is GapCertificate.STRONG:
+    if gap_certificate(spec, float(k)):
         certified += 1
         e = k * k
         assert not any(b.e_lo + 1e-9 < e < b.e_hi - 1e-9 for b in bands)

@@ -50,8 +50,7 @@ print(f"  neighboring positive bands sit ~ (2n+1)(pi/ell)^2 apart: "
 
 print()
 print("set convergence with nonuniformity (window [0, 25]):")
-rep = set_convergence_check([0.1, 0.01])
-for row in rep["rows"]:
+for row in set_convergence_check([0.1, 0.01]):
     print(f"  ell = {row['ell']:5.2f}   one-sided Hausdorff distance = "
           f"{row['hausdorff_to_tight']:.4f}   first half-gapped window "
           f"starts at E = {row['witness_window_lo']:.0f}")

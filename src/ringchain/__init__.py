@@ -33,9 +33,8 @@ from .bands import (
     r_coefficient,
     solve_negative_edge,
 )
-from .errors import LemmaWitnessError, OverflowGuardError, RingChainError, SolverError
+from .errors import LemmaWitnessError, RingChainError, SolverError
 from .measure import (
-    GapCertificate,
     MeasureReport,
     gap_certificate,
     joint_m_membership,
@@ -79,7 +78,6 @@ __all__ = [
     "r_coefficient",
     "solve_negative_edge",
     # measure
-    "GapCertificate",
     "MeasureReport",
     "gap_certificate",
     "joint_m_membership",
@@ -95,7 +93,6 @@ __all__ = [
     "small_l_upper_band",
     # errors
     "LemmaWitnessError",
-    "OverflowGuardError",
     "RingChainError",
     "SolverError",
 ]

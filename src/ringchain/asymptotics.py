@@ -111,8 +111,8 @@ def lemma_witnesses() -> dict:
     """Numerically verify the extremal values quoted in the band analysis.
 
     Any witness off by more than 1e-2 raises ``LemmaWitnessError``: these
-    are transcription checks, not tolerances to tune.
-    Returns {name: (computed, reference, ok)}.
+    are transcription checks, not tolerances to tune.  Otherwise returns
+    {name: (computed, reference)}, every pair within 1e-2.
 
     g1 diverges at both ends of (1, sqrt(3)); with x = kappa^2, g1' = 0 is
     the cubic x^3 + 7x^2 - 13x - 3 = 0, increasing on [1, 3], whose one root
@@ -134,13 +134,8 @@ def lemma_witnesses() -> dict:
         "tanh_pi": math.tanh(math.pi),
     }
 
-    report = {}
-    for name, ref in _WITNESS_REFS.items():
-        val = computed[name]
-        ok = abs(val - ref) < 1e-2
-        report[name] = (val, ref, ok)
-
-    failed = [name for name, (_, _, ok) in report.items() if not ok]
+    report = {name: (computed[name], ref) for name, ref in _WITNESS_REFS.items()}
+    failed = [name for name, (val, ref) in report.items() if not abs(val - ref) < 1e-2]
     if failed:
         raise LemmaWitnessError(f"lemma witnesses failed: {failed}; report={report}")
     return report
@@ -235,7 +230,7 @@ _SEARCH_CAP = 12000.0
 _E_MAX = 25.0  # the Hausdorff distance covers the tight spectrum on [0, _E_MAX]
 
 
-def set_convergence_check(ell_list: list[float]) -> dict:
+def set_convergence_check(ell_list: list[float]) -> list[dict]:
     """Quantify spectral set convergence as the link shrinks.
 
     For each ell (finite and > 0, the list strictly decreasing, both
@@ -245,7 +240,10 @@ def set_convergence_check(ell_list: list[float]) -> dict:
     the first energy window [K, K + 10] whose gap fraction exceeds 1/2.
     Gaps always dominate again at high enough energy, so the witness exists
     for every ell > 0; the threshold K grows as the link shrinks.  One band
-    table serves both: [0, 25] is a prefix of the witness search range."""
+    table serves both: [0, 25] is a prefix of the witness search range.
+
+    Returns one dict per ell, in order: ``ell``, ``hausdorff_to_tight``,
+    ``witness_window_lo`` and ``witness_gap_fraction``."""
     ells = [positive_finite("ell", x) for x in ell_list]
     if any(b >= a for a, b in zip(ells, ells[1:])):
         raise ValueError("ell_list must be strictly decreasing")
@@ -275,4 +273,4 @@ def set_convergence_check(ell_list: list[float]) -> dict:
                 ),
             }
         )
-    return {"e_max": _E_MAX, "window_width": _WINDOW_WIDTH, "rows": rows}
+    return rows

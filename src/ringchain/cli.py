@@ -10,18 +10,21 @@ round-trip exact, and identical configurations produce byte-identical
 output.  JSON output is strict: a non-finite value is null there, and inf
 or nan in CSV.
 
-Exit codes: 0 success, 1 invalid arguments (refused before any work: a
-window of more than MAX_WITNESSES = 2**24 gap witnesses or flat bands, or
-of witnesses that are not distinct floats, or a degree n > 4096), 2 solver
-failure, 3 selfcheck failure.
+Exit codes: 0 success, 1 invalid arguments or an unwritable --output
+(refused before any work: a window of more than MAX_WITNESSES = 2**24 gap
+witnesses or flat bands, or of witnesses that are not distinct floats, a
+degree n > 4096, or an --output path that names a directory or lies in one
+that does not exist), 2 solver failure, 3 selfcheck failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -46,8 +49,8 @@ from .bands import (
     solve_negative_edge,
 )
 from .crosscheck import match_roots
-from .errors import LemmaWitnessError, RingChainError, SolverError
-from .measure import GapCertificate, gap_certificate, joint_m_membership, spectrum_measure
+from .errors import LemmaWitnessError, SolverError
+from .measure import gap_certificate, joint_m_membership, spectrum_measure
 from .model import ChainSpec, Quasimomentum, make_coupling
 from .secular import s_minus_i_norm, vertex_scattering
 
@@ -119,6 +122,17 @@ def _write_report(args, columns: list[str], rows: list[list], config: dict) -> N
         fh.write(payload)
 
 
+def _check_output(path: str) -> None:
+    """Refuse, before any solve, an --output path that names a directory or
+    whose directory does not exist, with the error ``open`` raises there;
+    nothing is created or truncated.  The ``open`` after the solve still
+    reports what only it can see, such as permissions."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 # ---------------------------------------------------------------------------
 # subcommands: each takes (args, spec) and returns its (columns, rows), its
 # own config entries and its exit code; main echoes and writes the report
@@ -168,8 +182,8 @@ def _cmd_measure(args, spec):
 def _cmd_certify(args, spec):
     rows = []
     for k in args.k:
-        cert = gap_certificate(spec, k)
-        rows.append([k, cert.value, joint_m_membership(spec, k)])
+        cert = "in-gap-strong" if gap_certificate(spec, k) else "inconclusive"
+        rows.append([k, cert, joint_m_membership(spec, k)])
     cfg = {"k": ",".join(_fmt(k) for k in args.k)}
     return (["k", "certificate", "joint_m_membership"], rows), cfg, 0
 
@@ -288,7 +302,7 @@ def _cmd_selfcheck(args, spec):
     ks = rng.uniform(0.5, 80.0, 500)
     bad = 0
     for k in ks:
-        if gap_certificate(spec1, float(k)) is GapCertificate.STRONG:
+        if gap_certificate(spec1, float(k)):
             if abs(float(phi_positive(spec1, float(k)))) <= 1.0:
                 bad += 1
     record("certificate_soundness", bad == 0, f"{bad} certified points inside a band")
@@ -389,6 +403,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     try:
+        if args.output != "-":
+            _check_output(args.output)
         # scattering and selfcheck take no --ell and echo no ell
         spec = ChainSpec(args.ell) if "ell" in args else None
         (columns, rows), config, code = args.func(args, spec)
@@ -402,9 +418,6 @@ def main(argv=None) -> int:
         return 1
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
-        return 2
-    except RingChainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,15 @@
-"""Exception types raised by the ring-chain solvers."""
+"""Exception types raised by the ring-chain solvers.
+
+A ``SolverError`` is a solver limit or failure: among them, the raw
+secular determinant's refusal of kappa * max(pi, ell) > 700, where its
+hyperbolic entries would overflow.
+"""
 
 from __future__ import annotations
 
 __all__ = [
     "RingChainError",
     "SolverError",
-    "OverflowGuardError",
     "LemmaWitnessError",
 ]
 
@@ -15,13 +19,11 @@ class RingChainError(Exception):
 
 
 class SolverError(RingChainError):
-    """A root that is guaranteed analytically could not be bracketed, or an
-    internal consistency check on solver output failed."""
-
-
-class OverflowGuardError(SolverError):
-    """Hyperbolic arguments too large for the raw secular determinant;
-    callers must use the closed forms, which are overflow safe."""
+    """A root that is guaranteed analytically could not be bracketed, an
+    internal consistency check on solver output failed, or a hyperbolic
+    argument is too large for the raw secular determinant (kappa *
+    max(pi, ell) > 700), where the overflow-safe closed forms still
+    answer."""
 
 
 class LemmaWitnessError(RingChainError):

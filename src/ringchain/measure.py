@@ -8,7 +8,6 @@ at finite K (the literal limit is analytic knowledge, not an output).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .model import ChainSpec
 
 __all__ = [
     "MeasureReport",
-    "GapCertificate",
     "spectrum_measure",
     "gap_certificate",
     "joint_m_membership",
@@ -71,29 +69,21 @@ def spectrum_measure(spec: ChainSpec, window_hi: float) -> MeasureReport:
     return MeasureReport(measure=measure, fraction=measure / window_hi, bands=table)
 
 
-class GapCertificate(enum.Enum):
-    """Outcome of the sufficient spectral-gap test at one energy."""
+def gap_certificate(spec: ChainSpec, k: float) -> bool:
+    """Whether the sufficient condition for k^2 lying in a gap holds.
 
-    STRONG = "in-gap-strong"
-    INCONCLUSIVE = "inconclusive"
-
-
-def gap_certificate(spec: ChainSpec, k: float) -> GapCertificate:
-    """Sufficient condition for k^2 lying in a gap.
-
-    Strong: r(k) |sin(k ell) sin(k pi)| > 2, which forces |Phi| > 1 by the
-    triangle inequality.  The high-energy simplification
-    |sin(k ell) sin(k pi)| > 8/k^2 needs no test of its own: r(k) - k^2/4 =
-    (k^2 + 5)/(4 (k^2 + 1)) >= 1/4, so it implies the strong condition for
-    every k > 0.
+    True when r(k) |sin(k ell) sin(k pi)| > 2, which forces |Phi| > 1 by the
+    triangle inequality, so k^2 is in a gap; False says nothing either way.
+    The CLI prints True as ``in-gap-strong`` and False as ``inconclusive``.
+    The high-energy simplification |sin(k ell) sin(k pi)| > 8/k^2 needs no
+    test of its own: r(k) - k^2/4 = (k^2 + 5)/(4 (k^2 + 1)) >= 1/4, so it
+    implies this condition for every k > 0.
     """
     if not spec.is_loose:
         raise ValueError("gap certificates are defined for the loose chain")
     k = positive_finite("k", k)
     ss = abs(math.sin(k_times_ell(k, spec.link_length)) * sincospi(k)[0])
-    if r_coefficient(k) * ss > 2.0 + 1e-12:
-        return GapCertificate.STRONG
-    return GapCertificate.INCONCLUSIVE
+    return r_coefficient(k) * ss > 2.0 + 1e-12
 
 
 def joint_m_membership(spec: ChainSpec, k: float) -> bool:

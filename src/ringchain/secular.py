@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from ._numerics import k_times_ell, positive_finite, sincospi, vertex_degree
-from .errors import OverflowGuardError, SolverError
+from .errors import SolverError
 from .model import ChainSpec, Quasimomentum
 
 __all__ = [
@@ -146,8 +146,8 @@ def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarr
     finite and > 0 or whose square overflows.  Refuses zero energy too, a
     value whose square underflows: the k -> 0 degeneracy of the trial basis
     is handled by the closed forms, not by the raw determinant.  On the
-    negative branch kappa*max(pi, ell) > 700 is refused at every point
-    (entries would overflow).
+    negative branch kappa*max(pi, ell) > 700 raises ``SolverError`` at every
+    point (entries would overflow).
     """
     if branch not in _NAME:
         raise ValueError(f"unknown branch {branch!r}")
@@ -179,7 +179,7 @@ def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarr
         reach = x * max(math.pi, spec.link_length)
         over = np.flatnonzero(reach > _HYPERBOLIC_GUARD)
         if over.size:
-            raise OverflowGuardError(
+            raise SolverError(
                 f"kappa*max(pi, ell) = {reach[over[0]]:.3g} exceeds {_HYPERBOLIC_GUARD}; "
                 "use the closed-form spectral condition instead"
             )

@@ -164,7 +164,7 @@ def test_c07_oracle_equivalence():
 def test_c08_lemma_witnesses():
     try:
         report = lemma_witnesses()
-        ok = all(trip[2] for trip in report.values())
+        ok = all(abs(val - ref) < 1e-2 for val, ref in report.values())
     except LemmaWitnessError:
         ok = False
     check(8, "g1 min 7.737 at 1.303, g2 limits 0.550/0.980/6.295, "
@@ -184,8 +184,7 @@ def test_c09_scattering_parity():
 
 
 def test_c10_set_convergence_nonuniform():
-    rep = set_convergence_check([0.1, 0.01])
-    rows = rep["rows"]
+    rows = set_convergence_check([0.1, 0.01])
     ok = rows[0]["hausdorff_to_tight"] > rows[1]["hausdorff_to_tight"]
     ok &= all(r["witness_gap_fraction"] > 0.5 for r in rows)
     ok &= rows[1]["witness_window_lo"] > rows[0]["witness_window_lo"]

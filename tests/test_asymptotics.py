@@ -123,7 +123,7 @@ def tanh_crossing_rhs(kappa):
 
 def test_lemma_witnesses_pass():
     report = lemma_witnesses()
-    vals = {name: trip[0] for name, trip in report.items()}
+    vals = {name: val for name, (val, _) in report.items()}
     assert vals["g1_min"] == pytest.approx(7.737, abs=1e-2)
     assert vals["g1_argmin"] == pytest.approx(1.303, abs=1e-2)
     assert vals["g2_small_ell_at_sqrt3"] == pytest.approx(0.550, abs=1e-2)
@@ -409,8 +409,8 @@ def test_gap_spacing_anchors_and_distance_ell50():
 
 
 def test_set_convergence_decreasing_hausdorff_with_witnesses():
-    rep = set_convergence_check([0.1, 0.01])
-    rows = rep["rows"]
+    rows = set_convergence_check([0.1, 0.01])
+    assert type(rows) is list and [r["ell"] for r in rows] == [0.1, 0.01]
     assert rows[0]["hausdorff_to_tight"] > rows[1]["hausdorff_to_tight"]
     assert all(r["witness_gap_fraction"] > 0.5 for r in rows)
     assert rows[1]["witness_window_lo"] > rows[0]["witness_window_lo"]

@@ -399,13 +399,28 @@ def test_asymptotics_regime_bounds_are_inclusive(capsys, ell, err):
 
 
 @pytest.mark.parametrize("where", ["missing", "directory"])
-def test_an_unwritable_output_exits_1_with_one_message(tmp_path, capsys, where):
+def test_an_unwritable_output_exits_1_with_one_message(tmp_path, capsys, monkeypatch, where):
+    # refused before any solve, and nothing is created
+    solves = []
+    monkeypatch.setattr(cli_mod, "positive_bands", lambda *a: solves.append(a))
     path = tmp_path / "missing" / "x" if where == "missing" else tmp_path
     code, out, err = run_cli(capsys, "bands", "--ell", "1", "--k-max", "3",
                              "--output", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: [Errno ") and err.endswith(f"{str(path)!r}\n")
     assert err.count("\n") == 1
+    assert len(solves) == 0 and not path.is_file() and not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_certify_prints_each_certificate_as_its_string(capsys, fmt):
+    code, out, _ = run_cli(capsys, "certify", "--ell", "1", "--k", "4.7", "4",
+                           "--format", fmt)
+    if fmt == "csv":
+        certificates = [row[1] for row in csv_rows(out)[1]]
+    else:
+        certificates = [row["certificate"] for row in json.loads(out)["rows"]]
+    assert code == 0 and certificates == ["in-gap-strong", "inconclusive"]
 
 
 def test_certify_refuses_an_overflowing_k_ell(capsys):

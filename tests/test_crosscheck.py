@@ -9,7 +9,6 @@ import pytest
 import ringchain.crosscheck
 from ringchain import (
     ChainSpec,
-    OverflowGuardError,
     SolverError,
     solve_negative_edge,
 )
@@ -143,9 +142,9 @@ def test_nan_in_a_lockstep_round_names_its_bracket(monkeypatch):
 
 
 @pytest.mark.parametrize("ell, branch, lo, hi, error, message", [
-    (0.0, "negative", 200.0, 240.0, OverflowGuardError,
+    (0.0, "negative", 200.0, 240.0, SolverError,
      "kappa*max(pi, ell) = 730 exceeds 700.0; use the closed-form spectral condition instead"),
-    (40.0, "negative", 17.0, 18.0, OverflowGuardError,
+    (40.0, "negative", 17.0, 18.0, SolverError,
      "kappa*max(pi, ell) = 712 exceeds 700.0; use the closed-form spectral condition instead"),
     # a bracket end whose square overflows, refused by name
     (1.0, "negative", 1e-200, 1e200, ValueError,
@@ -166,7 +165,7 @@ def test_refusals_equal_the_per_point_implementation(ell, branch, lo, hi, error,
 def test_window_past_the_closed_forms_powers_meets_the_guard():
     # kappa**5 overflows at the bracket ends; the closed form clamps there,
     # and the determinant's guard refuses the window
-    with pytest.raises(OverflowGuardError, match="exceeds 700"):
+    with pytest.raises(SolverError, match="exceeds 700"):
         match_roots(ChainSpec(1.0), "negative", 1e62, 2e62)
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from ringchain import (
     ChainSpec,
-    OverflowGuardError,
     Quasimomentum,
     SolverError,
     assemble,
@@ -41,9 +40,9 @@ def test_assemble_rejects_zero_energy():
 
 
 def test_assemble_overflow_guard():
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(SolverError, match="exceeds 700"):
         assemble(TIGHT, "negative", [250.0], Quasimomentum(0.0))
-    with pytest.raises(OverflowGuardError):
+    with pytest.raises(SolverError, match="exceeds 700"):
         assemble(ChainSpec(5.0), "negative", [150.0], Quasimomentum(0.0))
 
 
@@ -245,7 +244,7 @@ def test_stack_guard_applies_to_every_point(ell):
     q = Quasimomentum(0.0)
     assemble(spec, "negative", [inside, inside], q)
     for stack in ([inside, outside, inside], [outside], [1.0, outside, 2 * outside]):
-        with pytest.raises(OverflowGuardError, match=r"^kappa\*max\(pi, ell\) = 705 exceeds"):
+        with pytest.raises(SolverError, match=r"^kappa\*max\(pi, ell\) = 705 exceeds"):
             assemble(spec, "negative", stack, q)
     # no guard on the positive branch
     assert assemble(spec, "positive", [inside, outside], q).shape[0] == 2
