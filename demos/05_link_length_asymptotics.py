@@ -26,7 +26,7 @@ q0 = Quasimomentum(0.0)
 
 print("small links: upper negative band edge (theta = 0)")
 for ell in (1e-2, 1e-3, 1e-4):
-    pred = small_l_upper_band(ell, q0)
+    pred = small_l_upper_band(ell, q0.cos)
     solved = solve_negative_edge(ChainSpec(ell), 1.0, "upper")
     print(f"  ell = {ell:7.0e}   predicted kappa = {pred.kappa_pred:.9f}"
           f"   solved = {solved:.9f}   error = {abs(solved-pred.kappa_pred):.2e}")

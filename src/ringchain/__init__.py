@@ -17,7 +17,6 @@ fiber-operator determinant assembled from the boundary and vertex matching.
 from .asymptotics import (
     SQUEEZE_EPSILON,
     SmallEllUpperBand,
-    g1_function,
     large_l_gap_spacing,
     lemma_witnesses,
     set_convergence_check,
@@ -85,7 +84,6 @@ __all__ = [
     # asymptotics
     "SQUEEZE_EPSILON",
     "SmallEllUpperBand",
-    "g1_function",
     "large_l_gap_spacing",
     "lemma_witnesses",
     "set_convergence_check",

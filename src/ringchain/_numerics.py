@@ -4,19 +4,31 @@
 package's refusal rules: every k, kappa, link length and window cap that an
 entry point takes must be finite and > 0, a k*ell that overflows is refused
 by name rather than passed to sin, and a vertex degree is an integer from 2
-to 4096.  ``sincospi`` and ``coth`` are vectorized
-over numpy arrays and safe for scalars.  Brent's root finder comes in two
-transcriptions of scipy's ``brentq.c``, each with the same float operations in the same order, so
+to 4096.  ``sincospi`` is vectorized over numpy arrays and safe for
+scalars.  Brent's root finder comes in two transcriptions of scipy's
+``brentq.c``, each with the same float operations in the same order, so
 both find the float that scipy's brentq finds: ``brentq_strict`` is a
 plain scalar loop, and ``brentq_batch`` advances many brackets at once on
 numpy arrays, one call of a vectorized f per round.  A round of array
 operations costs as much as a few dozen scalar iterations, so once fewer
 than BATCH_MIN brackets are open, ``brentq_batch`` runs the scalar loop's
-iteration on each of them instead.  That hand-off stays: array rounds run
-to the end cost band and dispersion runs more than they save, since each
-of the last few iterations pays a whole round of array overhead.  The
-``f_one`` finish stays too: solving each f_i on plain floats beats the one
-call of f per scalar round, which turns its lists into numpy arrays.
+iteration on each of them instead.
+
+Each of its three paths stays because the simpler alternative measured
+slower in the benchmark (``perfbench/run.py`` ops per second, runs of
+6-8 s alternated with the unchanged code on a 2-vCPU VM):
+
+* the hand-off to scalar rounds: with array rounds run to the end for the
+  determinant solves of ``match_roots``, oracle-crosscheck fell from 491
+  to 379 (-23%), since each of the last few iterations pays a whole round
+  of array overhead;
+* the ``f_one`` finish, which solves each f_i on plain floats: with
+  lock-step scalar rounds for the band edges instead, one call of f per
+  round that turns its lists into numpy arrays, wide-window fell from 633
+  to 553 (-13%) and band-survey from 331 to 295 (-11%);
+* the Python loop that checks the ends of a batch under BATCH_MIN: with
+  the vectorized check of ``_array_rounds`` instead, oracle-crosscheck
+  fell from 496 to 482 (-3%) and band-survey did not move.
 """
 
 from __future__ import annotations
@@ -27,8 +39,8 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["positive_finite", "k_times_ell", "vertex_degree", "sincospi", "coth",
-           "brentq_strict", "brentq_batch"]
+__all__ = ["positive_finite", "k_times_ell", "vertex_degree", "sincospi", "brentq_strict",
+           "brentq_batch"]
 
 #: The most gap witnesses, flat bands or n x n matrix entries one call may
 #: visit.  A window [0, k_max^2] holds about k_max (pi + ell)/pi witnesses:
@@ -87,11 +99,6 @@ def sincospi(x):
     s = sign * np.sin(r)
     c = sign * np.cos(r)
     return (s, c) if s.ndim else (float(s), float(c))
-
-
-def coth(x):
-    """Hyperbolic cotangent."""
-    return 1.0 / np.tanh(x)
 
 
 #: stopping rule of both solvers: half the bracket below (XTOL + RTOL |x|)/2

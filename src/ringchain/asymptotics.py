@@ -32,15 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import brentq_strict, coth, positive_finite
+from ._numerics import brentq_strict, positive_finite
 from .bands import BandTable, positive_bands
 from .errors import LemmaWitnessError, SolverError
-from .model import ChainSpec, Quasimomentum
+from .model import ChainSpec
 
 __all__ = [
-    "g1_function",
-    "g2_small_ell_limit",
-    "g2_ell_derivative_at_pi",
     "lemma_witnesses",
     "SMALL_L_MAX",
     "LARGE_L_MIN",
@@ -69,29 +66,23 @@ SQUEEZE_EPSILON = 4.0 * math.exp(-math.pi * _SQRT3)
 # lemma functions
 
 
-def g1_function(kappa):
+def _g1(kappa: float) -> float:
     """g1(kappa) = 2 kappa (kappa^2 + 1) / ((3 - kappa^2)(kappa^2 - 1)),
     defined on (1, sqrt(3)); diverges at both ends."""
-    kappa = np.asarray(kappa, dtype=float)
     k2 = kappa * kappa
-    out = 2.0 * kappa * (k2 + 1.0) / ((3.0 - k2) * (k2 - 1.0))
-    return out if out.ndim else float(out)
+    return 2.0 * kappa * (k2 + 1.0) / ((3.0 - k2) * (k2 - 1.0))
 
 
-def g2_small_ell_limit(kappa):
+def _g2_small_ell_limit(kappa: float) -> float:
     """g2(kappa, 0+) = 1/kappa + pi (coth(kappa pi) - coth(kappa pi / 2))."""
-    kappa = np.asarray(kappa, dtype=float)
     u = kappa * math.pi
-    out = 1.0 / kappa + math.pi * (coth(u) - coth(u / 2.0))
-    return out if out.ndim else float(out)
+    return 1.0 / kappa + math.pi * (1.0 / math.tanh(u) - 1.0 / math.tanh(u / 2.0))
 
 
-def g2_ell_derivative_at_pi(kappa):
+def _g2_ell_derivative_at_pi(kappa: float) -> float:
     """d g2 / d ell at ell = pi: coth(kappa pi) - kappa pi csch^2(kappa pi)."""
-    kappa = np.asarray(kappa, dtype=float)
     u = kappa * math.pi
-    out = coth(u) - u / np.sinh(u) ** 2
-    return out if out.ndim else float(out)
+    return 1.0 / math.tanh(u) - u / math.sinh(u) ** 2
 
 
 # reference values of the lemma witnesses; each must reproduce within 1e-2
@@ -122,13 +113,13 @@ def lemma_witnesses() -> dict:
     """
     x_min = brentq_strict(lambda x: ((x + 7.0) * x - 13.0) * x - 3.0, 1.0, 3.0)
     kappa_min = math.sqrt(x_min)
-    g1_min = g1_function(kappa_min)
+    g1_min = _g1(kappa_min)
     computed = {
         "g1_min": g1_min,
         "g1_argmin": kappa_min,
-        "g2_small_ell_at_sqrt3": float(g2_small_ell_limit(_SQRT3)),
-        "g2_ell_derivative_bound": float(g2_ell_derivative_at_pi(1.0)),
-        "g2_sup_bound": float(math.pi * (1.0 + coth(math.pi))),
+        "g2_small_ell_at_sqrt3": _g2_small_ell_limit(_SQRT3),
+        "g2_ell_derivative_bound": _g2_ell_derivative_at_pi(1.0),
+        "g2_sup_bound": math.pi * (1.0 + 1.0 / math.tanh(math.pi)),
         "tanh_rhs_max": 2.0 * math.pi / g1_min,
         "tanh_rhs_argmax": kappa_min,
         "tanh_pi": math.tanh(math.pi),
@@ -154,17 +145,19 @@ class SmallEllUpperBand:
     width_pred: float
 
 
-def small_l_upper_band(ell: float, q: Quasimomentum) -> SmallEllUpperBand:
-    """kappa(ell; theta) = 1 + (ell/2) sinh(pi) / (cosh(pi) - cos(theta)).
+def small_l_upper_band(ell: float, cos_theta: float) -> SmallEllUpperBand:
+    """kappa(ell; theta) = 1 + (ell/2) sinh(pi) / (cosh(pi) - cos(theta)),
+    with cos(theta) given as ``cos_theta``, which should lie in [-1, 1]
+    and is not checked, like the regime.
 
     Also returns the theta = 0 lower-edge energy -1 - ell*coth(pi/2) and the
     band width 2*ell/sinh(pi), both with O(ell^2) error; the regime is
     ell <= SMALL_L_MAX."""
     ell = positive_finite("ell", ell)
-    kappa = 1.0 + 0.5 * ell * math.sinh(math.pi) / (math.cosh(math.pi) - q.cos)
+    kappa = 1.0 + 0.5 * ell * math.sinh(math.pi) / (math.cosh(math.pi) - cos_theta)
     return SmallEllUpperBand(
         kappa_pred=kappa,
-        lower_edge_energy_pred=-1.0 - ell * coth(math.pi / 2.0),
+        lower_edge_energy_pred=-1.0 - ell * (1.0 / math.tanh(math.pi / 2.0)),
         width_pred=2.0 * ell / math.sinh(math.pi),
     )
 

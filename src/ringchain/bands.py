@@ -345,6 +345,9 @@ class BandTable(Sequence):
     def __getitem__(self, i):
         return self._bands[i]
 
+    def __iter__(self):
+        return iter(self._bands)
+
     def __repr__(self) -> str:
         # the tuple's repr, with no address and no elided array: the same
         # bands always print the same
@@ -375,9 +378,12 @@ def positive_bands(spec: ChainSpec, k_max: float) -> BandTable:
     gap are solved in one ``brentq_batch``, and the bands are returned
     as the columns of one ``BandTable``, which builds a ``Band`` only when
     it is indexed or iterated.  A window of more than MAX_WITNESSES
-    witnesses raises ValueError.
+    witnesses, or for the tight chain a k_max whose square overflows, raises
+    ValueError.
     """
     k_max = positive_finite("k_max", k_max)
+    if spec.is_tight and k_max * k_max == math.inf:
+        raise ValueError(f"k_max*k_max is not finite for k_max = {k_max!r}")
 
     # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band
     w, jo, jc, edges = np.empty(0), np.empty(0, int), np.empty(0, int), np.empty((0, 2))
@@ -522,15 +528,16 @@ def dispersion(
     ``SpectralParameter`` of that k.
 
     For the tight chain the solutions are |theta/pi + 2n| and are returned
-    exactly.  For the loose chain Phi runs between consecutive gap
-    witnesses w_j, w_{j+1} (see ``positive_bands``) from one side of
-    [-1, 1] to the other and crosses cos(theta) once, so each root is one
-    bracketed solve on [w_j, w_{j+1}].  Phi is evaluated at all witnesses in
-    one array call, and the roots are solved in one ``brentq_batch``.  A
-    tangent root, where Phi only touches +-1 at a witness of a closed gap,
-    is not a crossing and is not returned.  A range of more than
-    MAX_WITNESSES witnesses (for the tight chain, a k_max above it), or one
-    whose witnesses are not distinct floats (see ``_witness_range``), raises
+    exactly, visiting only the n whose root can lie in the range.  For the
+    loose chain Phi runs between consecutive gap witnesses w_j, w_{j+1}
+    (see ``positive_bands``) from one side of [-1, 1] to the other and
+    crosses cos(theta) once, so each root is one bracketed solve on
+    [w_j, w_{j+1}].  Phi is evaluated at all witnesses in one array call,
+    and the roots are solved in one ``brentq_batch``.  A tangent root,
+    where Phi only touches +-1 at a witness of a closed gap, is not a
+    crossing and is not returned.  A range of more than MAX_WITNESSES
+    witnesses (for the tight chain, a k_max - k_min above it), or one whose
+    witnesses are not distinct floats (see ``_witness_range``), raises
     ValueError.
     """
     lo, hi = (float(k_range[0]), float(k_range[1]))
@@ -538,9 +545,11 @@ def dispersion(
         raise ValueError(f"invalid k range {k_range}")
 
     if spec.is_tight:
-        _witness_range(spec, 0.0, hi)  # the roots number about hi
+        _witness_range(spec, lo, hi)  # the roots number about hi - lo
+        # only the n with base + 2n in (lo, hi] or in [-hi, -lo)
         base = q.theta / math.pi
-        n = np.arange(math.floor((-hi - base) / 2.0) - 1, math.ceil((hi - base) / 2.0) + 2)
+        n = np.concatenate([np.arange(math.floor((a - base) / 2) - 1, math.ceil((b - base) / 2) + 2)
+                            for a, b in ((lo, hi), (-hi, -lo))])
         ks = np.unique(np.abs(base + 2.0 * n))
     else:
         c = q.cos

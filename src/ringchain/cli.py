@@ -196,10 +196,9 @@ def _ratio(solved: float, pred: float):
 
 def _cmd_asymptotics(args, spec):
     ell = spec.link_length
-    q0 = Quasimomentum(0.0)
     rows = []
 
-    upper = small_l_upper_band(ell, q0)
+    upper = small_l_upper_band(ell, 1.0)
     if ell > SMALL_L_MAX:
         print(f"warning: ell={ell} outside the small-link regime", file=sys.stderr)
     kap0 = solve_negative_edge(spec, 1.0, "upper")

@@ -86,7 +86,7 @@ def test_c04_small_ell_asymptotics():
     q0 = Quasimomentum(0.0)
     errs = []
     for ell in (1e-3, 5e-4):
-        pred = small_l_upper_band(ell, q0)
+        pred = small_l_upper_band(ell, q0.cos)
         solved = solve_negative_edge(ChainSpec(ell), 1.0, "upper")
         errs.append(abs(solved - pred.kappa_pred))
     ratio = errs[0] / errs[1]
@@ -95,7 +95,7 @@ def test_c04_small_ell_asymptotics():
     spec = ChainSpec(1e-3)
     kap0 = solve_negative_edge(spec, 1.0, "upper")
     kap_pi = solve_negative_edge(spec, -1.0, "upper")
-    pred = small_l_upper_band(1e-3, q0)
+    pred = small_l_upper_band(1e-3, q0.cos)
     width = kap0**2 - kap_pi**2
     ok &= abs(width - pred.width_pred) / pred.width_pred < 5e-2
 

@@ -11,7 +11,6 @@ from ringchain import (
     SQUEEZE_EPSILON,
     ChainSpec,
     Quasimomentum,
-    g1_function,
     large_l_gap_spacing,
     lemma_witnesses,
     negative_bands,
@@ -22,20 +21,25 @@ from ringchain import (
     solve_negative_edge,
 )
 import ringchain.asymptotics
-from ringchain._numerics import coth
 from ringchain.asymptotics import (
     LARGE_L_MIN,
     SMALL_L_MAX,
     _SEARCH_CAP,
     _WINDOW_WIDTH,
+    _g1,
+    _g2_ell_derivative_at_pi,
     _gap_fraction,
     _one_sided_hausdorff,
-    g2_ell_derivative_at_pi,
 )
 from ringchain.bands import f_shifted
 from ringchain.cli import main
 
 SQRT3 = math.sqrt(3.0)
+
+
+def coth(x):
+    """Hyperbolic cotangent, vectorized."""
+    return 1.0 / np.tanh(x)
 
 
 def xcothx(x):
@@ -150,10 +154,27 @@ def test_lemma_critical_point_mpmath():
         assert abs(report["tanh_rhs_max"][0] - 2 * mp.pi / g1_min) < 1e-12
 
 
+def test_lemma_g2_witnesses_mpmath():
+    # the g2 witnesses to a few ulp of their 50-digit values: coth is taken
+    # as 1/tanh on libm floats, whose tanh is within an ulp
+    report = lemma_witnesses()
+    with mp.workdps(50):
+        kappa = mp.sqrt(3)
+        u = kappa * mp.pi
+        exact = {
+            "g2_small_ell_at_sqrt3": 1 / kappa + mp.pi * (mp.coth(u) - mp.coth(u / 2)),
+            "g2_ell_derivative_bound": mp.coth(mp.pi) - mp.pi / mp.sinh(mp.pi) ** 2,
+            "g2_sup_bound": mp.pi * (1 + mp.coth(mp.pi)),
+        }
+        for name, value in exact.items():
+            assert abs(report[name][0] - value) < 4 * np.finfo(float).eps * value, name
+
+
 def test_tanh_crossing_rhs_is_two_pi_over_g1():
     ks = np.linspace(1.0005, SQRT3 - 0.0005, 400)
     rhs = tanh_crossing_rhs(ks)
-    np.testing.assert_allclose(rhs * g1_function(ks), 2.0 * math.pi, rtol=1e-14)
+    g1 = np.array([_g1(k) for k in ks.tolist()])
+    np.testing.assert_allclose(rhs * g1, 2.0 * math.pi, rtol=1e-14)
     # below tanh(pi) < tanh(kappa pi) everywhere, so h' never vanishes there
     assert float(rhs.max()) <= lemma_witnesses()["tanh_rhs_max"][0] < math.tanh(math.pi)
     assert np.all(h_prime(ks) > 0.0)
@@ -230,12 +251,13 @@ def test_g2_derivative_at_pi_formula():
     ks = np.linspace(1.05, 1.7, 9)
     eps = 1e-7
     fd = (g2_function(ks, math.pi + eps) - g2_function(ks, math.pi - eps)) / (2 * eps)
-    np.testing.assert_allclose(fd, g2_ell_derivative_at_pi(ks), atol=1e-5)
+    closed = [_g2_ell_derivative_at_pi(k) for k in ks.tolist()]
+    np.testing.assert_allclose(fd, closed, atol=1e-5)
 
 
 def test_g1_diverges_at_interval_ends():
-    assert g1_function(1.0 + 1e-8) > 1e6
-    assert g1_function(SQRT3 - 1e-8) > 1e6
+    assert _g1(1.0 + 1e-8) > 1e6
+    assert _g1(SQRT3 - 1e-8) > 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +314,7 @@ def test_upper_band_edge_prediction_order():
     q0 = Quasimomentum(0.0)
     errs = []
     for ell in (1e-3, 5e-4):
-        pred = small_l_upper_band(ell, q0)
+        pred = small_l_upper_band(ell, q0.cos)
         solved = solve_negative_edge(ChainSpec(ell), 1.0, "upper")
         errs.append(abs(solved - pred.kappa_pred))
     ratio = errs[0] / errs[1]
@@ -302,7 +324,7 @@ def test_upper_band_edge_prediction_order():
 def test_upper_band_edge_and_width_values():
     ell = 1e-3
     spec = ChainSpec(ell)
-    pred = small_l_upper_band(ell, Quasimomentum(0.0))
+    pred = small_l_upper_band(ell, 1.0)
     kap0 = solve_negative_edge(spec, 1.0, "upper")
     kap_pi = solve_negative_edge(spec, -1.0, "upper")
     assert -(kap0**2) == pytest.approx(pred.lower_edge_energy_pred, abs=5e-6)
@@ -315,7 +337,7 @@ def test_upper_band_theta_dependence():
     spec = ChainSpec(ell)
     for theta in (0.5, 2.0):
         q = Quasimomentum(theta)
-        pred = small_l_upper_band(ell, q)
+        pred = small_l_upper_band(ell, q.cos)
         solved = solve_negative_edge(spec, q.cos, "upper")
         assert solved == pytest.approx(pred.kappa_pred, abs=5e-7)
 

@@ -2,6 +2,7 @@
 
 import math
 import sys
+import time
 import warnings
 
 import mpmath as mp
@@ -97,6 +98,24 @@ def test_positive_bands_tight_single_band():
     b = bands[0]
     assert b.e_lo == 0.0 and b.e_hi == 25.0
     assert b.edge_theta_lo == 0.0 and b.truncated_hi
+
+
+def test_positive_bands_tight_refuses_a_k_max_whose_square_overflows():
+    # refused by name before any work, not reported as an e_hi of inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k_max in (1.35e154, 1e300, 1.7976931348623157e308):
+            with pytest.raises(ValueError) as refused:
+                positive_bands(TIGHT, k_max)
+            assert str(refused.value) == f"k_max*k_max is not finite for k_max = {k_max!r}"
+        top = math.sqrt(1.7976931348623157e308)  # the largest k_max with a finite square
+        assert positive_bands(TIGHT, top)[0].e_hi == top * top < math.inf
+
+
+def test_band_table_iterates_the_bands_it_indexes():
+    for table in (positive_bands(LOOSE1, 40.0), negative_bands(LOOSE1), positive_bands(TIGHT, 5.0)):
+        assert len(list(table)) == len(table)
+        assert all(band is table[i] for i, band in enumerate(table))
 
 
 def test_positive_bands_loose_frozen_structure():
@@ -829,7 +848,7 @@ def test_negative_dispersion_critical_points_below_minus1():
 def test_negative_bands_tiny_link_upper_edge(ell):
     # theta = 0 edge: -1 - ell*coth(pi/2), up to O(ell^2) and the root tolerance
     _, upper = negative_bands(ChainSpec(ell))
-    pred = small_l_upper_band(ell, Quasimomentum(0.0)).lower_edge_energy_pred
+    pred = small_l_upper_band(ell, 1.0).lower_edge_energy_pred
     assert upper.e_lo == pytest.approx(pred, abs=1e-12)
 
 
@@ -1037,6 +1056,22 @@ def test_dispersion_tight_equals_enumeration(theta):
         if lo < hi:
             got = dispersion(TIGHT, Quasimomentum(theta), (lo, hi))
             assert got == _tight_roots_by_enumeration(theta, lo, hi), (lo, hi)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.0, -math.pi, -2.0])
+def test_dispersion_tight_high_narrow_window_is_window_local(theta):
+    # a window far up holds few roots: it is answered, and quickly, since
+    # only the n near it are visited; every root is |base + 2n|, with n of
+    # either sign
+    base = Quasimomentum(theta).theta / math.pi
+    for lo, hi in ((1.6e7 - 10.0, 1.6e7), (1e9, 1e9 + 10.0), (2.0**51, 2.0**51 + 7.0)):
+        start = time.perf_counter()
+        got = [sp.k for sp in dispersion(TIGHT, Quasimomentum(theta), (lo, hi))]
+        assert time.perf_counter() - start < 1.0
+        ns = [s * n for n in range(int(lo) // 2 - 2, int(hi) // 2 + 3) for s in (1, -1)]
+        expected = sorted({k for k in (abs(base + 2.0 * n) for n in ns) if lo < k <= hi})
+        assert got == expected, (lo, hi)
+        assert 3 <= len(got) <= 10
 
 
 def test_dispersion_theta_symmetry():

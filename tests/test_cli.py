@@ -298,6 +298,12 @@ def test_too_many_witnesses_is_refused_not_hung(capsys, argv):
     assert code == 1 and out == "" and "more than MAX_WITNESSES = 16777216" in err
 
 
+def test_a_tight_window_whose_square_overflows_is_refused_by_name(capsys):
+    with time_limit(1.0):
+        code, out, err = run_cli(capsys, "bands", "--ell", "0", "--k-max", "1e300")
+    assert (code, out, err) == (1, "", "error: k_max*k_max is not finite for k_max = 1e+300\n")
+
+
 _SWEEP = [
     "flat --e-max 100", "flat --e-max inf", "bands --k-max 10", "bands --k-max inf",
     "negative", "dispersion --theta 0.7 --k-max 10", "measure --e-max 100 1000",

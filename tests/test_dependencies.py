@@ -294,7 +294,7 @@ def test_settable_counts_exported_parameters_and_init_fields():
 
 #: the settable count after the last change that lowered it; a change that
 #: adds a settable value raises this bound, in plain sight
-SETTABLE_BOUND = 76
+SETTABLE_BOUND = 73
 
 
 def test_settable_values_do_not_grow():
@@ -340,7 +340,7 @@ def _package_code_lines():
 
 #: the code-line count after the last change that lowered it; a change that
 #: adds code lines raises this bound, in plain sight
-CODE_LINES_BOUND = 1367
+CODE_LINES_BOUND = 1358
 
 
 def test_code_lines_do_not_grow():

@@ -8,9 +8,11 @@ lengths where bands touch (pi p/q), with pi +- 1e-8.
 ``tests/data/cli_all_sha256.json`` holds the digest of every subcommand in
 both formats: ``flat``, ``negative`` at and around ell = pi, near the
 pole and down to the least subnormal link, ``certify``, ``asymptotics``
-with its nulls at ell = 1e-200 and 5e-324, ``scattering``, ``selfcheck``,
-reports with no rows, a tight ``dispersion`` root whose square underflows,
-and CSV ``bands``, ``dispersion`` and ``measure``.  A solver or writer
+with its nulls at ell = 1e-200 and 5e-324 and at ell = 0.05, 10 and 20
+where the last digit of a prediction shows how it is rounded,
+``scattering``, ``selfcheck``, reports with no rows, a tight
+``dispersion`` root whose square underflows, a narrow tight window far
+up, and CSV ``bands``, ``dispersion`` and ``measure``.  A solver or writer
 change that moves any printed byte fails here.  Regenerate a file only for a change whose
 changed bytes are accounted for:
 
@@ -69,12 +71,13 @@ _COMMANDS = (
     "certify --ell 1 --k 100000000 1000000000 1000000000000",  # integer k: sin(k pi) = 0
     *(f"asymptotics {ell}" for ell in ("--ell 1e-200", "--ell 1e-14", "--ell 0.01",
                                        "--ell 1", "--ell pi", "--ell 300", "--ell 1e-300",
-                                       "--ell 5e-324")),
+                                       "--ell 5e-324", "--ell 0.05", "--ell 10", "--ell 20")),
     "scattering --n 3", "scattering --n 4", "scattering --n 2 --k 0.1 1e-3 7",
     "selfcheck", "selfcheck --seed 5",
     "dispersion --ell 1 --theta 0.7 --k-min 0.5 --k-max 0.6",
     "dispersion --ell 0 --theta 0.7 --k-min 0.5 --k-max 0.6",
     "dispersion --ell 0 --theta 1e-170 --k-max 2",  # k = 3.2e-171, where k*k underflows
+    "dispersion --ell 0 --theta 0.3 --k-min 1e9 --k-max 1000000010",  # far up, narrow
     *(f"bands --ell {ell} --k-max 40" for ell in ("0", "1", "0.05", "20", "3.141592653589793")),
     *(f"dispersion --ell {ell} --theta {t} --k-max 40"
       for ell in ("0", "1", "0.05", "20") for t in ("0.7", "0", "-3")),

@@ -127,15 +127,15 @@ def test_band_validates_interval():
     lambda: replace(SpectralParameter(2.5), energy=4.41),
     lambda: replace(SpectralParameter(2.0), kappa=3.0),
     lambda: Band(-4.0, -2.0, 0.0, 0.0, kind="positive-ac"),
-    lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), energy_pred=-1.0),
+    lambda: replace(small_l_upper_band(0.01, 1.0), energy_pred=-1.0),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), spec=ChainSpec(1.0)),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), window_hi=10.0),
     lambda: replace(match_roots(ChainSpec(1.0), "positive", 0.5, 1.5, n_brackets=2),
                     spec=ChainSpec(1.0)),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), band_count=7),
     lambda: replace(spectrum_measure(ChainSpec(1.0), 10.0), gap_count=0),
-    lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), ell=0.02),
-    lambda: replace(small_l_upper_band(0.01, Quasimomentum(0.0)), theta=1.0),
+    lambda: replace(small_l_upper_band(0.01, 1.0), ell=0.02),
+    lambda: replace(small_l_upper_band(0.01, 1.0), theta=1.0),
     lambda: replace(Band(1.0, 2.0, 0.0, -math.pi), truncated_lo=True),
 ], ids=["energy", "kappa", "kind", "upper_energy_pred", "measure_spec", "window_hi",
         "match_spec", "band_count", "gap_count", "upper_ell", "upper_theta", "truncated_lo"])

@@ -66,7 +66,7 @@ _POSITIVE_ARGUMENTS = {
         "kappa", lambda x: closed_form_value(ChainSpec(0.0), "negative", x, 0.3)),
     "vertex_scattering.k": ("k", lambda x: vertex_scattering(3, x)),
     "s_minus_i_norm.k": ("k", lambda x: s_minus_i_norm(3, x)),
-    "small_l_upper_band.ell": ("ell", lambda x: small_l_upper_band(x, Quasimomentum(0.0))),
+    "small_l_upper_band.ell": ("ell", lambda x: small_l_upper_band(x, 1.0)),
     "small_l_lower_band.ell": ("ell", small_l_lower_band),
     "large_l_gap_spacing.ell": ("ell", lambda x: large_l_gap_spacing(1, x)),
 }
