@@ -20,7 +20,7 @@ for ell in (0.0, 1.0, math.pi):
     print(f"link {name:5s} positive branch: {rep.matched_roots:3d} shared roots, "
           f"largest disagreement {rep.worst_distance:.2e}, "
           f"mismatches: {len(rep.mismatches)}")
-    if spec.is_loose:
+    if not spec.is_tight:
         extra = tuple(solve_negative_edge(spec, math.cos(0.8), band)
                       for band in ("upper", "lower"))
         rep = match_roots(spec, "negative", 0.1, 6.0, n_brackets=150, seed=2,

@@ -1,11 +1,12 @@
 """Low-level numeric helpers shared across the package.
 
-``positive_finite``, ``k_times_ell`` and ``vertex_degree`` own the
-package's refusal rules: every k, kappa, link length and window cap that an
-entry point takes must be finite and > 0, a k*ell that overflows is refused
-by name rather than passed to sin, and a vertex degree is an integer from 2
-to 4096.  ``sincospi`` is vectorized over numpy arrays and safe for
-scalars.  Brent's root finder comes in two transcriptions of scipy's
+``positive_finite``, ``unit_level``, ``k_times_ell`` and ``vertex_degree``
+own the package's refusal rules: every k, kappa, link length and window cap
+that an entry point takes must be finite and > 0, a cos(theta) level must
+lie in [-1, 1], a k*ell that overflows is refused by name rather than
+passed to sin, and a vertex degree is an integer from 2 to 4096.
+``sincospi`` is vectorized over numpy arrays and safe for scalars.
+Brent's root finder comes in two transcriptions of scipy's
 ``brentq.c``, each with the same float operations in the same order, so
 both find the float that scipy's brentq finds: ``brentq_strict`` is a
 plain scalar loop, and ``brentq_batch`` advances many brackets at once on
@@ -40,7 +41,7 @@ import numpy as np
 from .errors import SolverError
 
 __all__ = ["positive_finite", "k_times_ell", "vertex_degree", "sincospi", "brentq_strict",
-           "brentq_batch"]
+           "brentq_batch", "unit_level"]
 
 #: The most gap witnesses, flat bands or n x n matrix entries one call may
 #: visit.  A window [0, k_max^2] holds about k_max (pi + ell)/pi witnesses:
@@ -56,6 +57,14 @@ def positive_finite(name: str, x) -> float:
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {x}")
     return x
+
+
+def unit_level(name: str, c) -> float:
+    """float(c), or ValueError naming ``name`` unless -1 <= c <= 1 (NaN fails)."""
+    c = float(c)
+    if not -1.0 <= c <= 1.0:
+        raise ValueError(f"{name} must be in [-1, 1], got {c}")
+    return c
 
 
 def k_times_ell(k: float, ell: float) -> float:

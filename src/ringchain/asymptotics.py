@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import brentq_strict, positive_finite
+from ._numerics import brentq_strict, positive_finite, unit_level
 from .bands import BandTable, positive_bands
 from .errors import LemmaWitnessError, SolverError
 from .model import ChainSpec
@@ -147,13 +147,15 @@ class SmallEllUpperBand:
 
 def small_l_upper_band(ell: float, cos_theta: float) -> SmallEllUpperBand:
     """kappa(ell; theta) = 1 + (ell/2) sinh(pi) / (cosh(pi) - cos(theta)),
-    with cos(theta) given as ``cos_theta``, which should lie in [-1, 1]
-    and is not checked, like the regime.
+    with cos(theta) given as ``cos_theta``.  A ``cos_theta`` outside
+    [-1, 1] or NaN, or an ell not finite and > 0, raises ValueError; the
+    regime is not checked.
 
     Also returns the theta = 0 lower-edge energy -1 - ell*coth(pi/2) and the
     band width 2*ell/sinh(pi), both with O(ell^2) error; the regime is
     ell <= SMALL_L_MAX."""
     ell = positive_finite("ell", ell)
+    cos_theta = unit_level("cos_theta", cos_theta)
     kappa = 1.0 + 0.5 * ell * math.sinh(math.pi) / (math.cosh(math.pi) - cos_theta)
     return SmallEllUpperBand(
         kappa_pred=kappa,
@@ -223,47 +225,34 @@ _SEARCH_CAP = 12000.0
 _E_MAX = 25.0  # the Hausdorff distance covers the tight spectrum on [0, _E_MAX]
 
 
-def set_convergence_check(ell_list: list[float]) -> list[dict]:
+def set_convergence_check(ell: float) -> dict:
     """Quantify spectral set convergence as the link shrinks.
 
-    For each ell (finite and > 0, the list strictly decreasing, both
-    checked before any solve) computes (a) the one-sided Hausdorff distance
-    from the tight positive spectrum [0, 25] to the loose one, which must
-    shrink with ell, and (b) a non-uniformity witness:
-    the first energy window [K, K + 10] whose gap fraction exceeds 1/2.
+    For one link length ell (finite and > 0, checked before any solve)
+    computes (a) the one-sided Hausdorff distance from the tight positive
+    spectrum [0, 25] to the loose one, which shrinks with ell, and (b) a
+    non-uniformity witness: the first energy window [K, K + 10] whose gap
+    fraction exceeds 1/2.
     Gaps always dominate again at high enough energy, so the witness exists
     for every ell > 0; the threshold K grows as the link shrinks.  One band
     table serves both: [0, 25] is a prefix of the witness search range.
 
-    Returns one dict per ell, in order: ``ell``, ``hausdorff_to_tight``,
-    ``witness_window_lo`` and ``witness_gap_fraction``."""
-    ells = [positive_finite("ell", x) for x in ell_list]
-    if any(b >= a for a, b in zip(ells, ells[1:])):
-        raise ValueError("ell_list must be strictly decreasing")
-
-    rows = []
-    for ell in ells:
-        bands = positive_bands(ChainSpec(ell), math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH))
-        witness_k = None
-        k0 = 0.0
-        while k0 <= _SEARCH_CAP:
-            if _gap_fraction(bands, k0, k0 + _WINDOW_WIDTH) > _GAP_THRESHOLD:
-                witness_k = k0
-                break
-            k0 += _WINDOW_WIDTH / 2.0
-        if witness_k is None:
-            raise SolverError(
-                f"no window with gap fraction > {_GAP_THRESHOLD} found below "
-                f"{_SEARCH_CAP} for ell={ell}"
-            )
-        rows.append(
-            {
-                "ell": ell,
+    Returns ``hausdorff_to_tight``, ``witness_window_lo`` and
+    ``witness_gap_fraction``; SolverError if no window below K = 12000
+    qualifies."""
+    ell = positive_finite("ell", ell)
+    bands = positive_bands(ChainSpec(ell), math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH))
+    k0 = 0.0
+    while k0 <= _SEARCH_CAP:
+        fraction = _gap_fraction(bands, k0, k0 + _WINDOW_WIDTH)
+        if fraction > _GAP_THRESHOLD:
+            return {
                 "hausdorff_to_tight": _one_sided_hausdorff(_E_MAX, bands),
-                "witness_window_lo": witness_k,
-                "witness_gap_fraction": _gap_fraction(
-                    bands, witness_k, witness_k + _WINDOW_WIDTH
-                ),
+                "witness_window_lo": k0,
+                "witness_gap_fraction": fraction,
             }
-        )
-    return rows
+        k0 += _WINDOW_WIDTH / 2.0
+    raise SolverError(
+        f"no window with gap fraction > {_GAP_THRESHOLD} found below "
+        f"{_SEARCH_CAP} for ell={ell}"
+    )

@@ -53,7 +53,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._numerics import MAX_WITNESSES, brentq_batch, brentq_strict, positive_finite, sincospi
+from ._numerics import (MAX_WITNESSES, brentq_batch, brentq_strict, positive_finite, sincospi,
+                        unit_level)
 from .model import Band, ChainSpec, Quasimomentum, SpectralParameter
 
 # unused here: the benchmark's tracer (perfbench/tracing.py) looks up and
@@ -387,7 +388,7 @@ def positive_bands(spec: ChainSpec, k_max: float) -> BandTable:
 
     # the tight chain has |Phi| = |cos(k pi)| <= 1 everywhere: one band
     w, jo, jc, edges = np.empty(0), np.empty(0, int), np.empty(0, int), np.empty((0, 2))
-    if spec.is_loose:
+    if not spec.is_tight:
         # the witness test of gaps j = 1 .. J, with w_J the first witness at
         # or past k_max; the edges of open gap i are brackets 2i and 2i + 1
         w = _witnesses(spec, 0.0, k_max)
@@ -475,7 +476,7 @@ def negative_bands(spec: ChainSpec) -> BandTable:
     # the band edges in kappa, each band's larger kappa (lower energy) first
     kappa = theta = touches = np.empty(0)
     offsets = np.zeros(1, dtype=int)
-    if spec.is_loose:
+    if not spec.is_tight:
         upper, lower = _UPPER_BRACKET, _lower_bracket(spec)
         # Phi(sqrt3) + 1 >= 2, so the theta = -pi solves always have a bracket
         ka, kd = _negative_edge(spec, -1.0, upper), _negative_edge(spec, -1.0, lower)
@@ -506,12 +507,11 @@ def solve_negative_edge(spec: ChainSpec, theta_cos: float, band: str) -> float:
     negative edge, and a level outside [-1, 1] or NaN has no crossing in
     the brackets: both raise ValueError.
     """
-    if not spec.is_loose:
+    if spec.is_tight:
         raise ValueError("negative edges exist for the loose chain only")
     if band not in ("upper", "lower"):
         raise ValueError(f"band must be 'upper' or 'lower', got {band!r}")
-    if not -1.0 <= theta_cos <= 1.0:
-        raise ValueError(f"theta_cos must be in [-1, 1], got {theta_cos!r}")
+    theta_cos = unit_level("theta_cos", theta_cos)
     if f_shifted(spec, _SQRT3, theta_cos) <= 0.0:
         return _SQRT3
     return _negative_edge(spec, theta_cos, _UPPER_BRACKET if band == "upper" else _lower_bracket(spec))

@@ -123,14 +123,17 @@ def _write_report(args, columns: list[str], rows: list[list], config: dict) -> N
 
 
 def _check_output(path: str) -> None:
-    """Refuse, before any solve, an --output path that names a directory or
-    whose directory does not exist, with the error ``open`` raises there;
-    nothing is created or truncated.  The ``open`` after the solve still
-    reports what only it can see, such as permissions."""
+    """Refuse, before any solve, an --output path that names a directory,
+    whose directory does not exist, or that this process may not write (the
+    file if it exists, else its directory), with the error ``open`` raises
+    there; nothing is created or truncated.  The ``open`` after the solve
+    still reports what only it can see, such as a full disk."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     if not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else os.path.dirname(path) or ".", os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,11 @@ def gap_certificate(spec: ChainSpec, k: float) -> bool:
     The CLI prints True as ``in-gap-strong`` and False as ``inconclusive``.
     The high-energy simplification |sin(k ell) sin(k pi)| > 8/k^2 needs no
     test of its own: r(k) - k^2/4 = (k^2 + 5)/(4 (k^2 + 1)) >= 1/4, so it
-    implies this condition for every k > 0.
+    implies this condition for every k > 0.  On the tight chain (ell = 0)
+    sin(k ell) = 0 and the answer is False at every k, as it must be for a
+    spectrum [0, inf) with no gaps; past k ~ 1.3e77, where r(k) is inf
+    (NaN past ~6.7e153), the product is NaN and NaN > 2 is False too.
     """
-    if not spec.is_loose:
-        raise ValueError("gap certificates are defined for the loose chain")
     k = positive_finite("k", k)
     ss = abs(math.sin(k_times_ell(k, spec.link_length)) * sincospi(k)[0])
     return r_coefficient(k) * ss > 2.0 + 1e-12
@@ -91,9 +92,9 @@ def joint_m_membership(spec: ChainSpec, k: float) -> bool:
 
     Joint membership implies |sin(k ell) sin(k pi)| > 8/k^2 and hence a
     spectral gap at k^2.  sin(k pi) comes from ``sincospi``, so it is 0 at
-    every integer k, which is in the spectrum.
+    every integer k, which is in the spectrum.  On the tight chain
+    sin(k ell) = 0, so no k is a member.
     """
     k = positive_finite("k", k)
-    ell = positive_finite("ell", spec.link_length)
     bound = 2.0 * math.sqrt(2.0) / k
-    return abs(math.sin(k_times_ell(k, ell))) > bound and abs(sincospi(k)[0]) > bound
+    return abs(math.sin(k_times_ell(k, spec.link_length))) > bound and abs(sincospi(k)[0]) > bound

@@ -60,7 +60,8 @@ def make_coupling(n: int) -> np.ndarray:
 class ChainSpec:
     """Ring-chain geometry: ``link_length`` is the connecting-segment length.
 
-    ``link_length == 0`` selects the tight chain, ``> 0`` the loose chain.
+    ``link_length == 0`` selects the tight chain, ``> 0`` the loose chain;
+    ``is_tight`` tells them apart, and ``not is_tight`` is the loose chain.
     """
 
     link_length: float = 0.0
@@ -74,10 +75,6 @@ class ChainSpec:
     @property
     def is_tight(self) -> bool:
         return self.link_length == 0.0
-
-    @property
-    def is_loose(self) -> bool:
-        return self.link_length > 0.0
 
 
 @dataclass(frozen=True)

@@ -196,7 +196,7 @@ def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarr
         val, der, -t * val[:, 1:2], -t * der[:, 1:2], -val[:, 2:3], -der[:, 2:3],
         val + ider, -val + ider, val - ider, -val - ider,
     ), axis=1)
-    n, entry, piece = _LOOSE if spec.is_loose else _TIGHT
+    n, entry, piece = _TIGHT if spec.is_tight else _LOOSE
     m = np.zeros((x.size, n * n), dtype=complex)
     # every entry is 0 + piece, as in entry-by-entry assembly
     m[:, entry] += table.reshape(x.size, -1)[:, piece]

@@ -144,7 +144,7 @@ def test_c07_oracle_equivalence():
             matched += rep.matched_roots
         for theta, seed in ((0.4, 30), (2.2, 31)):
             spec_neg = spec
-            if spec.is_loose:
+            if not spec.is_tight:
                 extra = tuple(
                     solve_negative_edge(spec_neg, math.cos(theta), band)
                     for band in ("upper", "lower")
@@ -184,7 +184,7 @@ def test_c09_scattering_parity():
 
 
 def test_c10_set_convergence_nonuniform():
-    rows = set_convergence_check([0.1, 0.01])
+    rows = [set_convergence_check(ell) for ell in (0.1, 0.01)]
     ok = rows[0]["hausdorff_to_tight"] > rows[1]["hausdorff_to_tight"]
     ok &= all(r["witness_gap_fraction"] > 0.5 for r in rows)
     ok &= rows[1]["witness_window_lo"] > rows[0]["witness_window_lo"]

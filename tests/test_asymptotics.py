@@ -33,6 +33,7 @@ from ringchain.asymptotics import (
 )
 from ringchain.bands import f_shifted
 from ringchain.cli import main
+from ringchain.errors import SolverError
 
 SQRT3 = math.sqrt(3.0)
 
@@ -431,8 +432,9 @@ def test_gap_spacing_anchors_and_distance_ell50():
 
 
 def test_set_convergence_decreasing_hausdorff_with_witnesses():
-    rows = set_convergence_check([0.1, 0.01])
-    assert type(rows) is list and [r["ell"] for r in rows] == [0.1, 0.01]
+    rows = [set_convergence_check(ell) for ell in (0.1, 0.01)]
+    assert all(sorted(r) == ["hausdorff_to_tight", "witness_gap_fraction", "witness_window_lo"]
+               for r in rows)
     assert rows[0]["hausdorff_to_tight"] > rows[1]["hausdorff_to_tight"]
     assert all(r["witness_gap_fraction"] > 0.5 for r in rows)
     assert rows[1]["witness_window_lo"] > rows[0]["witness_window_lo"]
@@ -497,16 +499,31 @@ def test_hausdorff_at_e_max_inside_first_gap_ell2():
     assert _one_sided_hausdorff(lo + 0.9 * (hi - lo), bands) == 0.5 * (hi - lo)
 
 
-def test_set_convergence_validates_input():
-    with pytest.raises(ValueError):
-        set_convergence_check([0.01, 0.1])
+@pytest.mark.parametrize("ell", [0.1, 1.0])
+def test_set_convergence_witness_is_the_first_qualifying_window(ell):
+    # the search grid walked by hand: the first half-window step whose
+    # gap fraction exceeds the threshold, and that fraction, bit for bit
+    row = set_convergence_check(ell)
+    table = positive_bands(ChainSpec(ell), math.sqrt(_SEARCH_CAP + _WINDOW_WIDTH))
+    k0 = 0.0
+    while _gap_fraction(table, k0, k0 + _WINDOW_WIDTH) <= 0.5:
+        k0 += _WINDOW_WIDTH / 2.0
+    assert row["witness_window_lo"] == k0 > 0.0
+    assert row["witness_gap_fraction"] == _gap_fraction(table, k0, k0 + _WINDOW_WIDTH)
+    assert row["hausdorff_to_tight"] == _one_sided_hausdorff(25.0, table)
 
 
-@pytest.mark.parametrize("ells", [[1.0, 0.0], [1.0, -0.5], [math.nan, 0.1], [math.inf, 1.0],
-                                  [1.0, 0.1, 0.0]], ids=repr)
-def test_set_convergence_refuses_each_ell_before_any_solve(monkeypatch, ells):
+def test_set_convergence_without_a_witness_below_the_cap_is_a_solver_error(monkeypatch):
+    # at ell = 0.01 the gaps cover under half of every window below E = 10
+    monkeypatch.setattr(ringchain.asymptotics, "_SEARCH_CAP", 5.0)
+    with pytest.raises(SolverError, match="no window with gap fraction > 0.5 found below 5.0"):
+        set_convergence_check(0.01)
+
+
+@pytest.mark.parametrize("ell", [0.0, -0.5, math.nan, math.inf, -math.inf], ids=repr)
+def test_set_convergence_refuses_ell_before_any_solve(monkeypatch, ell):
     solves = []
     monkeypatch.setattr(ringchain.asymptotics, "positive_bands", lambda *a: solves.append(a))
     with pytest.raises(ValueError, match="ell must be finite and > 0, got "):
-        set_convergence_check(ells)
+        set_convergence_check(ell)
     assert solves == []

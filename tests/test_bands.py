@@ -245,7 +245,7 @@ def _positive_edges(spec, k_max):
 def _positive_bands_per_gap(spec, k_max):
     """positive_bands as one Band per band, in a loop over the gaps, from the
     same witness test and edges: the reference for the column bookkeeping."""
-    ws, is_open, edges = _positive_edges(spec, k_max) if spec.is_loose else ([], [], [])
+    ws, is_open, edges = _positive_edges(spec, k_max) if not spec.is_tight else ([], [], [])
 
     def band(lo, hi, touches, cut=False):
         return Band(lo[0] * lo[0], hi[0] * hi[0], lo[1], hi[1], cut, tuple(touches))

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import os
 import runpy
 import signal
 import sys
@@ -404,18 +405,55 @@ def test_asymptotics_regime_bounds_are_inclusive(capsys, ell, err):
     assert code == 0 and got == err
 
 
-@pytest.mark.parametrize("where", ["missing", "directory"])
+@pytest.mark.parametrize("where", ["missing", "directory", "read-only", "read-only-file"])
 def test_an_unwritable_output_exits_1_with_one_message(tmp_path, capsys, monkeypatch, where):
-    # refused before any solve, and nothing is created
+    # refused before any solve, and nothing is created or truncated.  File
+    # modes deny root nothing, so os.access denies the write here: the
+    # directory of a new file, or the file itself where it exists
     solves = []
     monkeypatch.setattr(cli_mod, "positive_bands", lambda *a: solves.append(a))
-    path = tmp_path / "missing" / "x" if where == "missing" else tmp_path
+    path = {"missing": tmp_path / "missing" / "x", "directory": tmp_path}.get(
+        where, tmp_path / "out.csv")
+    if where == "read-only-file":
+        path.write_text("kept")
+    denied = {"read-only": str(tmp_path), "read-only-file": str(path)}.get(where)
+    monkeypatch.setattr(os, "access", lambda target, mode: target != denied)
     code, out, err = run_cli(capsys, "bands", "--ell", "1", "--k-max", "3",
                              "--output", str(path))
     assert code == 1 and out == ""
     assert err.startswith("error: [Errno ") and err.endswith(f"{str(path)!r}\n")
     assert err.count("\n") == 1
-    assert len(solves) == 0 and not path.is_file() and not (tmp_path / "missing").exists()
+    if denied:
+        assert err == f"error: [Errno 13] Permission denied: {str(path)!r}\n"
+    assert len(solves) == 0 and not (tmp_path / "missing").exists()
+    assert path.read_text() == "kept" if where == "read-only-file" else not path.is_file()
+
+
+def test_an_output_open_that_fails_after_the_solve_exits_1_with_one_message(
+        tmp_path, capsys, monkeypatch):
+    # what os.access cannot see, such as a full disk, still shows at the open
+    path = tmp_path / "out.csv"
+
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device", str(path))
+
+    monkeypatch.setattr(cli_mod, "open", full, raising=False)
+    code, out, err = run_cli(capsys, "bands", "--ell", "1", "--k-max", "3",
+                             "--output", str(path))
+    assert (code, out) == (1, "") and not path.exists()
+    assert err == f"error: [Errno 28] No space left on device: {str(path)!r}\n"
+
+
+def test_readme_certify_example_answers_on_the_tight_chain(capsys):
+    # README's example: --ell defaults to 0, where no k is in a gap
+    code, out, err = run_cli(capsys, "certify", "--k", "0.1")
+    assert (code, err) == (0, "")
+    assert csv_rows(out) == (["k", "certificate", "joint_m_membership"],
+                             [["0.10000000000000001", "inconclusive", "false"]])
+    code, out, err = run_cli(capsys, "certify", "--k", "0.1", "--format", "json")
+    assert (code, err) == (0, "") and '"k": 0.1\n' in out
+    assert json.loads(out)["rows"] == [
+        {"certificate": "inconclusive", "joint_m_membership": False, "k": 0.1}]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

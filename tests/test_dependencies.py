@@ -340,7 +340,7 @@ def _package_code_lines():
 
 #: the code-line count after the last change that lowered it; a change that
 #: adds code lines raises this bound, in plain sight
-CODE_LINES_BOUND = 1358
+CODE_LINES_BOUND = 1347
 
 
 def test_code_lines_do_not_grow():

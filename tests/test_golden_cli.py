@@ -7,7 +7,8 @@ log-spaced on [1e-3, 50], the tight chain, ell = 1 and coincident-anchor
 lengths where bands touch (pi p/q), with pi +- 1e-8.
 ``tests/data/cli_all_sha256.json`` holds the digest of every subcommand in
 both formats: ``flat``, ``negative`` at and around ell = pi, near the
-pole and down to the least subnormal link, ``certify``, ``asymptotics``
+pole and down to the least subnormal link, ``certify`` (the tight chain
+included), ``asymptotics``
 with its nulls at ell = 1e-200 and 5e-324 and at ell = 0.05, 10 and 20
 where the last digit of a prediction shows how it is rounded,
 ``scattering``, ``selfcheck``, reports with no rows, a tight
@@ -69,6 +70,7 @@ _COMMANDS = (
     *(f"certify {ell} --k 0.1 0.5 1.5 7.3 100 12345.678"
       for ell in ("--ell 1", "--ell 0.37", "--ell pi", "--ell 1e-200")),
     "certify --ell 1 --k 100000000 1000000000 1000000000000",  # integer k: sin(k pi) = 0
+    "certify --ell 0 --k 0.1 1 7.3 100000000 1e300",  # the tight chain: no gap anywhere
     *(f"asymptotics {ell}" for ell in ("--ell 1e-200", "--ell 1e-14", "--ell 0.01",
                                        "--ell 1", "--ell pi", "--ell 300", "--ell 1e-300",
                                        "--ell 5e-324", "--ell 0.05", "--ell 10", "--ell 20")),

@@ -103,8 +103,8 @@ def test_spectral_parameter_is_one_root_k():
 
 
 def test_chain_spec_flags():
-    assert ChainSpec(0.0).is_tight and not ChainSpec(0.0).is_loose
-    assert ChainSpec(1.0).is_loose and not ChainSpec(1.0).is_tight
+    assert ChainSpec(0.0).is_tight and ChainSpec(-0.0).is_tight
+    assert not ChainSpec(1.0).is_tight and not ChainSpec(5e-324).is_tight
     with pytest.raises(ValueError):
         ChainSpec(-0.5)
 

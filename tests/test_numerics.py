@@ -27,6 +27,7 @@ from ringchain import (
     gap_certificate,
     joint_m_membership,
     large_l_gap_spacing,
+    set_convergence_check,
     small_l_lower_band,
     small_l_upper_band,
     solve_negative_edge,
@@ -69,6 +70,7 @@ _POSITIVE_ARGUMENTS = {
     "small_l_upper_band.ell": ("ell", lambda x: small_l_upper_band(x, 1.0)),
     "small_l_lower_band.ell": ("ell", small_l_lower_band),
     "large_l_gap_spacing.ell": ("ell", lambda x: large_l_gap_spacing(1, x)),
+    "set_convergence_check.ell": ("ell", set_convergence_check),
 }
 
 
@@ -78,6 +80,31 @@ def test_a_non_positive_or_non_finite_argument_is_refused_by_name(argument, x):
     name, call = _POSITIVE_ARGUMENTS[argument]
     with pytest.raises(ValueError, match=re.escape(f"{name} must be finite and > 0, got {x}")):
         call(x)
+
+
+# every cos(theta) level an entry point takes, which must lie in [-1, 1]:
+# its name and a call with c in its place that returns a float
+_UNIT_LEVELS = {
+    "solve_negative_edge.theta_cos": (
+        "theta_cos", lambda c: solve_negative_edge(ChainSpec(1.0), c, "upper")),
+    "small_l_upper_band.cos_theta": (
+        "cos_theta", lambda c: small_l_upper_band(0.01, c).kappa_pred),
+}
+
+
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf, -1.5, math.nextafter(1.0, 2.0)],
+                         ids=repr)
+@pytest.mark.parametrize("argument", _UNIT_LEVELS)
+def test_a_level_outside_minus_one_to_one_is_refused_by_name(argument, c):
+    name, call = _UNIT_LEVELS[argument]
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be in [-1, 1], got {c}")):
+        call(c)
+
+
+@pytest.mark.parametrize("c", [-1.0, 1.0], ids=repr)
+@pytest.mark.parametrize("argument", _UNIT_LEVELS)
+def test_the_ends_of_minus_one_to_one_are_accepted(argument, c):
+    assert math.isfinite(_UNIT_LEVELS[argument][1](c))
 
 
 # link lengths of the replay: seeded log-uniform, and touching ones where
