@@ -16,20 +16,20 @@ than BATCH_MIN brackets are open, ``brentq_batch`` runs the scalar loop's
 iteration on each of them instead.
 
 Each of its three paths stays because the simpler alternative measured
-slower in the benchmark (``perfbench/run.py`` ops per second, runs of
-6-8 s alternated with the unchanged code on a 2-vCPU VM):
+slower in the benchmark (``perfbench/run.py`` ops per second, medians of 3
+runs of 8 s alternated with the unchanged code on a 2-vCPU VM):
 
 * the hand-off to scalar rounds: with array rounds run to the end for the
-  determinant solves of ``match_roots``, oracle-crosscheck fell from 491
-  to 379 (-23%), since each of the last few iterations pays a whole round
+  determinant solves of ``match_roots``, oracle-crosscheck fell from 501
+  to 385 (-23%), since each of the last few iterations pays a whole round
   of array overhead;
 * the ``f_one`` finish, which solves each f_i on plain floats: with
   lock-step scalar rounds for the band edges instead, one call of f per
-  round that turns its lists into numpy arrays, wide-window fell from 633
-  to 553 (-13%) and band-survey from 331 to 295 (-11%);
+  round that turns its lists into numpy arrays, wide-window fell from 673
+  to 560 (-17%) and band-survey from 382 to 313 (-18%);
 * the Python loop that checks the ends of a batch under BATCH_MIN: with
   the vectorized check of ``_array_rounds`` instead, oracle-crosscheck
-  fell from 496 to 482 (-3%) and band-survey did not move.
+  fell from 496 to 483 (-3%) and band-survey from 380 to 378 (-1%).
 """
 
 from __future__ import annotations
@@ -117,8 +117,11 @@ MAXITER = 200
 #: brentq_batch runs array rounds while at least this many brackets are
 #: open, and the scalar loop's iteration after that: near this count a
 #: round of array operations costs as much as the scalar iterations it
-#: replaces (measured on positive_bands and dispersion)
-BATCH_MIN = 48
+#: replaces.  Measured on positive_bands and dispersion at band-survey's
+#: inputs (k_max = sqrt(1000), 2-vCPU VM): their time is flat within 3%
+#: from 48 to 96, least near 64, and 13% higher at 32 and 18% at 256;
+#: match_roots does not move from 32 to 96
+BATCH_MIN = 64
 
 
 def _end_root(a: float, b: float, fa: float, fb: float):

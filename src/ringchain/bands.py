@@ -110,10 +110,10 @@ def r_coefficient(k):
 def phi_positive(spec: ChainSpec, k):
     """Positive-branch reduced dispersion, vectorized in k.
 
-    A finite 0-d k (every Brent callback and midpoint test) is computed
-    with the math module and returned as a float; it takes the same
-    operations in the same order as the array path and equals it bit for
-    bit.
+    A finite 0-d k (the window end of ``positive_bands``, a selfcheck
+    point) is computed with the math module and returned as a float; it
+    takes the same operations in the same order as the array path and
+    equals it bit for bit.
     """
     scalar = (isinstance(k, float) or np.ndim(k) == 0) and math.isfinite(k)
     k = float(k) if scalar else np.asarray(k, dtype=float)
@@ -261,44 +261,76 @@ def _witnesses(spec: ChainSpec, k_lo: float, k_hi: float) -> np.ndarray:
     return ws[: int(np.searchsorted(ws, k_hi)) + 2]
 
 
-def _phi_minus(spec: ChainSpec, k, c):
-    """Phi(k) - c for a loose chain: k a float, or an array; c a float, or
-    an array of +-1 the shape of k.
+def _phi_minus(spec: ChainSpec, k: np.ndarray, c):
+    """Phi(k) - c for a loose chain on an array k; c a float, or an array of
+    +-1 the shape of k.
 
     For c = +-1 it is -2 c t^2 - (r - 1) g, t = sin(h) resp. cos(h), with
     h = k (pi + ell)/2: near an edge both terms are small and each keeps its
     relative precision, so the sign is right where they agree to rounding,
-    also across gaps far narrower than the rounding of Phi itself.  Squares
-    are products, as numpy's are, so an array k gives the floats a scalar k
-    gives, bit for bit, where numpy's sin and cos equal the math module's.
+    also across gaps far narrower than the rounding of Phi itself.  Only
+    the three sines and cosines it uses are computed: t on masks of c, and
+    g = sin(pi k) sin(k ell) with sin(pi k) = (-1)^n sin(pi (k - n)),
+    n = round(k), as ``sincospi`` reduces it.
     """
     if isinstance(c, float) and abs(c) != 1.0:
         return phi_positive(spec, k) - c
-    xp = math if isinstance(k, float) else np
     h = 0.5 * k * (math.pi + spec.link_length)
-    if isinstance(c, float):
-        t = xp.sin(h) if c > 0.0 else xp.cos(h)
-    else:
-        t = np.where(c > 0.0, np.sin(h), np.cos(h))
+    t = np.sin(h, where=c > 0.0, out=np.empty_like(h))
+    np.cos(h, where=c <= 0.0, out=t)
     head = -2.0 * c * (t * t)
     k2 = k * k
     d = k2 - 1.0
-    g = sincospi(k)[0] * xp.sin(k * spec.link_length)
+    n = np.round(k)
+    g = np.sin(math.pi * (k - n)) * np.sin(k * spec.link_length)
+    np.negative(g, where=np.mod(n, 2.0) != 0.0, out=g)
     return head - d * d / (4.0 * (k2 + 1.0)) * g
+
+
+def _phi_minus_scalar(ell: float, c: float):
+    """Phi(k) - c for the loose chain of link length ell, as a function of
+    one float k: the float operations of ``_phi_minus`` (of
+    ``phi_positive`` for c other than +-1) in the same order, on the math
+    module, so it equals the array path bit for bit where numpy's sin and
+    cos equal the C library's."""
+    if abs(c) != 1.0:
+        def kernel(k):
+            # phi_positive's sin and cos of pi k both carry (-1)^n, and so
+            # does its value: (-a) - (-b) is -(a - b) in floats
+            n = round(k)
+            r = math.pi * (k - n)
+            kl, k2 = k * ell, k * k
+            phi = math.cos(kl) * math.cos(r) - (k2 * k2 + 2.0 * k2 + 5.0) / (
+                4.0 * (k2 + 1.0)) * math.sin(kl) * math.sin(r)
+            return (-phi if n % 2 else phi) - c
+
+        return kernel
+    s_ell, trig, a = math.pi + ell, math.sin if c > 0.0 else math.cos, -2.0 * c
+
+    def kernel(k):
+        t = trig(0.5 * k * s_ell)
+        k2 = k * k
+        d = k2 - 1.0
+        n = round(k)
+        g = math.sin(math.pi * (k - n)) * math.sin(k * ell)
+        return a * (t * t) - d * d / (4.0 * (k2 + 1.0)) * (-g if n % 2 else g)
+
+    return kernel
 
 
 def _crossings(spec: ChainSpec, c, a: np.ndarray, b: np.ndarray) -> list[float]:
     """For each bracket [a_i, b_i] of two witnesses, the one k in it with
     Phi(k) = c, a float, or = c[i] for an array c of +-1: all in one
-    ``brentq_batch``."""
+    ``brentq_batch``, whose scalar finish runs ``_phi_minus_scalar``."""
     scalar = isinstance(c, float)
+    kernels = {level: _phi_minus_scalar(spec.link_length, level)
+               for level in ((c,) if scalar else (1.0, -1.0))}
 
     def f(i, xs):
         return _phi_minus(spec, np.asarray(xs), c if scalar else c[i])
 
     def f_one(i):
-        level = c if scalar else float(c[i])
-        return lambda x: _phi_minus(spec, x, level)
+        return kernels[c if scalar else float(c[i])]
 
     ends = _phi_minus(spec, np.concatenate((a, b)), c if scalar else np.concatenate((c, c)))
     return brentq_batch(f, a, b, ends[: a.size], ends[a.size :], f_one)

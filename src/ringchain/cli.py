@@ -76,15 +76,40 @@ def _json_value(x):
 
 
 # json.dumps with indent takes the pure-Python encoder; the C encoder,
-# given the indented item separator, writes a flat dict the same way.  No
-# encoded key or value holds a raw newline (control characters are
-# escaped), so the separator appears only between items, and a row's
-# closing brace before it only between rows.
-_ROW_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n      ", ": "))
+# given the indented item separator, writes a flat dict the same way
 _CONFIG_ENCODER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n    ", ": "))
+# the row cells go through the C encoder as one flat list, split at a NUL,
+# which no encoded value holds raw (control characters are escaped)
+_CELL_ENCODER = json.JSONEncoder(allow_nan=False, separators=("\x00", ": "))
+#: rows spliced per chunk: the output is built a bounded piece at a time
+_CHUNK_ROWS = 4096
 _JSON_TAIL = (
     f',\n  "schema_version": {_SCHEMA_VERSION},\n  "version": {json.dumps(__version__)}\n}}\n'
 )
+
+
+def _json_rows(columns: list[str], rows: list[list]) -> str:
+    """The rows as indented json.dumps writes a list of one dict per row,
+    every non-finite float written as null.  A dict of a row holds its keys
+    in sorted order, a repeated column once with its last value; the cells
+    are taken in that order and spliced into a % template of the row, a
+    chunk of rows at a time."""
+    if not rows:
+        return "[]"
+    last = {c: i for i, c in enumerate(columns)}
+    order = [last[c] for c in sorted(last)]
+    items = ",\n".join(f"      {json.dumps(c).replace('%', '%%')}: %s" for c in sorted(last))
+    template = f"    {{\n{items}\n    }}"
+    chunks = []
+    for start in range(0, len(rows), _CHUNK_ROWS):
+        part = rows[start : start + _CHUNK_ROWS]
+        flat = [row[i] for row in part for i in order]
+        try:
+            text = _CELL_ENCODER.encode(flat)
+        except ValueError:  # a non-finite float: null, as strict JSON has no token for it
+            text = _CELL_ENCODER.encode([_json_value(v) for v in flat])
+        chunks.append(",\n".join([template] * len(part)) % tuple(text[1:-1].split("\x00")))
+    return "[\n" + ",\n".join(chunks) + "\n  ]"
 
 
 def _json_report(columns: list[str], rows: list[list], config: dict) -> str:
@@ -93,14 +118,7 @@ def _json_report(columns: list[str], rows: list[list], config: dict) -> str:
     per row], "schema_version": ..., "version": ...}: config and each row a
     non-empty dict of scalars, every non-finite float written as null."""
     cfg = _CONFIG_ENCODER.encode({k: _json_value(v) for k, v in config.items()})
-    if rows:
-        body = _ROW_ENCODER.encode(
-            [{c: _json_value(v) for c, v in zip(columns, row)} for row in rows]
-        )
-        body = body[2:-2].replace("},\n      {", "\n    },\n    {\n      ")
-        body = f"[\n    {{\n      {body}\n    }}\n  ]"
-    else:
-        body = "[]"
+    body = _json_rows(columns, rows)
     return f'{{\n  "config": {{\n    {cfg[1:-1]}\n  }},\n  "rows": {body}{_JSON_TAIL}'
 
 

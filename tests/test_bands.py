@@ -36,7 +36,7 @@ from ringchain.bands import (
     _UPPER_BRACKET,
     _lower_bracket,
     _negative_edge,
-    _phi_minus,
+    _phi_minus_scalar,
     _witness_range,
     _witnesses,
     f_prime_scaled,
@@ -166,7 +166,7 @@ def _dispersion_one_by_one(spec, c, lo, hi):
     while _witness(spec, j) < hi:
         a, b = _witness(spec, j), _witness(spec, j + 1)
         if (phi_positive(spec, a) - c) * (phi_positive(spec, b) - c) < 0.0:
-            r = brentq_strict(lambda x: _phi_minus(spec, x, c), a, b)
+            r = brentq_strict(_phi_minus_scalar(spec.link_length, c), a, b)
             if lo < r <= hi:
                 roots.append(r)
         j += 1
@@ -183,7 +183,7 @@ def _positive_bands_one_by_one(spec, k_max):
                     edge_theta_hi=hi[1], truncated_hi=cut, touch_energies=tuple(touches))
 
     def edge(c, a, b):
-        return brentq_strict(lambda x: _phi_minus(spec, x, c), a, b)
+        return brentq_strict(_phi_minus_scalar(spec.link_length, c), a, b)
 
     while _witness(spec, j - 1) < k_max:
         w = _witness(spec, j)
@@ -610,6 +610,7 @@ def test_one_crossing_between_anchor_and_witness():
 @pytest.mark.parametrize("ell", ["0.3", "1", "3.14159", "7.5"])
 def test_phi_identities_mpmath(ell):
     spec = ChainSpec(float(ell))
+    minus_one, plus_one = (_phi_minus_scalar(spec.link_length, c) for c in (1.0, -1.0))
     with mp.workdps(40):
         e = mp.mpf(ell)
         tiny = mp.mpf(10) ** -35
@@ -629,8 +630,8 @@ def test_phi_identities_mpmath(ell):
             # the float kernel the edge solves use
             kf = float(k)
             phi_f = _mp_phi(mp.mpf(kf), e)
-            assert abs(_phi_minus(spec, kf, 1.0) - (phi_f - 1)) < 1e-14 * (1 + r1)
-            assert abs(_phi_minus(spec, kf, -1.0) - (phi_f + 1)) < 1e-14 * (1 + r1)
+            assert abs(minus_one(kf) - (phi_f - 1)) < 1e-14 * (1 + r1)
+            assert abs(plus_one(kf) - (phi_f + 1)) < 1e-14 * (1 + r1)
 
 
 def test_phi_small_ell_limit_is_tight_dispersion():

@@ -513,13 +513,26 @@ def test_json_writer_equals_indented_dumps(columns, data, config):
     assert cli_mod._json_report(columns, rows, config) == _indented_dumps(columns, rows, config)
 
 
-@pytest.mark.parametrize("rows", [
-    [],
-    [[math.inf, math.nan, -math.inf]],
-    [[1.0, "},\n      {", None], [np.float64(math.nan), "}", True], [0, -0.0, "a"]],
-], ids=["empty", "non-finite", "rows"])
-def test_json_writer_equals_indented_dumps_on_examples(rows):
-    columns, config = ["a", "b", "c"], {"c": math.inf, "d": 1}
+_ONE_NAN_IN_THE_SECOND_CHUNK = [[float(i), i, "x"] for i in range(cli_mod._CHUNK_ROWS + 3)]
+_ONE_NAN_IN_THE_SECOND_CHUNK[-2][0] = math.nan
+
+
+@pytest.mark.parametrize("columns, rows", [
+    (["a", "b", "c"], []),
+    (["a", "b", "c"], [[math.inf, math.nan, -math.inf]]),
+    (["a", "b", "c"], [[1.0, "},\n      {", None], [np.float64(math.nan), "}", True], [0, -0.0, "a"]]),
+    # a dict of the row keeps a repeated column once, with its last value
+    (["", ""], [[1.0, 2.0], ["a", None]]),
+    (["b", "a", "b", "a"], [[1, 2, 3, 4], [0.5, math.inf, -0.5, "x"]]),
+    # the names are keys of the row template, its % markers escaped
+    (["%", "%s", "a%%b", "%(x)s"], [[1, "%s", "%", 0.25]]),
+    # a finite report but for one cell, which takes the null fallback
+    (["x", "n", "s"], [[0.1, 1, "a"], [0.2, 2, "b"], [math.nan, 3, "c"], [0.4, 4, "d"]]),
+    (["x", "n", "s"], _ONE_NAN_IN_THE_SECOND_CHUNK),
+], ids=["empty", "non-finite", "rows", "repeated-empty-column", "repeated-columns",
+        "percent-columns", "one-non-finite", "one-non-finite-second-chunk"])
+def test_json_writer_equals_indented_dumps_on_examples(columns, rows):
+    config = {"c": math.inf, "d": 1}
     assert cli_mod._json_report(columns, rows, config) == _indented_dumps(columns, rows, config)
 
 

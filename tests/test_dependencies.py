@@ -339,8 +339,9 @@ def _package_code_lines():
 
 
 #: the code-line count after the last change that lowered it; a change that
-#: adds code lines raises this bound, in plain sight
-CODE_LINES_BOUND = 1347
+#: adds code lines raises this bound, in plain sight: 1347 -> 1377 for the
+#: JSON row writer's templates and the scalar edge kernels bound per level
+CODE_LINES_BOUND = 1377
 
 
 def test_code_lines_do_not_grow():

@@ -241,7 +241,11 @@ def test_numpy_trig_equals_libm_on_edge_solve_arguments():
     """numpy's float64 sin and cos against the math module's on every
     argument the edge kernels take in the recorded batches, and on every
     argument of Phi at the gap witnesses, which positive_bands and
-    dispersion test in one array call."""
+    dispersion test in one array call; and the masked calls
+    np.sin(h, where=m, out=t) and np.cos(h, where=~m, out=t) with which the
+    edge kernel takes sin or cos of h by level, on the same arguments under
+    masks of pairs (as the two edges of one gap share a level) and of
+    random runs."""
     checked = []
     for _, a, b, _, _, f_one, _, rounds, ell in _recorded()[1]:
         if f_one is None:
@@ -253,18 +257,27 @@ def test_numpy_trig_equals_libm_on_edge_solve_arguments():
             ws = _witnesses(ChainSpec(ell), 0.0, k_max)
             checked += [math.pi * (ws - np.round(ws)), ws * ell]
     x = np.concatenate(checked)
+    rng = np.random.default_rng(20191209)
+    runs = np.repeat(rng.random(x.size // 8 + 1) < 0.5, 8)[: x.size]
+    masks = (np.arange(x.size) // 2 % 2 == 0, runs)
     for name, vec, lib in (("sin", np.sin, math.sin), ("cos", np.cos, math.cos)):
-        ours = vec(x)
         libm = np.array([lib(v) for v in x.tolist()])
-        bad = np.flatnonzero(ours != libm)
-        assert bad.size == 0, (
-            f"numpy's float64 {name} differs from the C library's on {bad.size} of "
-            f"{x.size} arguments, first x={x[bad[0]]!r}. positive_bands and dispersion "
-            f"evaluate Phi with numpy in batches and with the math module one value "
-            f"at a time, so on this host their band edges, their touchings, where "
-            f"the window ends and the CLI output need not be bit-identical to other "
-            f"hosts or to the scalar solver and the scalar witness test."
-        )
+        calls = [("", vec(x))]
+        for m in masks:
+            for where in (m, ~m):
+                out = np.full_like(x, math.nan)
+                vec(x, where=where, out=out)
+                calls.append((" under where=", np.where(where, out, libm)))
+        for how, ours in calls:
+            bad = np.flatnonzero(ours != libm)
+            assert bad.size == 0, (
+                f"numpy's float64 {name}{how} differs from the C library's on {bad.size} of "
+                f"{x.size} arguments, first x={x[bad[0]]!r}. positive_bands and dispersion "
+                f"evaluate Phi with numpy in batches and with the math module one value "
+                f"at a time, so on this host their band edges, their touchings, where "
+                f"the window ends and the CLI output need not be bit-identical to other "
+                f"hosts or to the scalar solver and the scalar witness test."
+            )
     assert x.size >= 1_000_000
 
 
