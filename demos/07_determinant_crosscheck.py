@@ -1,10 +1,11 @@
 """Two derivations, one zero set: determinant vs closed forms.
 
 The closed forms are factored scalar spectral conditions.  As an
-independent check, the full fiber linear system (8 unknowns for the tight
-cell, 12 for the loose one) is assembled directly from the quasi-periodic
-boundary conditions and the vertex matching, and its determinant is
-compared root by root against the closed forms on random brackets.
+independent check, the full fiber linear system (one pair of unknowns per
+edge of the cell: 4 for the tight chain, 6 for the loose one) is assembled
+directly from the vertex matching and the quasi-periodic factor, and its
+determinant is compared root by root against the closed forms on random
+brackets.
 """
 
 import math

@@ -7,10 +7,10 @@ conditions, while the closed forms encode the hand-eliminated scalar
 conditions.  No proportionality constant between the two is asserted, only
 coincidence of the zero sets.
 
-The determinant is complex with an overall phase that varies along k, so a
-sign-based bracketing needs a real proxy: near a simple root the phase is
-constant up to the sign flip across the root, and anchoring the phase at
-the bracket endpoint with the larger magnitude makes Re(det * conj(phase))
+The determinant is complex, so a sign-based bracketing needs a real proxy.
+Its basis is centred on each edge's midpoint, and its phase stays fixed
+along k or kappa, up to the sign flip across each root: anchoring the phase
+at the bracket end with the larger magnitude makes Re(det * conj(phase))
 cross zero exactly where |det| vanishes.
 """
 

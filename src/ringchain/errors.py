@@ -1,8 +1,7 @@
 """Exception types raised by the ring-chain solvers.
 
-A ``SolverError`` is a solver limit or failure: among them, the raw
-secular determinant's refusal of kappa * max(pi, ell) > 700, where its
-hyperbolic entries would overflow.
+A ``SolverError`` is a solver limit or failure, such as a Brent solve
+whose bracket does not change sign.
 """
 
 from __future__ import annotations
@@ -19,11 +18,8 @@ class RingChainError(Exception):
 
 
 class SolverError(RingChainError):
-    """A root that is guaranteed analytically could not be bracketed, an
-    internal consistency check on solver output failed, or a hyperbolic
-    argument is too large for the raw secular determinant (kappa *
-    max(pi, ell) > 700), where the overflow-safe closed forms still
-    answer."""
+    """A root that is guaranteed analytically could not be bracketed, or an
+    internal consistency check on solver output failed."""
 
 
 class LemmaWitnessError(RingChainError):

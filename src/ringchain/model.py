@@ -2,18 +2,19 @@
 
 Geometry conventions
 --------------------
-Every ring is made of arcs of length pi/2; that normalization is baked into
-all closed-form spectral conditions (the sin(k*pi), cosh(kappa*pi), ...
-factors) and is therefore not a free parameter.  The only free geometric
+Every ring is made of two arcs of length pi between its vertices; that
+normalization is baked into all closed-form spectral conditions (the
+sin(k*pi), cosh(kappa*pi), ... factors) and is therefore not a free
+parameter.  The only free geometric
 parameter is the length ``ell`` of the straight segments connecting adjacent
 rings: ``ell = 0`` is the tightly connected chain (rings touch in a single
 degree-4 vertex per cell), ``ell > 0`` the loosely connected chain (two
 degree-3 vertices per cell joined by the segment).
 
-The elementary cell is reconstructed from the trial-solution domains and the
-matching conditions: the drawings of the chain are not needed, the arc
-domains [0, pi/2], [-pi/2, 0] and the half-link domains [0, ell/2],
-[-ell/2, 0] determine it completely.
+The elementary cell is reconstructed from its edges and the matching
+conditions: the drawings of the chain are not needed.  The two arcs [0, pi]
+of a ring and, on the loose chain, the link [0, ell], with each vertex's
+cyclic order of edge ends, determine it completely.
 
 All types are immutable value objects and safe to share across threads.
 """

@@ -6,11 +6,13 @@ kappa > 0 on the negative one (E = -kappa^2), where the trigonometric
 factors turn hyperbolic.
 
 * ``assemble`` builds the raw linear system for the trial coefficients on
-  the cell edges (8 unknowns for the tight chain, 12 for the loose one)
-  from the quasi-periodic boundary conditions and the vertex matching, one
-  matrix per float of a stack, and ``normalized_determinant`` takes their
-  determinants with every row scaled to unit norm.  It vanishes exactly on
-  shell.
+  the cell edges, one pair per whole edge (4 unknowns for the tight chain,
+  6 for the loose one), from the vertex matching with the quasi-periodic
+  factor e^{-i theta} on the ends of the previous cell, one matrix per float
+  of a stack.  Both branches share one basis, bounded by 1 at every k or
+  kappa, so the determinant answers over the whole link range.
+  ``normalized_determinant`` takes the determinants with every row scaled
+  to unit norm.  It vanishes exactly on shell.
 
 * ``closed_form_value`` evaluates the factored scalar conditions obtained by
   eliminating the system by hand, overflow safe and with their prefactors.
@@ -28,7 +30,6 @@ import math
 import numpy as np
 
 from ._numerics import k_times_ell, positive_finite, sincospi, vertex_degree
-from .errors import SolverError
 from .model import ChainSpec, Quasimomentum
 
 __all__ = [
@@ -38,13 +39,6 @@ __all__ = [
     "vertex_scattering",
     "s_minus_i_norm",
 ]
-
-#: beyond this value of kappa*max(pi, ell) the raw system entries overflow;
-#: callers must fall back to the closed forms.
-_HYPERBOLIC_GUARD = 700.0
-
-
-_HALF = math.pi / 2
 
 #: the name of the float of each branch
 _NAME = {"positive": "k", "negative": "kappa"}
@@ -60,63 +54,48 @@ def _zero_energy(name: str, x: float) -> bool:
     return x * x == 0.0
 
 
-def _scatter(edges, rows):
-    """(n, entry, piece): the matrix size, and the indices into the flattened
-    matrix and into assemble's flattened table that put each row's two
-    pieces into the columns of their edges (``edges`` gives an edge's first
-    column).  The table's pieces are named in its order, at x = +-pi/2, 0 and,
-    for n = 12, +-l/2: V and D are the basis values and derivatives at x, t = e^{i theta}."""
-    n = 2 * len(edges)
-    xs = ("(pi/2)", "(-pi/2)", "0", "(l/2)", "(-l/2)")[: n // 2 - 1]
-    names = [f.format(x) for f in ("V{}", "D{}") for x in xs]
-    names += ["-tV(-pi/2)", "-tD(-pi/2)", "-V0", "-D0"]
-    names += [f.format(x) for f in ("V{0}+iD{0}", "-V{0}+iD{0}", "V{0}-iD{0}", "-V{0}-iD{0}")
-              for x in xs]
-    entry, piece = [], []
-    for r, pair in enumerate(rows):
-        for name, edge in pair:
-            entry += [r * n + edges[edge], r * n + edges[edge] + 1]
-            piece += [2 * names.index(name), 2 * names.index(name) + 1]
-    return n, np.array(entry), np.array(piece)
+_QUARTER = np.array((1, 1j, -1, -1j))
 
 
-# Rows 0-3: quasi-periodic matching psi_j(pi/2) = t psi_{5-j}(-pi/2),
-# j = 1, 2, and its derivative.  Rows 4-7: the vertex relations of the
-# (pred, succ) pairs (1,2), (2,3), (3,4), (4,1), with outward derivative
-# sign +1 on edges 1, 2 (which live on [0, pi/2]) and -1 on edges 3, 4 (on
-# [-pi/2, 0]).
-_TIGHT = _scatter({"c1": 0, "c2": 2, "c3": 4, "c4": 6}, (
-    (("V(pi/2)", "c1"), ("-tV(-pi/2)", "c4")),
-    (("D(pi/2)", "c1"), ("-tD(-pi/2)", "c4")),
-    (("V(pi/2)", "c2"), ("-tV(-pi/2)", "c3")),
-    (("D(pi/2)", "c2"), ("-tD(-pi/2)", "c3")),
-    (("V0+iD0", "c2"), ("-V0+iD0", "c1")),
-    (("V0-iD0", "c3"), ("-V0+iD0", "c2")),
-    (("V0-iD0", "c4"), ("-V0-iD0", "c3")),
-    (("V0+iD0", "c1"), ("-V0-iD0", "c4")),
-))
+def _cis_quarter(q):
+    """e^{i pi q/2}, reduced by quarter turns: exact where q is an integer."""
+    n = np.round(q)
+    r = (math.pi / 2) * (q - n)
+    # where q overflowed (k*ell past the float range), n % 4 is NaN: its
+    # index wraps, and the value is NaN
+    return _QUARTER.take((n % 4).astype(int), mode="wrap") * (np.cos(r) + 1j * np.sin(r))
 
-# Rows 0-1: smoothness psi1(0) = phi1(0), psi1'(0) = phi1'(0) of the
-# connecting segment (psi1 on [0, ell/2], phi1 on [-ell/2, 0]).  Rows 2-5:
-# quasi-periodic matching psi_j(pi/2) = t phi_j(-pi/2), j = 2, 3.  Rows 6-8:
-# vertex A joins psi1 at x = ell/2 (outward -1) with psi2, psi3 at x = 0
-# (outward +1), cyclic order 1 -> 3 -> 2 -> 1.  Rows 9-11: vertex B joins
-# phi1 at x = -ell/2 (outward +1) with phi2, phi3 at x = 0 (outward -1),
-# cyclic order 1 -> 2 -> 3 -> 1.
-_LOOSE = _scatter({"psi1": 0, "psi2": 2, "psi3": 4, "phi1": 6, "phi2": 8, "phi3": 10}, (
-    (("V0", "psi1"), ("-V0", "phi1")),
-    (("D0", "psi1"), ("-D0", "phi1")),
-    (("V(pi/2)", "psi2"), ("-tV(-pi/2)", "phi2")),
-    (("D(pi/2)", "psi2"), ("-tD(-pi/2)", "phi2")),
-    (("V(pi/2)", "psi3"), ("-tV(-pi/2)", "phi3")),
-    (("D(pi/2)", "psi3"), ("-tD(-pi/2)", "phi3")),
-    (("V0+iD0", "psi3"), ("-V(l/2)-iD(l/2)", "psi1")),
-    (("V0+iD0", "psi2"), ("-V0+iD0", "psi3")),
-    (("V(l/2)-iD(l/2)", "psi1"), ("-V0+iD0", "psi2")),
-    (("V0-iD0", "phi2"), ("-V(-l/2)+iD(-l/2)", "phi1")),
-    (("V0-iD0", "phi3"), ("-V0-iD0", "phi2")),
-    (("V(-l/2)+iD(-l/2)", "phi1"), ("-V0-iD0", "phi3")),
-))
+
+def _plan(*vertices):
+    """(n, entry, sign, o_sigma, basis, prev) for the rows of the given
+    vertices, each a cyclic sequence of edge ends (edge, o, prev): o is the
+    sign of the outgoing derivative there, +1 at x = 0 and -1 at x = L, and
+    prev is 1 where the end belongs to the previous cell.  Each pair of
+    neighbours (psi_j, psi_{j+1}) is one row of the n x n matrix.  A piece is
+    one end's term in the column sigma = +-1 of its edge; the arrays give its
+    index into the flattened matrix, its sign in the row (-1 for psi_j, +1
+    for psi_{j+1}), o*sigma, the index 2*edge + (o*sigma < 0) of its basis
+    value, and prev.  The pieces of every psi_j come first."""
+    rows = [(v[j], v[(j + 1) % len(v)]) for v in vertices for j in range(len(v))]
+    n = len(rows)
+    pieces = [
+        (r * n + 2 * edge + (sigma < 0), sign, o * sigma, 2 * edge + (o * sigma < 0), prev)
+        for side, sign in enumerate((-1, 1)) for r, row in enumerate(rows)
+        for edge, o, prev in [row[side]] for sigma in (1, -1)
+    ]
+    return (n, *map(np.array, zip(*pieces)))
+
+
+# The tight cell: arcs a = 0 and b = 1 on [0, pi] from V_n to V_{n+1}.  The
+# vertex V_n has the cyclic order a(0) -> b(0) -> b(pi) -> a(pi), the ends at
+# pi being those of the previous cell.
+_TIGHT = _plan(((0, 1, 0), (1, 1, 0), (1, -1, 1), (0, -1, 1)))
+
+# The loose cell: arcs a = 0 and b = 1 on [0, pi] from A_n to B_{n+1}, and the
+# link 2 on [0, ell] from B_n to A_n.  A_n has the cyclic order link(ell) ->
+# b(0) -> a(0); B_n has link(0) -> a(pi) -> b(pi), the ends at pi being those
+# of the previous cell.
+_LOOSE = _plan(((2, -1, 0), (1, 1, 0), (0, 1, 0)), ((2, 1, 0), (0, -1, 1), (1, -1, 1)))
 
 
 def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarray:
@@ -125,29 +104,28 @@ def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarr
     kappa on the negative one.  Each matrix equals, bit for bit, the one
     assembled alone.
 
+    One pair of unknowns per edge of the cell, the coefficients of the basis
+    e^{+-p(x - L/2)} e^{-|Re p| L/2} / (1 + |p|) on an edge [0, L], with
+    p = ik or p = -kappa.  The basis is centred on the edge's midpoint, and
+    every entry is at most 1 in modulus, to rounding, at any admissible k or
+    kappa.
+
     Unknown layout (two columns per edge, + then - coefficient):
-      tight, 8x8:    (c1+, c1-, c2+, c2-, c3+, c3-, c4+, c4-)
-      loose, 12x12:  (a1+, a1-, a2+, a2-, a3+, a3-, b1+, b1-, b2+, b2-, b3+, b3-)
+      tight, 4x4:  (a+, a-, b+, b-), the arcs from V_n to V_{n+1}
+      loose, 6x6:  (a+, a-, b+, b-, l+, l-), the arcs from A_n to B_{n+1}
+                   and the link from B_n to A_n
 
-    Row layout:
-      tight:  rows 0-3 quasi-periodic boundary conditions (value and
-              derivative for each of the two boundary edge pairs),
-              rows 4-7 the four vertex relations.
-      loose:  rows 0-1 midpoint smoothness of the connecting segment,
-              rows 2-5 quasi-periodic boundary conditions,
-              rows 6-11 the six vertex relations (three per vertex).
-
-    The positive branch uses the basis (e^{ikx}, e^{-ikx}); the negative
-    branch uses (cosh(kappa x), sinh(kappa x)), which keeps the matrix real
-    apart from the e^{i theta} boundary factors and the i's of the vertex
-    condition.
+    Each row is a vertex relation (psi_{j+1} - psi_j) + i(psi'_{j+1} + psi'_j)
+    = 0 with outgoing derivatives, over the cyclic order of the vertex's
+    ends; an end that belongs to the previous cell carries e^{-i theta}.
+      tight:  rows 0-3 the vertex V_n, a(0) -> b(0) -> b(pi) -> a(pi)
+      loose:  rows 0-2 the vertex A_n, l(ell) -> b(0) -> a(0),
+              rows 3-5 the vertex B_n, l(0) -> a(pi) -> b(pi)
 
     Refuses an empty stack and, naming k or kappa, a value that is not
     finite and > 0 or whose square overflows.  Refuses zero energy too, a
     value whose square underflows: the k -> 0 degeneracy of the trial basis
-    is handled by the closed forms, not by the raw determinant.  On the
-    negative branch kappa*max(pi, ell) > 700 raises ``SolverError`` at every
-    point (entries would overflow).
+    is handled by the closed forms, not by the raw determinant.
     """
     if branch not in _NAME:
         raise ValueError(f"unknown branch {branch!r}")
@@ -168,38 +146,24 @@ def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarr
                 )
         # every value is admissible, so theta is what was refused
         raise ValueError("non-finite quasimomentum")
-    # the basis at x = pi/2, -pi/2, 0 and, on the loose chain, +-ell/2
-    ell2 = spec.link_length / 2
-    xs = np.array((_HALF, -_HALF, 0.0) + (() if spec.is_tight else (ell2, -ell2)))
-    if branch == "positive":
-        ik = x[:, None, None] * np.array((1j, -1j))
-        val = np.exp(ik * xs[:, None])
-        der = ik * val
-    else:
-        reach = x * max(math.pi, spec.link_length)
-        over = np.flatnonzero(reach > _HYPERBOLIC_GUARD)
-        if over.size:
-            raise SolverError(
-                f"kappa*max(pi, ell) = {reach[over[0]]:.3g} exceeds {_HYPERBOLIC_GUARD}; "
-                "use the closed-form spectral condition instead"
-            )
-        kx = x[:, None] * xs
-        cs = np.stack((np.cosh(kx), np.sinh(kx)), axis=-1)
-        val = cs.astype(complex)
-        der = (x[:, None, None] * cs[..., ::-1]).astype(complex)
-
-    # the table of the pieces _scatter names, with the same float operations
-    # in the same order as entry-by-entry assembly
-    t = np.exp(1j * q.theta)
-    ider = 1j * der
-    table = np.concatenate((
-        val, der, -t * val[:, 1:2], -t * der[:, 1:2], -val[:, 2:3], -der[:, 2:3],
-        val + ider, -val + ider, val - ider, -val - ider,
-    ), axis=1)
-    n, entry, piece = _TIGHT if spec.is_tight else _LOOSE
+    lengths = np.array((math.pi, math.pi) + (() if spec.is_tight else (spec.link_length,)))
+    # the basis at the ends, (N, edge, side): side 0 where o*sigma = +1
+    if branch == "positive":  # e^{-+ik L/2}
+        ip = -x
+        turns = np.multiply.outer(x, lengths / math.pi)
+        w = _cis_quarter(np.stack((-turns, turns), axis=-1))
+    else:  # 1 and e^{-kappa L}
+        ip = -1j * x
+        w = np.exp(np.multiply.outer(-x, np.stack((0.0 * lengths, lengths), axis=-1)))
+    w = (w / (1.0 + x)[:, None, None]).reshape(x.size, -1)
+    n, entry, sign, o_sigma, basis, prev = _TIGHT if spec.is_tight else _LOOSE
+    s = _cis_quarter(np.float64(-2.0 * q.theta / math.pi))  # e^{-i theta}
+    # (sign + i o sigma p) times the basis value, and e^{-i theta} at prev ends
+    pieces = (sign + o_sigma * ip[:, None]) * w[:, basis] * np.array((1, s))[prev]
     m = np.zeros((x.size, n * n), dtype=complex)
-    # every entry is 0 + piece, as in entry-by-entry assembly
-    m[:, entry] += table.reshape(x.size, -1)[:, piece]
+    m[:, entry[:2 * n]] = pieces[:, :2 * n]
+    # the psi_{j+1} pieces, added where a row joins both ends of one arc
+    m[:, entry[2 * n:]] += pieces[:, 2 * n:]
     return m.reshape(-1, n, n)
 
 
@@ -207,22 +171,12 @@ def normalized_determinant(m: np.ndarray):
     """Determinant of the row-normalized matrix, or of each in a stack.
 
     Each row is divided by its 2-norm before elimination, which is the
-    quantity to threshold for zero detection: raw determinants grow like
-    exp(kappa*(pi + ell)) and make absolute thresholds meaningless.  A row
-    whose 2-norm overflows (entries past ~1e154, near the overflow guard) is
-    first divided by its largest modulus.  An (n, n) matrix gives a complex;
-    an (..., n, n) stack gives an array of them, from one batched
-    determinant.
+    quantity to threshold for zero detection; a zero row is divided by 1,
+    and its determinant is 0.  An (n, n) matrix gives a complex; an
+    (..., n, n) stack gives an array of them, from one batched determinant.
     """
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(m, axis=-1)
-    if (norms == 0.0).any():
-        raise SolverError("secular system has a zero row")
-    big = np.isinf(norms)
-    if big.any():  # the other rows keep their entries and norms bit for bit
-        m = np.where(big[..., None], m / np.abs(m).max(axis=-1, keepdims=True), m)
-        norms = np.where(big, np.linalg.norm(m, axis=-1), norms)
-    det = np.linalg.det(m / norms[..., None])
+    norms = np.linalg.norm(m, axis=-1)
+    det = np.linalg.det(m / np.where(norms == 0.0, 1.0, norms)[..., None])
     return complex(det) if m.ndim == 2 else det
 
 

@@ -2,8 +2,10 @@
 
 import json
 import math
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ringchain.crosscheck
@@ -19,10 +21,12 @@ from ringchain.crosscheck import RootMatchReport, match_roots
 #: and its warm-up op), with the reports that the per-point implementation
 #: returned for them, plus calls whose mismatches interleave (see _flipped)
 #: and edge cases: theta 0 and -pi, ell pi and 40, tight negative windows
-#: across kappa = 1, windows up to kappa*max(pi, ell) = 695 and lo = 1e-200
-FROZEN = json.loads(
-    (Path(__file__).parent / "data" / "root_match_reports.json").read_text()
-)
+#: across kappa = 1, windows up to kappa*max(pi, ell) = 695 and lo = 1e-200,
+#: and windows past 700: ell = 1000 on both negative bands, and the tight
+#: chain at kappa in (200, 240).  Rewrite the reports by the rule below with
+#: ``PYTHONPATH=src python tests/test_crosscheck.py regenerate``
+DATA = Path(__file__).parent / "data" / "root_match_reports.json"
+FROZEN = json.loads(DATA.read_text())
 
 
 @pytest.mark.parametrize("ell", [0.0, 1.0])
@@ -71,25 +75,28 @@ def _flipped(closed_form_value):
     return flipped
 
 
-@pytest.mark.parametrize(
-    "source", sorted({e["source"] for e in FROZEN}),
-)
-def test_reports_equal_the_per_point_implementation(source, monkeypatch):
-    if "flipped" in source:
-        monkeypatch.setattr(ringchain.crosscheck, "closed_form_value",
-                            _flipped(ringchain.crosscheck.closed_form_value))
-    entries = [e for e in FROZEN if e["source"] == source]
-    default_tol = ringchain.crosscheck.TOL
-    for e in entries:
-        call = dict(e["call"])
+def _rerun(entry):
+    """The report of a frozen entry's call, under its closed form and tol."""
+    with pytest.MonkeyPatch.context() as mp:
+        if "flipped" in entry["source"]:
+            mp.setattr(ringchain.crosscheck, "closed_form_value",
+                       _flipped(ringchain.crosscheck.closed_form_value))
+        call = dict(entry["call"])
         # a frozen call records its match distance as tol; match_roots reads TOL
-        monkeypatch.setattr(ringchain.crosscheck, "TOL", call.pop("tol", default_tol))
+        mp.setattr(ringchain.crosscheck, "TOL", call.pop("tol", ringchain.crosscheck.TOL))
         spec = ChainSpec(call.pop("ell"))
         if "extra_roots" in call:
             call["extra_roots"] = tuple(call["extra_roots"])
-        rep = match_roots(spec, call.pop("branch"), call.pop("lo"), call.pop("hi"), **call)
+        return match_roots(spec, call.pop("branch"), call.pop("lo"), call.pop("hi"), **call)
+
+
+@pytest.mark.parametrize(
+    "source", sorted({e["source"] for e in FROZEN}),
+)
+def test_reports_equal_the_per_point_implementation(source):
+    for e in (e for e in FROZEN if e["source"] == source):
         want = e["report"]
-        assert rep == RootMatchReport(
+        assert _rerun(e) == RootMatchReport(
             branch=e["call"]["branch"], brackets=want["brackets"],
             matched_roots=want["matched_roots"], worst_distance=want["worst_distance"],
             mismatches=tuple(want["mismatches"]),
@@ -142,10 +149,6 @@ def test_nan_in_a_lockstep_round_names_its_bracket(monkeypatch):
 
 
 @pytest.mark.parametrize("ell, branch, lo, hi, error, message", [
-    (0.0, "negative", 200.0, 240.0, SolverError,
-     "kappa*max(pi, ell) = 730 exceeds 700.0; use the closed-form spectral condition instead"),
-    (40.0, "negative", 17.0, 18.0, SolverError,
-     "kappa*max(pi, ell) = 712 exceeds 700.0; use the closed-form spectral condition instead"),
     # a bracket end whose square overflows, refused by name
     (1.0, "negative", 1e-200, 1e200, ValueError,
      "kappa*kappa is not finite for kappa = 4.0973523936194685e+198"),
@@ -162,11 +165,45 @@ def test_refusals_equal_the_per_point_implementation(ell, branch, lo, hi, error,
     assert type(info.value) is error and str(info.value) == message
 
 
-def test_window_past_the_closed_forms_powers_meets_the_guard():
-    # kappa**5 overflows at the bracket ends; the closed form clamps there,
-    # and the determinant's guard refuses the window
-    with pytest.raises(SolverError, match="exceeds 700"):
-        match_roots(ChainSpec(1.0), "negative", 1e62, 2e62)
+@pytest.mark.parametrize("ell, lo, hi", [
+    (0.0, 200.0, 240.0),  # kappa*max(pi, ell) up to 754
+    (40.0, 17.0, 18.0),  # up to 720
+    (1.0, 1e62, 2e62),  # kappa**5 overflows, and the closed form clamps
+])
+def test_the_determinant_answers_past_kappa_max_pi_ell_700(ell, lo, hi):
+    # windows the determinant once refused with a SolverError: neither
+    # formulation has a root there
+    rep = match_roots(ChainSpec(ell), "negative", lo, hi, n_brackets=10, seed=0)
+    assert rep.ok and rep.brackets == 10 and rep.matched_roots == 0
+
+
+#: link lengths for the reach test: log-spaced over [1e-9, 5e3], with 250
+#: (a spurious mismatch with the hyperbolic basis), 403 (about where its
+#: 700 guard met both negative bands) and 1000
+REACH_ELLS = sorted({*map(float, np.geomspace(1e-9, 5e3, 15)), 250.0, 403.0, 1000.0})
+
+
+@pytest.mark.parametrize("ell", REACH_ELLS)
+def test_both_negative_bands_match_over_the_whole_link_range(ell):
+    # the lower band sits at kappa ~ (4/ell)^(1/3), the upper one near
+    # kappa = 1 for short links and both near sqrt(3) for long ones.  At
+    # ell = 1e-12 (kappa ~ 1.6e4) the roots differ by 2.1e-5 to 2.7e-5 > TOL:
+    # both formulations lose that root to cancellation, so the range stops
+    # at 1e-9
+    spec = ChainSpec(ell)
+    for theta in (0.0, 1.0, -math.pi):
+        edges = tuple(solve_negative_edge(spec, math.cos(theta), band)
+                      for band in ("upper", "lower"))
+        rep = match_roots(spec, "negative", min(edges) / 2, max(edges) * 2, n_brackets=0,
+                          extra_roots=edges, theta=theta)
+        assert rep.ok and rep.matched_roots == 2, (theta, rep)
+
+
+@pytest.mark.parametrize("lo", [200.0, 1e3, 1e6, 1e9, 1e12])
+def test_tight_negative_windows_far_up_have_no_root(lo):
+    # the tight negative branch has its only root at kappa = 1
+    rep = match_roots(ChainSpec(0.0), "negative", lo, 1.2 * lo, n_brackets=20, seed=1)
+    assert rep.ok and rep.matched_roots == 0
 
 
 def test_warm_up_op_calls_the_names_the_tracer_wraps(monkeypatch):
@@ -203,3 +240,32 @@ def test_warm_up_op_calls_the_names_the_tracer_wraps(monkeypatch):
         per_call.append(len(dets) - start)
     assert per_call == [8, 5]
     assert stacks == dets and closed
+
+
+def _shape(report):
+    """A report's brackets, matched roots and ordered mismatch kinds."""
+    kinds = [m.split(" ")[0] for m in report["mismatches"]]
+    return report["brackets"], report["matched_roots"], kinds
+
+
+if __name__ == "__main__":
+    # python tests/test_crosscheck.py regenerate: re-run every frozen call and
+    # rewrite its report.  Refused where a call with the default tol moves its
+    # brackets, matched roots or ordered mismatch kinds, or an ok report
+    # reaches TOL; only the distances, and calls with tol pinned, may move.
+    if sys.argv[1:] != ["regenerate"]:
+        sys.exit("usage: python tests/test_crosscheck.py regenerate")
+    out, moved = [], []
+    for e in FROZEN:
+        rep = _rerun(e)
+        new = {"brackets": rep.brackets, "matched_roots": rep.matched_roots,
+               "worst_distance": rep.worst_distance, "mismatches": list(rep.mismatches)}
+        if ("tol" not in e["call"] and _shape(new) != _shape(e["report"])
+                or rep.ok and not rep.worst_distance < ringchain.crosscheck.TOL):
+            sys.exit(f"refused: {e['call']} moves from {e['report']} to {new}")
+        if new != e["report"]:
+            moved.append(abs(new["worst_distance"] - e["report"]["worst_distance"]))
+        out.append({**e, "report": new})
+    DATA.write_text(json.dumps(out, separators=(",", ":")))
+    print(f"{len(moved)} of {len(out)} reports moved, worst_distance by at most "
+          f"{max(moved, default=0.0):.3g}")

@@ -340,8 +340,9 @@ def _package_code_lines():
 
 #: the code-line count after the last change that lowered it; a change that
 #: adds code lines raises this bound, in plain sight: 1347 -> 1377 for the
-#: JSON row writer's templates and the scalar edge kernels bound per level
-CODE_LINES_BOUND = 1377
+#: JSON row writer's templates and the scalar edge kernels bound per level,
+#: then 1377 -> 1334 for one bounded edge basis in the fiber determinant
+CODE_LINES_BOUND = 1334
 
 
 def test_code_lines_do_not_grow():
