@@ -21,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numerics import brentq_batch, brentq_strict
+# brentq_strict is unused here: the benchmark's tracer (perfbench/tracing.py)
+# looks up and wraps ringchain.crosscheck.brentq_strict
+from ._numerics import brentq_batch, brentq_strict  # noqa: F401
 from .model import ChainSpec, Quasimomentum
 from .secular import assemble, closed_form_value, normalized_determinant
 
@@ -65,12 +67,16 @@ def match_roots(
     TOL, a mismatch is recorded.  ``extra_roots`` adds deterministic
     brackets around known on-shell points so that sparse zero sets are
     still exercised.  A bracket is 0.01 to 0.05 wide, or the whole window
-    if that is narrower.
+    if that is narrower, and one around an extra root is 1e-3 wide.  A
+    window is refused (ValueError) where the float spacing at hi is not
+    below the narrowest bracket it draws, from hi ~ 7e13 on for the 0.01
+    brackets: such a bracket may collapse to one float and check nothing.
 
-    The determinant at every bracket end comes from one stacked assembly;
-    the determinant-proxy solves then advance together in one
-    ``brentq_batch``, one stacked assembly per Brent iteration.  Both
-    formulations take the floats k or kappa themselves.
+    The determinant at every bracket end comes from one stacked assembly.
+    The closed-form solves then advance together in one ``brentq_batch``
+    from the end values already taken, and the determinant-proxy solves in
+    another, one stacked assembly per Brent iteration.  Both formulations
+    take the floats k or kappa themselves.
     """
     if branch not in ("positive", "negative"):
         raise ValueError(f"unknown branch {branch!r}")
@@ -87,21 +93,26 @@ def match_roots(
     def ndets(xs) -> list[complex]:
         return normalized_determinant(assemble(spec, branch, xs, q)).tolist()
 
-    pairs = []
+    pairs, narrowest = [], math.inf
     for _ in range(n_brackets):
         w = min(rng.uniform(0.01, 0.05), hi - lo)
         a = rng.uniform(lo, max(lo, hi - w))
         pairs.append((a, a + w))
+        narrowest = min(narrowest, w)
+    halfw = 5e-4
     for r in extra_roots:
-        halfw = 5e-4
         if lo < r - halfw and r + halfw < hi:
             pairs.append((r - halfw, r + halfw))
+            narrowest = min(narrowest, 2 * halfw)
 
     ends = []
     for a, b in pairs:
         fa, fb = closed(a), closed(b)
         if fa != 0.0 and fb != 0.0:  # an end on shell: perturbing is the caller's job
             ends.append((a, b, fa, fb))
+    if not math.ulp(hi) < narrowest:  # such a bracket may hold a single float
+        raise ValueError(f"[{lo!r}, {hi!r}]: floats there are {math.ulp(hi):.3g} apart, "
+                         f"not below the narrowest bracket width {narrowest:.3g}")
     z_ends = ndets([x for a, b, _, _ in ends for x in (a, b)]) if ends else []
 
     # per bracket in order: a mismatch, or the index of its pair of solves
@@ -122,14 +133,17 @@ def match_roots(
             )
         elif f_change:
             outcomes.append(len(solves))
-            solves.append((a, b, pa, pb))
+            solves.append((a, b, fa, fb, pa, pb))
             phases.append(phase)
 
     def proxies(indices, xs):
         return [(z * phases[i]).real for i, z in zip(indices, ndets(xs))]
 
-    closed_roots = [brentq_strict(closed, a, b) for a, b, _, _ in solves]
-    det_roots = brentq_batch(proxies, *np.array(solves, dtype=float).reshape(-1, 4).T)
+    a, b, fa, fb, pa, pb = np.array(solves, dtype=float).reshape(-1, 6).T
+    # the closed form on Python floats: array rounds hand f numpy arrays
+    closed_roots = brentq_batch(lambda _, xs: [closed(x) for x in map(float, xs)],
+                                a, b, fa, fb, lambda _: closed)
+    det_roots = brentq_batch(proxies, a, b, pa, pb)
 
     dists = [abs(r_f - r_d) for r_f, r_d in zip(closed_roots, det_roots)]
     mismatches = tuple(

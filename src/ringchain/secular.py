@@ -58,7 +58,12 @@ _QUARTER = np.array((1, 1j, -1, -1j))
 
 
 def _cis_quarter(q):
-    """e^{i pi q/2}, reduced by quarter turns: exact where q is an integer."""
+    """e^{i pi q/2}, reduced by quarter turns: exact where q is an integer.
+    A float q takes a math-module path, equal bit for bit to the array path."""
+    if isinstance(q, float):
+        n = round(q)
+        r = (math.pi / 2) * (q - n)
+        return _QUARTER[n % 4] * complex(math.cos(r), math.sin(r))
     n = np.round(q)
     r = (math.pi / 2) * (q - n)
     # where q overflowed (k*ell past the float range), n % 4 is NaN: its
@@ -96,6 +101,9 @@ _TIGHT = _plan(((0, 1, 0), (1, 1, 0), (1, -1, 1), (0, -1, 1)))
 # b(0) -> a(0); B_n has link(0) -> a(pi) -> b(pi), the ends at pi being those
 # of the previous cell.
 _LOOSE = _plan(((2, -1, 0), (1, 1, 0), (0, 1, 0)), ((2, 1, 0), (0, -1, 1), (1, -1, 1)))
+
+#: the lengths of the tight chain's edges, the arcs a and b
+_TIGHT_LENGTHS = np.array((math.pi, math.pi))
 
 
 def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarray:
@@ -146,18 +154,17 @@ def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarr
                 )
         # every value is admissible, so theta is what was refused
         raise ValueError("non-finite quasimomentum")
-    lengths = np.array((math.pi, math.pi) + (() if spec.is_tight else (spec.link_length,)))
+    lengths = _TIGHT_LENGTHS if spec.is_tight else np.array((math.pi, math.pi, spec.link_length))
     # the basis at the ends, (N, edge, side): side 0 where o*sigma = +1
     if branch == "positive":  # e^{-+ik L/2}
         ip = -x
-        turns = np.multiply.outer(x, lengths / math.pi)
-        w = _cis_quarter(np.stack((-turns, turns), axis=-1))
+        w = _cis_quarter(np.multiply.outer(x, np.multiply.outer(lengths / math.pi, (-1.0, 1.0))))
     else:  # 1 and e^{-kappa L}
         ip = -1j * x
-        w = np.exp(np.multiply.outer(-x, np.stack((0.0 * lengths, lengths), axis=-1)))
+        w = np.exp(np.multiply.outer(-x, np.multiply.outer(lengths, (0.0, 1.0))))
     w = (w / (1.0 + x)[:, None, None]).reshape(x.size, -1)
     n, entry, sign, o_sigma, basis, prev = _TIGHT if spec.is_tight else _LOOSE
-    s = _cis_quarter(np.float64(-2.0 * q.theta / math.pi))  # e^{-i theta}
+    s = _cis_quarter(-2.0 * q.theta / math.pi)  # e^{-i theta}
     # (sign + i o sigma p) times the basis value, and e^{-i theta} at prev ends
     pieces = (sign + o_sigma * ip[:, None]) * w[:, basis] * np.array((1, s))[prev]
     m = np.zeros((x.size, n * n), dtype=complex)
@@ -175,8 +182,10 @@ def normalized_determinant(m: np.ndarray):
     and its determinant is 0.  An (n, n) matrix gives a complex; an
     (..., n, n) stack gives an array of them, from one batched determinant.
     """
-    norms = np.linalg.norm(m, axis=-1)
-    det = np.linalg.det(m / np.where(norms == 0.0, 1.0, norms)[..., None])
+    # the row 2-norms, as np.linalg.norm computes them
+    norms = np.sqrt(np.add.reduce((m.conj() * m).real, axis=-1))
+    norms[norms == 0.0] = 1.0
+    det = np.linalg.det(m / norms[..., None])
     return complex(det) if m.ndim == 2 else det
 
 
@@ -209,12 +218,17 @@ def closed_form_value(spec: ChainSpec, branch: str, x: float, cos_theta: float) 
     try:
         if branch == "positive":
             k = x
-            sk, ck = sincospi(k)
+            # sincospi(k), inline: (-1)^n sin and cos of pi (k - n), n = round(k)
+            n = round(k)
+            r = math.pi * (k - n)
+            sk, ck = (-math.sin(r), -math.cos(r)) if n % 2 else (math.sin(r), math.cos(r))
             if spec.is_tight:
                 value = k**3 * (k * k + 1.0) * sk * (ck - cos_theta)
                 # NaN only as inf * sin(k pi), past k ~ 4e61 where sin(k pi) = 0
                 return value if value == value else 0.0
-            kl = k_times_ell(k, ell)
+            kl = k * ell
+            if kl == math.inf:
+                k_times_ell(k, ell)  # raises, naming k and ell
             sl, cl = math.sin(kl), math.cos(kl)
             k2 = k * k
             bracket = (k2 * k2 + 2 * k2 + 5) * sk * sl - 4 * (k2 + 1) * (ck * cl - cos_theta)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -14,6 +15,7 @@ from ringchain import (
     SolverError,
     solve_negative_edge,
 )
+from ringchain._numerics import BATCH_MIN, brentq_batch, brentq_strict
 from ringchain.crosscheck import RootMatchReport, match_roots
 
 #: match_roots calls of the tests, demos/07, selfcheck (seeds 0-2, without
@@ -168,7 +170,6 @@ def test_refusals_equal_the_per_point_implementation(ell, branch, lo, hi, error,
 @pytest.mark.parametrize("ell, lo, hi", [
     (0.0, 200.0, 240.0),  # kappa*max(pi, ell) up to 754
     (40.0, 17.0, 18.0),  # up to 720
-    (1.0, 1e62, 2e62),  # kappa**5 overflows, and the closed form clamps
 ])
 def test_the_determinant_answers_past_kappa_max_pi_ell_700(ell, lo, hi):
     # windows the determinant once refused with a SolverError: neither
@@ -199,11 +200,93 @@ def test_both_negative_bands_match_over_the_whole_link_range(ell):
         assert rep.ok and rep.matched_roots == 2, (theta, rep)
 
 
-@pytest.mark.parametrize("lo", [200.0, 1e3, 1e6, 1e9, 1e12])
+@pytest.mark.parametrize("lo", [200.0, 1e3, 1e6, 1e9, 1e12, 5e13])
 def test_tight_negative_windows_far_up_have_no_root(lo):
-    # the tight negative branch has its only root at kappa = 1
+    # the tight negative branch has its only root at kappa = 1; at 6e13
+    # floats are 0.0078 apart, still finer than a bracket
     rep = match_roots(ChainSpec(0.0), "negative", lo, 1.2 * lo, n_brackets=20, seed=1)
     assert rep.ok and rep.matched_roots == 0
+
+
+@pytest.mark.parametrize("ell, branch, lo, hi, brackets", [
+    # a 0.01 to 0.05 wide bracket collapses to one float: these reported
+    # "determinant exactly zero at a bracket end" for [a, a]
+    (0.0, "negative", 1e18, 1.2e18, {"n_brackets": 40, "seed": 1}),
+    (0.0, "negative", 1e100, 1.2e100, {"n_brackets": 40, "seed": 1}),
+    # kappa**5 overflows here, and every bracket passed as "no root"
+    (1.0, "negative", 1e62, 2e62, {"n_brackets": 10, "seed": 0}),
+    # floats 0.0156 apart, finer than most brackets but not the narrowest
+    (1.0, "positive", 1.1e14, 1.2e14, {"n_brackets": 40, "seed": 0}),
+    # a 1e-3 wide bracket around an extra root, with floats 0.0039 apart
+    (1.0, "positive", 1e13, 2e13, {"n_brackets": 0, "extra_roots": (1.5e13,)}),
+])
+def test_a_window_coarser_than_its_narrowest_bracket_is_refused(ell, branch, lo, hi, brackets):
+    message = f"[{lo!r}, {hi!r}]: floats there are {math.ulp(hi):.3g} apart, not below"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        match_roots(ChainSpec(ell), branch, lo, hi, **brackets)
+
+
+@pytest.fixture
+def closed_batches(monkeypatch):
+    """The (a, b, f_one, roots, array_rounds) of every closed-form batch that
+    match_roots hands to brentq_batch, array_rounds counting the calls of
+    its f on numpy arrays."""
+    batches = []
+
+    def recorder(f, a, b, fa, fb, f_one=None):
+        if f_one is None:
+            return brentq_batch(f, a, b, fa, fb)
+        calls = []
+
+        def counted(indices, xs):
+            calls.append(type(xs))
+            return f(indices, xs)
+
+        roots = brentq_batch(counted, a, b, fa, fb, f_one)
+        batches.append((a, b, f_one, roots, calls.count(np.ndarray)))
+        return roots
+
+    monkeypatch.setattr(ringchain.crosscheck, "brentq_batch", recorder)
+    return batches
+
+
+def _strict_roots(batches):
+    """Each closed-form root of the batches, and brentq_strict's on its bracket."""
+    return [(root, brentq_strict(f_one(i), float(a[i]), float(b[i])))
+            for a, b, f_one, roots, _ in batches for i, root in enumerate(roots)]
+
+
+@pytest.mark.parametrize("ell", [0.0, 1e-3, 0.7, 1.0, math.pi, 7.0, 40.0])
+@pytest.mark.parametrize("branch", ["positive", "negative"])
+def test_closed_form_roots_equal_brentq_strict(closed_batches, ell, branch):
+    spec = ChainSpec(ell)
+    for theta in (-math.pi, -1.0, 0.0, 0.4, 2.5):
+        if branch == "positive":
+            extra, hi = (1.0, 2.0, 3.0), 15.0
+        elif spec.is_tight:
+            extra, hi = (1.0,), 5.0
+        else:
+            extra = tuple(solve_negative_edge(spec, math.cos(theta), band)
+                          for band in ("upper", "lower"))
+            hi = 2.0 * max(extra)
+        match_roots(spec, branch, 0.1, hi, n_brackets=60, seed=2, extra_roots=extra,
+                    theta=theta)
+    pairs = _strict_roots(closed_batches)
+    assert len(pairs) >= 5
+    for root, strict in pairs:
+        assert type(root) is float and root == strict
+
+
+def test_closed_form_batch_of_batch_min_brackets_runs_array_rounds(closed_batches):
+    # a bracket around each tight flat band k = n, all on shell: the batch
+    # starts with more than BATCH_MIN open solves
+    rep = match_roots(ChainSpec(0.0), "positive", 0.5, 80.5, n_brackets=0,
+                      extra_roots=tuple(map(float, range(1, 81))), theta=0.3)
+    assert rep.ok and rep.matched_roots == 80 >= BATCH_MIN
+    [(_, _, _, roots, array_rounds)] = closed_batches
+    assert len(roots) == 80 and array_rounds >= 1
+    for root, strict in _strict_roots(closed_batches):
+        assert type(root) is float and root == strict
 
 
 def test_warm_up_op_calls_the_names_the_tracer_wraps(monkeypatch):

@@ -359,13 +359,14 @@ def test_cli_exit_code_for_nan_kernel(capsys, monkeypatch):
 
 
 def _recorded_lockstep(monkeypatch):
-    """Every (f, a, b, fa, fb, roots) that match_roots hands to brentq_batch."""
+    """Every (f, a, b, fa, fb, f_one, roots) that match_roots hands to
+    brentq_batch: per call, its closed-form solves with f_one and then its
+    determinant-proxy solves without."""
     runs = []
 
     def recorder(f, a, b, fa, fb, f_one=None):
-        assert f_one is None
-        roots = brentq_batch(f, a, b, fa, fb)
-        runs.append((f, a, b, fa, fb, roots))
+        roots = brentq_batch(f, a, b, fa, fb, f_one)
+        runs.append((f, a, b, fa, fb, f_one, roots))
         return roots
 
     monkeypatch.setattr(ringchain.crosscheck, "brentq_batch", recorder)
@@ -381,14 +382,14 @@ def _recorded_lockstep(monkeypatch):
 
 def test_lockstep_roots_equal_scipy_on_the_scalar_proxy(monkeypatch):
     runs = _recorded_lockstep(monkeypatch)
-    solves = [(f, i, a[i], b[i], fa[i], fb[i], root) for f, a, b, fa, fb, roots in runs
-              for i, root in enumerate(roots)]
-    assert len(solves) >= 60
-    for f, i, a, b, fa, fb, root in solves:
-        proxy = _scalar_f(f, None, i)
-        assert (fa, fb) == (proxy(a), proxy(b))
+    assert [f_one is None for _, _, _, _, _, f_one, _ in runs] == [False, True] * 6
+    solves = [(_scalar_f(f, f_one, i), float(a[i]), float(b[i]), fa[i], fb[i], root)
+              for f, a, b, fa, fb, f_one, roots in runs for i, root in enumerate(roots)]
+    assert len(solves) >= 120
+    for f, a, b, fa, fb, root in solves:
+        assert (fa, fb) == (f(a), f(b))
         assert type(root) is float
-        assert root == scipy_brentq(proxy, a, b) == brentq_strict(proxy, a, b)
+        assert root == scipy_brentq(f, a, b) == brentq_strict(f, a, b)
 
 
 def _lines(indices, xs):

@@ -17,6 +17,8 @@ from ringchain import (
     normalized_determinant,
     vertex_scattering,
 )
+from ringchain import secular
+from ringchain._numerics import k_times_ell, sincospi
 from ringchain.secular import s_minus_i_norm
 
 TIGHT = ChainSpec(0.0)
@@ -174,6 +176,18 @@ def _assemble_point(spec, branch, x, q):
                 else:
                     m[r, col] += piece
     return m
+
+
+def test_e_minus_i_theta_on_one_float_equals_the_array_path():
+    # assemble's e^{-i theta} takes _cis_quarter's float path; the reference
+    # takes the array path, as assemble did
+    exact = [0.0, -0.0, math.pi / 2, -math.pi / 2, -math.pi, 1e-300, -1e-300,
+             math.pi / 4, -math.pi / 4, 3 * math.pi / 4, -3 * math.pi / 4]
+    for t in exact + np.random.default_rng(7).uniform(-math.pi, math.pi, 10_000).tolist():
+        q = -2.0 * t / math.pi
+        want = _cis_quarter(np.float64(q)).tobytes()
+        assert np.complex128(secular._cis_quarter(q)).tobytes() == want, t
+        assert secular._cis_quarter(np.array([q])).tobytes() == want, t
 
 
 def _normalized_determinant_point(m):
@@ -408,6 +422,47 @@ def test_closed_form_past_the_range_of_its_powers(ell, branch, x, theta):
         assert got == pytest.approx(float(want), rel=1e-13)
 
 
+def _closed_form_positive_point(spec, k, cos_theta):
+    """closed_form_value on the positive branch through sincospi and
+    k_times_ell: the reference that its inlined scalar path must equal bit
+    for bit."""
+    sk, ck = sincospi(k)
+    try:
+        if spec.is_tight:
+            value = k**3 * (k * k + 1.0) * sk * (ck - cos_theta)
+            return value if value == value else 0.0
+        kl = k_times_ell(k, spec.link_length)
+        k2 = k * k
+        bracket = ((k2 * k2 + 2 * k2 + 5) * sk * math.sin(kl)
+                   - 4 * (k2 + 1) * (ck * math.cos(kl) - cos_theta))
+        return k**5 * sk * bracket
+    except OverflowError:
+        return 0.0
+
+
+@pytest.mark.parametrize("ell", [0.0, 1e-3, 1.0, math.pi, 7.0, 1e200])
+def test_closed_form_positive_equals_sincospi_and_k_times_ell_bit_for_bit(ell):
+    spec = ChainSpec(ell)
+    rng = np.random.default_rng(3)
+    ks = [
+        *map(float, range(1, 40)), *(n + 0.5 for n in range(40)),  # integers, half-integers
+        2.0**53, 2.0**53 + 2.0, 1e16 + 1.0, 3e20, 1e100,  # every float here is an integer
+        *np.geomspace(1.7e61, 4.6e61, 12).tolist(), 1e154,  # k**5 and k**3 k**2 overflow
+        *rng.uniform(0.01, 60.0, 300).tolist(), *np.exp(rng.uniform(-300, 350, 100)).tolist(),
+    ]
+    for c in (math.cos(0.3), -1.0, 1.0):
+        for k in ks:
+            try:
+                want = _closed_form_positive_point(spec, k, c)
+            except ValueError as refusal:  # k*ell overflows
+                with pytest.raises(ValueError) as info:
+                    closed_form_value(spec, "positive", k, c)
+                assert str(info.value) == str(refusal)
+                continue
+            got = closed_form_value(spec, "positive", k, c)
+            assert type(got) is float and got.hex() == want.hex(), (k, c)
+
+
 def test_closed_form_refuses_an_overflowing_k_ell_by_name():
     with pytest.raises(ValueError, match=r"^k\*ell is not finite for k = 20\.5, ell = 1e\+307$"):
         closed_form_value(ChainSpec(1e307), "positive", 20.5, 0.3)
@@ -503,3 +558,43 @@ def test_a_degree_past_max_witnesses_is_refused_by_name(build):
     # n*n = 4097^2 > MAX_WITNESSES: refused before any n x n array is made
     with pytest.raises(ValueError, match="vertex degree must be <= 4096, got 4097"):
         build(4097)
+
+
+# ---------------------------------------------------------------------------
+# per-call timings: python tests/test_secular.py timings
+
+
+def _timings():
+    """(name, microseconds per call, best of 7) for each oracle call at the
+    sizes match_roots hands it: 12 points per stacked assembly, theta = 0.3,
+    the loose chain at ell = 1."""
+    import timeit
+
+    q = Quasimomentum(0.3)
+    xs = {"positive": np.linspace(0.35, 11.65, 12), "negative": np.linspace(0.15, 3.85, 12)}
+    calls = []
+    for chain, spec in (("tight", TIGHT), ("loose", LOOSE1)):
+        for branch, x in xs.items():
+            m = assemble(spec, branch, x, q)
+            calls += [
+                (f"assemble {chain} {branch}", lambda s=spec, b=branch, x=x: assemble(s, b, x, q)),
+                (f"normalized_determinant {chain} {branch}", lambda m=m: normalized_determinant(m)),
+                (f"closed_form_value {chain} {branch}",
+                 lambda s=spec, b=branch, x=float(x[5]): closed_form_value(s, b, x, q.cos)),
+            ]
+    # the 7 repeats go round the calls, so that a slow spell of the host
+    # slows every call alike
+    timers = [(name, timeit.Timer(call)) for name, call in calls]
+    numbers = [timer.autorange()[0] for _, timer in timers]
+    best = [math.inf] * len(timers)
+    for _ in range(7):
+        for i, ((_, timer), number) in enumerate(zip(timers, numbers)):
+            best[i] = min(best[i], timer.timeit(number) / number)
+    return [(name, b * 1e6) for (name, _), b in zip(timers, best)]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["timings"]:
+        sys.exit("usage: python tests/test_secular.py timings")
+    for name, us in sorted(_timings()):
+        print(f"{name:40s} {us:8.2f} us")
