@@ -1,11 +1,12 @@
-"""Two derivations, one zero set: determinant vs closed forms.
+"""Two derivations, one zero set: the determinant vs the solvers' kernels.
 
-The closed forms are factored scalar spectral conditions.  As an
-independent check, the full fiber linear system (one pair of unknowns per
-edge of the cell: 4 for the tight chain, 6 for the loose one) is assembled
-directly from the vertex matching and the quasi-periodic factor, and its
-determinant is compared root by root against the closed forms on random
-brackets.
+The band edges are solved on the reduced dispersions of ringchain.bands,
+and ``closed_form_value`` is those kernels times a factor that puts the
+flat bands on shell and removes the pole.  As an independent check, the
+full fiber linear system (one pair of unknowns per edge of the cell: 4 for
+the tight chain, 6 for the loose one) is assembled directly from the vertex
+matching and the quasi-periodic factor, and its determinant is compared
+root by root against ``closed_form_value`` on random brackets.
 """
 
 import math
@@ -31,7 +32,6 @@ for ell in (0.0, 1.0, math.pi):
               f"mismatches: {len(rep.mismatches)}")
 
 print()
-print("The determinant and the closed forms are derivation oracles for each")
-print("other.  Band edges are solved on neither: they are solved on the reduced")
-print("dispersions of ringchain.bands (Phi -+ 1 on the positive branch, and its")
-print("rescaled form f_shifted on the negative one).")
+print("The determinant checks the kernels the band edges are solved on:")
+print("closed_form_value is sin(k pi) (Phi - c) on the positive branch, and")
+print("(1 - kappa^2)/(1 + kappa^2) f_shifted on the loose negative one.")

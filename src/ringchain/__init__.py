@@ -10,8 +10,9 @@ ell > 0) connected chains of rings:
 * small- and long-link asymptotic predictions with independent solver
   cross-checks,
 
-using the factored scalar spectral conditions, validated against the raw
-fiber-operator determinant assembled from the boundary and vertex matching.
+using the reduced dispersions of the factored scalar spectral conditions,
+validated against the raw fiber-operator determinant assembled from the
+boundary and vertex matching.
 """
 
 from .asymptotics import (
@@ -24,6 +25,7 @@ from .asymptotics import (
     small_l_upper_band,
 )
 from .bands import (
+    closed_form_value,
     dispersion,
     flat_bands,
     negative_bands,
@@ -48,7 +50,6 @@ from .model import (
 )
 from .secular import (
     assemble,
-    closed_form_value,
     normalized_determinant,
     vertex_scattering,
 )
@@ -65,10 +66,10 @@ __all__ = [
     "make_coupling",
     # secular
     "assemble",
-    "closed_form_value",
     "normalized_determinant",
     "vertex_scattering",
     # bands
+    "closed_form_value",
     "dispersion",
     "flat_bands",
     "negative_bands",

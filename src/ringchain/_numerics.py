@@ -1,10 +1,11 @@
 """Low-level numeric helpers shared across the package.
 
-``positive_finite``, ``unit_level``, ``k_times_ell`` and ``vertex_degree``
-own the package's refusal rules: every k, kappa, link length and window cap
-that an entry point takes must be finite and > 0, a cos(theta) level must
-lie in [-1, 1], a k*ell that overflows is refused by name rather than
-passed to sin, and a vertex degree is an integer from 2 to 4096.
+``positive_finite``, ``zero_energy``, ``unit_level``, ``k_times_ell`` and
+``vertex_degree`` own the package's refusal rules: every k, kappa, link
+length and window cap that an entry point takes must be finite and > 0 (a
+k or kappa with a finite square), a cos(theta) level must lie in [-1, 1], a
+k*ell that overflows is refused by name rather than passed to sin, and a
+vertex degree is an integer from 2 to 4096.
 ``sincospi`` is vectorized over numpy arrays and safe for scalars.
 Brent's root finder comes in two transcriptions of scipy's
 ``brentq.c``, each with the same float operations in the same order, so
@@ -40,8 +41,8 @@ import numpy as np
 
 from .errors import SolverError
 
-__all__ = ["positive_finite", "k_times_ell", "vertex_degree", "sincospi", "brentq_strict",
-           "brentq_batch", "unit_level"]
+__all__ = ["positive_finite", "zero_energy", "k_times_ell", "vertex_degree", "sincospi",
+           "brentq_strict", "brentq_batch", "unit_level"]
 
 #: The most gap witnesses, flat bands or n x n matrix entries one call may
 #: visit.  A window [0, k_max^2] holds about k_max (pi + ell)/pi witnesses:
@@ -57,6 +58,16 @@ def positive_finite(name: str, x) -> float:
     if not 0.0 < x < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {x}")
     return x
+
+
+def zero_energy(name: str, x: float) -> bool:
+    """Whether ``x``, a k or kappa as ``name`` says, is zero energy: its
+    square underflows.  ValueError naming it unless x is finite and > 0 with
+    a finite square."""
+    x = positive_finite(name, x)
+    if x * x == math.inf:
+        raise ValueError(f"{name}*{name} is not finite for {name} = {x!r}")
+    return x * x == 0.0
 
 
 def unit_level(name: str, c) -> float:

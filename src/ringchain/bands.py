@@ -53,19 +53,16 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from ._numerics import (MAX_WITNESSES, brentq_batch, brentq_strict, positive_finite, sincospi,
-                        unit_level)
+from ._numerics import (MAX_WITNESSES, brentq_batch, brentq_strict, k_times_ell, positive_finite,
+                        sincospi, unit_level, zero_energy)
 from .model import Band, ChainSpec, Quasimomentum, SpectralParameter
-
-# unused here: the benchmark's tracer (perfbench/tracing.py) looks up and
-# wraps ringchain.bands.closed_form_value
-from .secular import closed_form_value  # noqa: F401
 
 __all__ = [
     "r_coefficient",
     "phi_positive",
     "f_shifted",
     "f_prime_scaled",
+    "closed_form_value",
     "flat_bands",
     "positive_bands",
     "negative_bands",
@@ -190,6 +187,64 @@ def f_prime_scaled(spec: ChainSpec, kappa):
         - q * (ell * cs + math.pi * sc)
     )
     return out if out.ndim else float(out)
+
+
+def closed_form_value(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> float:
+    """The spectral condition at k = x (positive branch) or kappa = x
+    (negative branch) and c = cos(theta) = ``cos_theta``, as the solvers'
+    kernels times a factor that puts the flat bands on shell and removes the
+    pole:
+
+        tight positive:  sin(k pi) (cos(k pi) - c)
+        loose positive:  sin(k pi) (Phi(k) - c)
+        tight negative:  kappa^2 - 1
+        loose negative:  (1 - kappa^2)/(1 + kappa^2) * f_shifted
+
+    Each is the condition eliminated by hand from the fiber system divided
+    by a factor with no zero and no pole for x > 0: k^3 (k^2 + 1),
+    -4 k^5 (k^2 + 1), kappa^3 sinh(kappa pi) (cosh(kappa pi) - c) and
+    4 kappa^5 (1 + kappa^2) sinh(kappa pi) e^{kappa (pi + ell)}.  So it is
+    zero if and only if (energy, theta) is on shell, and ``match_roots``
+    checks the determinant against the functions that produce the bands.
+    The value is finite at every admissible x.
+
+    The loose positive value is sincospi(k)[0] * (phi_positive(spec, k) - c)
+    bit for bit, and 0.0 where sin(k pi) = 0: past k ~ 1.3e77, r(k) is inf
+    and the product would be NaN.  At kappa = 1, where ``f_shifted`` is NaN,
+    the loose negative value is its limit, expm1(-2 pi) expm1(-2 ell)/8.
+
+    An x whose square underflows is zero energy and gives 0.0, the limit
+    of the positive branch.  Refused, naming k or kappa (ValueError): an x
+    that is not finite and > 0 or whose square overflows, and on the loose
+    positive branch a k whose product with ell overflows.
+    """
+    if branch not in ("positive", "negative"):
+        raise ValueError(f"unknown branch {branch!r}")
+    if not (x > 0.0 and 0.0 < x * x < math.inf):
+        zero_energy("k" if branch == "positive" else "kappa", x)  # raises unless zero energy
+        return 0.0
+    ell = spec.link_length
+    k2 = x * x
+    if branch == "negative":
+        if spec.is_tight:
+            return k2 - 1.0
+        if x == 1.0:
+            return 0.125 * math.expm1(-2.0 * math.pi) * math.expm1(-2.0 * ell)
+        return (1.0 - k2) / (1.0 + k2) * f_shifted(spec, x, cos_theta)
+    # sincospi(k), inline: (-1)^n sin and cos of pi (k - n), n = round(k)
+    n = round(x)
+    r = math.pi * (x - n)
+    s, c = (-math.sin(r), -math.cos(r)) if n % 2 else (math.sin(r), math.cos(r))
+    if spec.is_tight:
+        return s * (c - cos_theta)
+    kl = x * ell
+    if kl == math.inf:
+        k_times_ell(x, ell)  # raises, naming k and ell
+    if s == 0.0:
+        return 0.0
+    # phi_positive's operations, in its order
+    phi = math.cos(kl) * c - (k2 * k2 + 2.0 * k2 + 5.0) / (4.0 * (k2 + 1.0)) * math.sin(kl) * s
+    return s * (phi - cos_theta)
 
 
 # ---------------------------------------------------------------------------

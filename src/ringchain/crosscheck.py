@@ -1,11 +1,12 @@
-"""Mutual validation of the raw secular determinant and the closed forms.
+"""Mutual validation of the raw secular determinant and the solvers' kernels.
 
 The two formulations of the spectral condition are derived independently
 enough that comparing their zero sets catches transcription mistakes in
 either: the determinant is assembled row by row from the matching
-conditions, while the closed forms encode the hand-eliminated scalar
-conditions.  No proportionality constant between the two is asserted, only
-coincidence of the zero sets.
+conditions, while ``closed_form_value`` is the reduced dispersion that the
+band solvers run (``phi_positive``, ``f_shifted``) times a factor that puts
+the flat bands on shell and removes the pole.  No proportionality constant
+between the two is asserted, only coincidence of the zero sets.
 
 The determinant is complex, so a sign-based bracketing needs a real proxy.
 Its basis is centred on each edge's midpoint, and its phase stays fixed
@@ -25,7 +26,8 @@ import numpy as np
 # looks up and wraps ringchain.crosscheck.brentq_strict
 from ._numerics import brentq_batch, brentq_strict  # noqa: F401
 from .model import ChainSpec, Quasimomentum
-from .secular import assemble, closed_form_value, normalized_determinant
+from .bands import closed_form_value
+from .secular import assemble, normalized_determinant
 
 __all__ = ["RootMatchReport", "match_roots"]
 

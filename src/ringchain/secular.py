@@ -1,26 +1,21 @@
-"""Fiber-operator secular systems and their closed-form counterparts.
+"""The fiber-operator secular system and the vertex scattering matrix.
 
-Two independent formulations of the same spectral condition live here, both
-as functions of one float: k > 0 on the positive branch (E = k^2) or
-kappa > 0 on the negative one (E = -kappa^2), where the trigonometric
-factors turn hyperbolic.
+The raw spectral condition, as a function of one float: k > 0 on the
+positive branch (E = k^2) or kappa > 0 on the negative one (E = -kappa^2),
+where the trigonometric factors turn hyperbolic.  ``assemble`` builds the
+linear system for the trial coefficients on the cell edges, one pair per
+whole edge (4 unknowns for the tight chain, 6 for the loose one), from the
+vertex matching with the quasi-periodic factor e^{-i theta} on the ends of
+the previous cell, one matrix per float of a stack.  Both branches share
+one basis, bounded by 1 at every k or kappa, so the determinant answers
+over the whole link range.  ``normalized_determinant`` takes the
+determinants with every row scaled to unit norm.  It vanishes exactly on
+shell.
 
-* ``assemble`` builds the raw linear system for the trial coefficients on
-  the cell edges, one pair per whole edge (4 unknowns for the tight chain,
-  6 for the loose one), from the vertex matching with the quasi-periodic
-  factor e^{-i theta} on the ends of the previous cell, one matrix per float
-  of a stack.  Both branches share one basis, bounded by 1 at every k or
-  kappa, so the determinant answers over the whole link range.
-  ``normalized_determinant`` takes the determinants with every row scaled
-  to unit norm.  It vanishes exactly on shell.
-
-* ``closed_form_value`` evaluates the factored scalar conditions obtained by
-  eliminating the system by hand, overflow safe and with their prefactors.
-  The band solvers use the reduced dispersions of ``ringchain.bands``
-  instead; both formulations here exist as a derivation cross-check.
-
-The two must agree on their zero sets; the test suite enforces this on
-random brackets for both energy branches.
+The band solvers run the reduced dispersions of ``ringchain.bands``
+instead, which ``ringchain.bands.closed_form_value`` turns into a condition
+with the same zero set; ``ringchain.crosscheck`` compares the two on random
+brackets of both energy branches.
 """
 
 from __future__ import annotations
@@ -29,29 +24,18 @@ import math
 
 import numpy as np
 
-from ._numerics import k_times_ell, positive_finite, sincospi, vertex_degree
+from ._numerics import positive_finite, sincospi, vertex_degree, zero_energy
 from .model import ChainSpec, Quasimomentum
 
 __all__ = [
     "assemble",
     "normalized_determinant",
-    "closed_form_value",
     "vertex_scattering",
     "s_minus_i_norm",
 ]
 
 #: the name of the float of each branch
 _NAME = {"positive": "k", "negative": "kappa"}
-
-
-def _zero_energy(name: str, x: float) -> bool:
-    """Whether ``x``, a k or kappa as ``name`` says, is zero energy: its
-    square underflows.  ValueError naming it unless x is finite and > 0 with
-    a finite square."""
-    x = positive_finite(name, x)
-    if x * x == math.inf:
-        raise ValueError(f"{name}*{name} is not finite for {name} = {x!r}")
-    return x * x == 0.0
 
 
 _QUARTER = np.array((1, 1j, -1, -1j))
@@ -133,7 +117,7 @@ def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarr
     Refuses an empty stack and, naming k or kappa, a value that is not
     finite and > 0 or whose square overflows.  Refuses zero energy too, a
     value whose square underflows: the k -> 0 degeneracy of the trial basis
-    is handled by the closed forms, not by the raw determinant.
+    is handled by ``closed_form_value``, not by the raw determinant.
     """
     if branch not in _NAME:
         raise ValueError(f"unknown branch {branch!r}")
@@ -147,7 +131,7 @@ def assemble(spec: ChainSpec, branch: str, values, q: Quasimomentum) -> np.ndarr
         if not x.size:
             raise ValueError(f"no {name} to assemble")
         for v in x.tolist():
-            if _zero_energy(name, v):
+            if zero_energy(name, v):
                 raise ValueError(
                     f"{name} = {v!r} is zero energy ({name}*{name} underflows), "
                     "which the raw system does not admit"
@@ -187,106 +171,6 @@ def normalized_determinant(m: np.ndarray):
     norms[norms == 0.0] = 1.0
     det = np.linalg.det(m / norms[..., None])
     return complex(det) if m.ndim == 2 else det
-
-
-def closed_form_value(spec: ChainSpec, branch: str, x: float, cos_theta: float) -> float:
-    """Left-hand side of the factored scalar spectral condition at k = x
-    (positive branch) or kappa = x (negative branch) and cos(theta) =
-    ``cos_theta``.
-
-    Zero if and only if (energy, theta) is on shell.  The prefactors are
-    included, so the flat-band energies are zeros through the sin(k*pi) or
-    (kappa^2 - 1) factors.  Hyperbolic branches are evaluated through
-    exponentially rescaled forms; values beyond the float range are clamped
-    to +-1.8e308 with the correct sign.
-
-    An x whose square underflows is zero energy and gives 0.0, the k^5
-    (loose) and k^3 (tight) prefactor limit.  Past x ~ 1.8e61, where x**5 or
-    x**3 overflows, the value is 0 on the positive branch (sin(k*pi) = 0
-    there) and the clamp, with its sign, on the negative one.  Refused,
-    naming k or kappa (ValueError): an x that is not finite and > 0 or whose
-    square overflows, and on the loose positive branch a k whose product
-    with ell overflows.
-    """
-    if branch not in _NAME:
-        raise ValueError(f"unknown branch {branch!r}")
-    if not (x > 0.0 and 0.0 < x * x < math.inf):
-        _zero_energy(_NAME[branch], x)  # raises unless x is zero energy
-        return 0.0
-    ell = spec.link_length
-
-    try:
-        if branch == "positive":
-            k = x
-            # sincospi(k), inline: (-1)^n sin and cos of pi (k - n), n = round(k)
-            n = round(k)
-            r = math.pi * (k - n)
-            sk, ck = (-math.sin(r), -math.cos(r)) if n % 2 else (math.sin(r), math.cos(r))
-            if spec.is_tight:
-                value = k**3 * (k * k + 1.0) * sk * (ck - cos_theta)
-                # NaN only as inf * sin(k pi), past k ~ 4e61 where sin(k pi) = 0
-                return value if value == value else 0.0
-            kl = k * ell
-            if kl == math.inf:
-                k_times_ell(k, ell)  # raises, naming k and ell
-            sl, cl = math.sin(kl), math.cos(kl)
-            k2 = k * k
-            bracket = (k2 * k2 + 2 * k2 + 5) * sk * sl - 4 * (k2 + 1) * (ck * cl - cos_theta)
-            return k**5 * sk * bracket
-
-        kap = x
-        u = kap * math.pi
-        if spec.is_tight:
-            # kappa^3 (kappa^2 - 1) sinh(u) (cosh(u) - cos theta), rescaled as
-            # mantissa * e^{2u}
-            k2 = kap * kap
-            em = math.exp(-u)
-            mant = (
-                kap**3
-                * (k2 - 1.0)
-                * 0.25
-                * (1 - em * em)
-                * (1 + em * em - 2 * cos_theta * em)
-            )
-            return _descale(mant, 2 * u)
-
-        # loose negative: kappa^5 sinh(u) * [4(1-kappa^2)(cosh u cosh v - cos th)
-        #                                    + (kappa^4 - 2 kappa^2 + 5) sinh u sinh v]
-        v = kap * ell
-        k2 = kap * kap
-        eu, ev = math.exp(-2 * u), math.exp(-2 * v)
-        cc = 0.25 * (1 + eu) * (1 + ev)  # cosh u cosh v * e^{-(u+v)}
-        ss = 0.25 * (1 - eu) * (1 - ev)  # sinh u sinh v * e^{-(u+v)}
-        ct = cos_theta * math.exp(-(u + v))
-        bracket = 4 * (1 - k2) * (cc - ct) + (k2 * k2 - 2 * k2 + 5) * ss
-        sin_u = 0.5 * (1 - eu)  # sinh u * e^{-u}
-        mant = kap**5 * sin_u * bracket
-        return _descale(mant, 2 * u + v)
-    except OverflowError:
-        # x**5 or x**3 past the float range: x > 1.8e61.  Every float past
-        # 2**53 is an integer, so sin(k pi) = 0 exactly on the positive
-        # branch.  On the negative one sinh u, cosh u - cos theta and e^{2u}
-        # are positive and past any float, so the value is the clamp with the
-        # sign of kappa^2 - 1 (tight) or of the loose bracket, which is that
-        # of kappa^2 tanh(kappa ell) - 4 to rounding here (cos theta e^{-u}
-        # and the kappa^-2 terms vanish)
-        if branch == "positive":
-            return 0.0
-        sign = x * x - 1.0 if spec.is_tight else x * x * math.tanh(x * ell) - 4.0
-        return _descale(sign, math.inf)
-
-
-def _descale(mantissa: float, log_scale: float) -> float:
-    """mantissa * e^{log_scale}, clamped to the float range with sign kept."""
-    if mantissa == 0.0:
-        return 0.0
-    log_mag = math.log(abs(mantissa)) + log_scale
-    if log_mag > 709.0:
-        return math.copysign(1.7976931348623157e308, mantissa)
-    try:
-        return mantissa * math.exp(log_scale)
-    except OverflowError:  # e^{log_scale} alone is past the float range
-        return math.copysign(math.exp(log_mag), mantissa)
 
 
 def _eigen_halves(n: int, k: float) -> tuple[np.ndarray, np.ndarray]:

@@ -345,8 +345,11 @@ def _package_code_lines():
 #: then 1334 -> 1350 for leaner oracle calls: secular 145 -> 154 (the float
 #: path of _cis_quarter, the tight edge lengths, sincospi and the k*ell check
 #: inline in closed_form_value) and crosscheck 92 -> 99 (the closed-form
-#: batch and the refusal of a window coarser than its narrowest bracket)
-CODE_LINES_BOUND = 1350
+#: batch and the refusal of a window coarser than its narrowest bracket),
+#: then 1350 -> 1315 for closed_form_value as the solvers' kernels times a
+#: factor with no zero: secular 154 -> 87, bands 264 -> 290, _numerics
+#: 212 -> 217 (zero_energy) and crosscheck 99 -> 100
+CODE_LINES_BOUND = 1315
 
 
 def test_code_lines_do_not_grow():

@@ -7,6 +7,8 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ringchain import (
     ChainSpec,
@@ -17,8 +19,9 @@ from ringchain import (
     normalized_determinant,
     vertex_scattering,
 )
-from ringchain import secular
+from ringchain import bands, phi_positive, secular
 from ringchain._numerics import k_times_ell, sincospi
+from ringchain.bands import f_shifted
 from ringchain.secular import s_minus_i_norm
 
 TIGHT = ChainSpec(0.0)
@@ -99,14 +102,13 @@ def test_closed_form_loose_integer_flat():
 
 
 def test_closed_form_tight_value_at_half():
-    # prefactor k^3 (k^2+1) sin(k pi) = 5/32 at k = 1/2, last factor
-    # cos(pi/2) - cos(0) = -1
+    # sin(k pi) (cos(k pi) - c) with sin(pi/2) = 1 and cos(pi/2) - cos(0) = -1
     v = closed_form_value(TIGHT, "positive", 0.5, 1.0)
-    assert v == pytest.approx(-5.0 / 32.0, abs=1e-15)
+    assert v == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_closed_form_zero_energy():
-    # k*k underflows to E = 0: the k^5 prefactor limit
+    # k*k underflows to E = 0: the limit of sin(k pi) (Phi - c)
     for x in (1e-200, 5e-324):
         assert closed_form_value(LOOSE1, "positive", x, math.cos(0.5)) == 0.0
         assert closed_form_value(TIGHT, "negative", x, math.cos(0.5)) == 0.0
@@ -114,7 +116,7 @@ def test_closed_form_zero_energy():
 
 def test_closed_form_no_overflow_at_large_kappa():
     v = closed_form_value(LOOSE1, "negative", 500.0, 1.0)
-    assert math.isfinite(v) or abs(v) == pytest.approx(1.7976931348623157e308)
+    assert math.isfinite(v) and v > 0.0  # below the lower band: f - c < 0, 1 - kappa^2 < 0
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +378,12 @@ def test_an_unknown_branch_is_refused(branch):
 
 
 # ---------------------------------------------------------------------------
-# closed form where its powers of x overflow
-
-_FLOAT_MAX = 1.7976931348623157e308
+# closed form: the hand-eliminated condition over a factor with no zero
 
 
 def _closed_form_mp(ell, branch, x, c):
-    """The factored condition that closed_form_value evaluates, in 60 digits
-    and with no exponent range."""
+    """The factored condition eliminated by hand from the fiber system, in
+    60 digits and with no exponent range."""
     with mp.workdps(60):
         x, ell, c = mp.mpf(x), mp.mpf(ell), mp.mpf(c)
         if branch == "positive":
@@ -400,6 +400,19 @@ def _closed_form_mp(ell, branch, x, c):
                                     + (x**4 - 2 * x**2 + 5) * mp.sinh(u) * mp.sinh(v))
 
 
+def _factor_mp(ell, branch, x, c):
+    """The factor, with no zero and no pole for x > 0, that takes
+    ``_closed_form_mp`` to the value of closed_form_value."""
+    with mp.workdps(60):
+        x, ell, c = mp.mpf(x), mp.mpf(ell), mp.mpf(c)
+        if branch == "positive":
+            return x**3 * (x**2 + 1) if ell == 0 else -4 * x**5 * (x**2 + 1)
+        u = x * mp.pi
+        if ell == 0:
+            return x**3 * mp.sinh(u) * (mp.cosh(u) - c)
+        return 4 * x**5 * (1 + x**2) * mp.sinh(u) * mp.exp(u + x * ell)
+
+
 @pytest.mark.parametrize("ell, branch, x", [
     (1.0, "positive", 1e62), (1.0, "negative", 1e62),  # x**5 overflows
     (0.0, "positive", 1e103), (0.0, "negative", 1e103),  # x**3 overflows
@@ -408,59 +421,91 @@ def _closed_form_mp(ell, branch, x, c):
     # kappa^2 tanh(kappa ell) crosses 4 between these: the bracket's sign
     (1e-200, "negative", 7.368e66), (1e-200, "negative", 7.369e66),
     (7.2e5, "negative", 1e-3),  # e^{2u+v} overflows alone, the value is finite
+    (1.0, "positive", 2.3), (1.0, "negative", 2.3), (0.0, "negative", 2.3),
 ])
 @pytest.mark.parametrize("theta", [0.0, 0.3, math.pi])
 def test_closed_form_past_the_range_of_its_powers(ell, branch, x, theta):
     c = math.cos(theta)
-    want = _closed_form_mp(ell, branch, x, c)
+    want = _closed_form_mp(ell, branch, x, c) / _factor_mp(ell, branch, x, c)
     got = closed_form_value(ChainSpec(ell), branch, x, c)
     if want == 0:  # sin(k pi) = 0 exactly: every float past 2**53 is an integer
         assert got == 0.0
-    elif abs(want) > _FLOAT_MAX:
-        assert got == math.copysign(_FLOAT_MAX, want)
     else:
         assert got == pytest.approx(float(want), rel=1e-13)
 
 
-def _closed_form_positive_point(spec, k, cos_theta):
-    """closed_form_value on the positive branch through sincospi and
-    k_times_ell: the reference that its inlined scalar path must equal bit
-    for bit."""
-    sk, ck = sincospi(k)
-    try:
-        if spec.is_tight:
-            value = k**3 * (k * k + 1.0) * sk * (ck - cos_theta)
-            return value if value == value else 0.0
-        kl = k_times_ell(k, spec.link_length)
-        k2 = k * k
-        bracket = ((k2 * k2 + 2 * k2 + 5) * sk * math.sin(kl)
-                   - 4 * (k2 + 1) * (ck * math.cos(kl) - cos_theta))
-        return k**5 * sk * bracket
-    except OverflowError:
-        return 0.0
-
-
 @pytest.mark.parametrize("ell", [0.0, 1e-3, 1.0, math.pi, 7.0, 1e200])
-def test_closed_form_positive_equals_sincospi_and_k_times_ell_bit_for_bit(ell):
+def test_closed_form_positive_equals_the_kernel_bit_for_bit(ell):
+    # sin(k pi) (Phi - c) through sincospi and phi_positive; on the loose
+    # chain 0.0 where sin(k pi) = 0, also past k ~ 1.3e77, where r(k) is inf
     spec = ChainSpec(ell)
     rng = np.random.default_rng(3)
     ks = [
         *map(float, range(1, 40)), *(n + 0.5 for n in range(40)),  # integers, half-integers
         2.0**53, 2.0**53 + 2.0, 1e16 + 1.0, 3e20, 1e100,  # every float here is an integer
-        *np.geomspace(1.7e61, 4.6e61, 12).tolist(), 1e154,  # k**5 and k**3 k**2 overflow
+        *np.geomspace(1.7e61, 4.6e61, 12).tolist(), 1e154,
         *rng.uniform(0.01, 60.0, 300).tolist(), *np.exp(rng.uniform(-300, 350, 100)).tolist(),
     ]
     for c in (math.cos(0.3), -1.0, 1.0):
         for k in ks:
+            if k * k == math.inf:
+                continue
             try:
-                want = _closed_form_positive_point(spec, k, c)
-            except ValueError as refusal:  # k*ell overflows
+                k_times_ell(k, ell)
+            except ValueError as refusal:
                 with pytest.raises(ValueError) as info:
                     closed_form_value(spec, "positive", k, c)
                 assert str(info.value) == str(refusal)
                 continue
+            s = sincospi(k)[0]
+            want = s * (phi_positive(spec, k) - c) if s or spec.is_tight else 0.0
             got = closed_form_value(spec, "positive", k, c)
             assert type(got) is float and got.hex() == want.hex(), (k, c)
+
+
+@pytest.mark.parametrize("ell", [1e-12, 1e-3, 1.0, math.pi, 7.0, 1e200])
+def test_closed_form_loose_negative_equals_the_kernel_bit_for_bit(ell):
+    spec = ChainSpec(ell)
+    rng = np.random.default_rng(4)
+    kappas = [0.5, 1.0 - 2**-52, 1.0 + 2**-52, math.sqrt(3.0), 1e77, 1e154,
+              *rng.uniform(0.01, 10.0, 200).tolist(), *np.exp(rng.uniform(-300, 354, 100)).tolist()]
+    for c in (math.cos(0.3), -1.0, 1.0):
+        for kap in kappas:
+            want = (1.0 - kap * kap) / (1.0 + kap * kap) * f_shifted(spec, kap, c)
+            got = closed_form_value(spec, "negative", kap, c)
+            assert type(got) is float and got.hex() == want.hex(), (kap, c)
+        # the pole of f_shifted, where the value is its limit
+        limit = 0.125 * math.expm1(-2.0 * math.pi) * math.expm1(-2.0 * ell)
+        assert closed_form_value(spec, "negative", 1.0, c) == limit
+        # beside it the value moves by about |1 - kappa^2| (f - c + q sinh u sinh v) e^{-s}
+        for kap in (1.0 - 2**-30, 1.0 + 2**-30):
+            assert closed_form_value(spec, "negative", kap, c) == pytest.approx(limit, abs=1e-8)
+
+
+_ADMISSIBLE = st.floats(math.log(5e-324), math.log(1.34e154)).map(lambda t: max(math.exp(t), 5e-324))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ADMISSIBLE, st.floats(math.log(1e-300), math.log(1e300)).map(math.exp),
+       st.floats(-1.0, 1.0), st.sampled_from(["positive", "negative"]), st.booleans())
+@example(1.3407807929942596e154, 1e300, 1.0, "negative", False)
+@example(1.3407807929942596e154, 1.0, -1.0, "positive", True)
+@example(2.5e77, 1.0, 0.3, "negative", False)
+@example(1.3e77, 1e-300, 0.3, "positive", False)
+@example(1.0, 1e-300, 1.0, "negative", False)
+def test_closed_form_is_finite_at_every_admissible_x(x, ell, c, branch, tight):
+    # x log-uniform up to 1.34e154, where x*x is still finite, on both
+    # branches of both chains; a loose positive k whose product with ell
+    # overflows is refused, not evaluated
+    spec = TIGHT if tight else ChainSpec(ell)
+    if branch == "positive" and x * spec.link_length == math.inf:
+        with pytest.raises(ValueError, match=r"^k\*ell is not finite"):
+            closed_form_value(spec, branch, x, c)
+        return
+    with warnings.catch_warnings(), np.errstate(over="raise", divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        v = closed_form_value(spec, branch, x, c)
+    assert type(v) is float and math.isfinite(v), (x, ell, c, branch, tight)
 
 
 def test_closed_form_refuses_an_overflowing_k_ell_by_name():
@@ -567,7 +612,7 @@ def test_a_degree_past_max_witnesses_is_refused_by_name(build):
 def _timings():
     """(name, microseconds per call, best of 7) for each oracle call at the
     sizes match_roots hands it: 12 points per stacked assembly, theta = 0.3,
-    the loose chain at ell = 1."""
+    the loose chain at ell = 1.  The closed form is ringchain.bands'."""
     import timeit
 
     q = Quasimomentum(0.3)
@@ -580,7 +625,7 @@ def _timings():
                 (f"assemble {chain} {branch}", lambda s=spec, b=branch, x=x: assemble(s, b, x, q)),
                 (f"normalized_determinant {chain} {branch}", lambda m=m: normalized_determinant(m)),
                 (f"closed_form_value {chain} {branch}",
-                 lambda s=spec, b=branch, x=float(x[5]): closed_form_value(s, b, x, q.cos)),
+                 lambda s=spec, b=branch, x=float(x[5]): bands.closed_form_value(s, b, x, q.cos)),
             ]
     # the 7 repeats go round the calls, so that a slow spell of the host
     # slows every call alike

@@ -60,3 +60,11 @@ def test_traced_band_solver_is_entered(monkeypatch, capsys, module, name):
     monkeypatch.setattr(mod, name, counted)
     _ENTRY[module, name]()
     assert len(calls) == 1
+
+
+def test_both_closed_form_lookups_are_the_one_definition():
+    # the tracer wraps closed_form_value in ringchain.bands and in
+    # ringchain.crosscheck; both names are the function bands defines
+    bands, crosscheck = (importlib.import_module(f"ringchain.{m}") for m in ("bands", "crosscheck"))
+    assert bands.closed_form_value is crosscheck.closed_form_value
+    assert bands.closed_form_value.__module__ == "ringchain.bands"
