@@ -6,7 +6,8 @@ length and window cap that an entry point takes must be finite and > 0 (a
 k or kappa with a finite square), a cos(theta) level must lie in [-1, 1], a
 k*ell that overflows is refused by name rather than passed to sin, and a
 vertex degree is an integer from 2 to 4096.
-``sincospi`` is vectorized over numpy arrays and safe for scalars.
+``sincospi`` runs one numpy path for arrays and 0-d inputs alike, and
+returns Python floats for a 0-d one.
 Brent's root finder comes in two transcriptions of scipy's
 ``brentq.c``, each with the same float operations in the same order, so
 both find the float that scipy's brentq finds: ``brentq_strict`` is a
@@ -102,16 +103,9 @@ def sincospi(x):
 
     With n = round(x) and r = x - n, both are (-1)^n times sin(pi*r) and
     cos(pi*r), so the reduction never loses the integer zeros of sin and
-    the +-1 of cos to rounding of pi*x.  A 0-d input takes a math-module
-    path that returns Python floats equal bit for bit to the array path.
+    the +-1 of cos to rounding of pi*x.  A 0-d input runs the same array
+    operations and comes back as two Python floats.
     """
-    if isinstance(x, float) or np.ndim(x) == 0:
-        x = float(x)
-        if math.isfinite(x):
-            n = round(x)
-            r = math.pi * (x - n)
-            s, c = math.sin(r), math.cos(r)
-            return (-s, -c) if n % 2 else (s, c)
     x = np.asarray(x, dtype=float)
     n = np.round(x)
     r = np.pi * (x - n)

@@ -96,7 +96,12 @@ def r_coefficient(k):
 
     A 0-d k is computed as a float, with no numpy and so no warning: from
     k ~ 1.3e77 on, where k^4 overflows, it is inf, and from k ~ 6.7e153 on,
-    where 4 k^2 does too, NaN.
+    where 4 k^2 does too, NaN.  It is the one float twin of an array path
+    left among the kernels, and it stays because ``gap_certificate`` (CLI
+    ``certify``) takes any finite k: past k ~ 1.3e77 only the float path
+    answers without a RuntimeWarning.  An ``np.errstate`` on the array path
+    instead would cost each array call 1 to 2 us (``phi_positive`` at 60
+    points: 16.8 -> 17.8 us, best of 9 runs, 2-vCPU Xeon VM).
     """
     scalar = isinstance(k, float) or np.ndim(k) == 0
     k = float(k) if scalar else np.asarray(k, dtype=float)
@@ -107,20 +112,23 @@ def r_coefficient(k):
 def phi_positive(spec: ChainSpec, k):
     """Positive-branch reduced dispersion, vectorized in k.
 
-    A finite 0-d k (the window end of ``positive_bands``, a selfcheck
-    point) is computed with the math module and returned as a float; it
-    takes the same operations in the same order as the array path and
-    equals it bit for bit.
+    A 0-d k (the window end of ``positive_bands``, a selfcheck point) runs
+    the same array operations and is returned as a Python float.  A finite
+    k whose product with ell overflows is refused by ``k_times_ell``'s
+    ValueError, naming k and ell; an infinite or NaN k gives NaN.
     """
-    scalar = (isinstance(k, float) or np.ndim(k) == 0) and math.isfinite(k)
-    k = float(k) if scalar else np.asarray(k, dtype=float)
-    s, c = sincospi(k)
+    k = np.asarray(k, dtype=float)
     if spec.is_tight:
-        return c
-    xp = math if scalar else np
+        return sincospi(k)[1]
+    # checked before numpy multiplies, which would warn: a NaN or infinite k
+    # gives NaN, and the finite k of largest |k| overflows k*ell if any does
+    if not float(np.abs(k).max(initial=0.0)) * spec.link_length < math.inf:
+        finite = np.where(np.isfinite(k), k, 0.0)
+        k_times_ell(float(finite.flat[np.argmax(np.abs(finite))]), spec.link_length)
+    s, c = sincospi(k)
     kl = k * spec.link_length
-    out = xp.cos(kl) * c - r_coefficient(k) * xp.sin(kl) * s
-    return out if scalar or out.ndim else float(out)
+    out = np.cos(kl) * c - r_coefficient(k) * np.sin(kl) * s
+    return out if out.ndim else float(out)
 
 
 def f_shifted(spec: ChainSpec, kappa: float, c: float) -> float:
@@ -209,8 +217,9 @@ def closed_form_value(spec: ChainSpec, branch: str, x: float, cos_theta: float) 
     The value is finite at every admissible x.
 
     The loose positive value is sincospi(k)[0] * (phi_positive(spec, k) - c)
-    bit for bit, and 0.0 where sin(k pi) = 0: past k ~ 1.3e77, r(k) is inf
-    and the product would be NaN.  At kappa = 1, where ``f_shifted`` is NaN,
+    bit for bit where numpy's sin and cos equal the C library's, and 0.0
+    where sin(k pi) = 0: past k ~ 1.3e77, r(k) is inf and the product would
+    be NaN.  At kappa = 1, where ``f_shifted`` is NaN,
     the loose negative value is its limit, expm1(-2 pi) expm1(-2 ell)/8.
 
     An x whose square underflows is zero energy and gives 0.0, the limit

@@ -322,8 +322,8 @@ def _cmd_selfcheck(args, spec):
     ks = rng.uniform(0.5, 80.0, 500)
     bad = 0
     for k in ks:
-        if gap_certificate(spec1, float(k)):
-            if abs(float(phi_positive(spec1, float(k)))) <= 1.0:
+        if gap_certificate(spec1, k):
+            if abs(phi_positive(spec1, k)) <= 1.0:
                 bad += 1
     record("certificate_soundness", bad == 0, f"{bad} certified points inside a band")
 

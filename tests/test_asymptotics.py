@@ -477,6 +477,14 @@ def _dense_distance(ref_hi, bands, n=200_001):
     return float(d.max()), ref_hi / (n - 1)
 
 
+def test_hausdorff_past_the_last_band_is_the_distance_to_its_end():
+    # the table ends at E = 9, below ref_hi: past its last band the
+    # spectrum is taken to end, so the distance peaks at ref_hi
+    bands = positive_bands(ChainSpec(1.0), 3.0)
+    assert bands.truncated_hi and bands.e_hi[-1] == 9.0
+    assert _one_sided_hausdorff(25.0, bands) == 16.0 == _dense_distance(25.0, bands)[0]
+
+
 @pytest.mark.parametrize("ell", [0.3, 1.0, 2.0, 5.0, 12.0])
 @pytest.mark.parametrize("frac", [0.1, 0.5, 0.9])
 def test_hausdorff_with_e_max_inside_a_gap_matches_dense_scan(ell, frac):

@@ -652,7 +652,9 @@ def test_phi_small_ell_limit_is_tight_dispersion():
 @pytest.mark.parametrize(
     "spec", [TIGHT, ChainSpec(0.37), LOOSE1, ChainSpec(math.pi), ChainSpec(7.5)]
 )
-def test_phi_scalar_path_equals_array_path(spec):
+def test_phi_on_one_float_is_the_array_element_as_a_float(spec):
+    # a 0-d k runs the array path and comes back as a Python float, bit for
+    # bit the element of the array call; so does sincospi's pair
     rng = np.random.default_rng(20191209)
     ks = np.concatenate(
         [rng.uniform(0.0, 400.0, 10_000), np.arange(0.0, 401.0), np.arange(0.5, 400.0)]
@@ -662,9 +664,36 @@ def test_phi_scalar_path_equals_array_path(spec):
     scalar = np.array(values)
     arr = phi_positive(spec, ks)
     assert np.array_equal(arr.view(np.int64), scalar.view(np.int64))
-    # numpy scalars and 0-d arrays take the same path
+    # numpy scalars and 0-d arrays give the same float
     assert phi_positive(spec, np.float64(ks[0])) == scalar[0]
     assert phi_positive(spec, np.asarray(ks[1])) == scalar[1]
+    pairs = [sincospi(float(k)) for k in ks[::10]]
+    assert all(type(s) is float and type(c) is float for s, c in pairs)
+    s, c = sincospi(ks[::10])
+    assert np.array_equal(np.array(pairs).view(np.int64), np.stack((s, c), axis=1).view(np.int64))
+
+
+@pytest.mark.parametrize("k", [1e10, np.float64(1e10), np.array(1e10), np.array([1e10]),
+                               np.array([1.0, -1e10, 2.0])], ids=repr)
+def test_phi_refuses_a_k_whose_product_with_ell_overflows(k):
+    # k*ell = inf has no cos or sin: refused by name, before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"k\*ell is not finite for k = -?10000000000\.0, ell = 1e\+300"):
+            phi_positive(ChainSpec(1e300), k)
+        # a k whose product with ell is finite still answers
+        assert math.isfinite(phi_positive(ChainSpec(1e300), 1e8))
+
+
+def test_phi_at_a_nan_or_infinite_k_is_nan():
+    # as before the refusal of an overflowing k*ell: no refusal, NaN
+    with np.errstate(invalid="ignore"):
+        for k in (math.nan, math.inf, -math.inf):
+            for ell in (1.0, 1e300):
+                value = phi_positive(ChainSpec(ell), k)
+                assert type(value) is float and math.isnan(value)
+        arr = phi_positive(ChainSpec(1e300), np.array([math.inf, math.nan, 1e-300]))
+    assert np.isnan(arr[:2]).all() and math.isfinite(arr[2])
 
 
 def test_sincospi_exact_at_integers_and_half_integers():

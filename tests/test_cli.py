@@ -208,6 +208,12 @@ def test_exit_code_invalid_args(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["bands", "--help"]], ids=" ".join)
+def test_help_exits_0(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.startswith("usage: ")
+
+
 def test_exit_code_solver_failure(capsys, monkeypatch):
 
     def boom(spec):

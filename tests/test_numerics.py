@@ -1,6 +1,7 @@
 """The two Brent transcriptions, bit for bit equal to scipy's brentq and to
 each other, and their failures; the refusal of a non-positive or
-non-finite argument at every entry point that takes one.
+non-finite argument at every entry point that takes one, and the refusals
+that carry a message of their own.
 
 scipy is the oracle here only; ringchain itself does not import it.
 """
@@ -8,6 +9,7 @@ scipy is the oracle here only; ringchain itself does not import it.
 import functools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from ringchain import (
     gap_certificate,
     joint_m_membership,
     large_l_gap_spacing,
+    make_coupling,
     set_convergence_check,
     small_l_lower_band,
     small_l_upper_band,
@@ -105,6 +108,32 @@ def test_a_level_outside_minus_one_to_one_is_refused_by_name(argument, c):
 @pytest.mark.parametrize("argument", _UNIT_LEVELS)
 def test_the_ends_of_minus_one_to_one_are_accepted(argument, c):
     assert math.isfinite(_UNIT_LEVELS[argument][1](c))
+
+
+# refusals with a message of their own: the exception, the whole message,
+# and the call that is refused
+_REFUSALS = {
+    "solve_negative_edge.tight": (
+        ValueError, "negative edges exist for the loose chain only",
+        lambda: solve_negative_edge(ChainSpec(0.0), 0.3, "upper")),
+    "solve_negative_edge.band": (
+        ValueError, "band must be 'upper' or 'lower', got 'middle'",
+        lambda: solve_negative_edge(ChainSpec(1.0), 0.3, "middle")),
+    **{f"dispersion.k_range={r}": (ValueError, f"invalid k range {r}",
+                                   lambda r=r: dispersion(ChainSpec(1.0), _Q, r))
+       for r in ((2.0, 1.0), (math.nan, 1.0), (-1.0, 1.0), (0.0, math.inf))},
+    "make_coupling.float": (
+        TypeError, "degree must be an integer, got float", lambda: make_coupling(3.0)),
+}
+
+
+@pytest.mark.parametrize("refusal", _REFUSALS)
+def test_each_refusal_raises_its_own_message(refusal):
+    exc, message, call = _REFUSALS[refusal]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+            call()
 
 
 # link lengths of the replay: seeded log-uniform, and touching ones where
@@ -279,6 +308,44 @@ def test_numpy_trig_equals_libm_on_edge_solve_arguments():
                 f"hosts or to the scalar solver and the scalar witness test."
             )
     assert x.size >= 1_000_000
+    # one float at a time, as the 0-d calls of phi_positive and sincospi take
+    # them: the window cut of positive_bands and the certificates
+    ones = _golden_cut_and_certify_arguments()
+    for name, vec, lib in (("sin", np.sin, math.sin), ("cos", np.cos, math.cos)):
+        bad = [v for v in ones if float(vec(np.asarray(v))) != lib(v)]
+        assert not bad, (
+            f"numpy's float64 {name} on a 0-d array differs from the C library's on "
+            f"{len(bad)} of {len(ones)} arguments, first x={bad[0]!r}. phi_positive and "
+            f"sincospi take one float through numpy, so on this host the theta where a "
+            f"window cuts a band, the gap certificates and the CLI output need not be "
+            f"bit-identical to other hosts."
+        )
+    assert len(ones) >= 300
+
+
+def _golden_cut_and_certify_arguments():
+    """k*ell and pi (k - round(k)) for every k_max of the golden ``bands``
+    and ``measure`` windows (the square root of each --e-max) and every k of
+    the golden ``certify`` runs: the arguments of sin and cos where the window
+    cut of positive_bands and the certificates call them one float at a time."""
+    from test_golden_cli import _COMMANDS, _argvs
+
+    from ringchain.cli import ell as parse_ell
+
+    xs = []
+    for argv in [*_argvs(), *(command.split() for command in _COMMANDS)]:
+        flag, values = None, {}
+        for word in argv[1:]:
+            if word.startswith("--"):
+                flag = word
+            else:
+                values.setdefault(flag, []).append(word)
+        ks = {"bands": values.get("--k-max", []), "certify": values.get("--k", []),
+              "measure": [math.sqrt(float(e)) for e in values.get("--e-max", [])]}
+        link = parse_ell(values["--ell"][0]) if argv[0] in ks else 0.0
+        for k in map(float, ks.get(argv[0], [])):
+            xs += [k * link, math.pi * (k - round(k))]
+    return xs
 
 
 @pytest.mark.parametrize("seed", range(4))
